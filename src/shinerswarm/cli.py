@@ -160,7 +160,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         positions = np.array([p for _, p in nodes], dtype=np.complex128)
         params = SwarmParams(n_nodes=len(nodes), r=args.r,
                              rho=complex(args.rho_x, args.rho_y))
-        state = SwarmState(t=step, positions=positions, streams=[])
+        state = SwarmState(t=step, positions=positions, seed=0)
         m = compute_metrics(state, params, args.eps)
         print(f"{m.t},{_fmt(m.mean_dist_to_rho)},{_fmt(m.frac_within_eps)},"
               f"{_fmt(m.mean_pairwise_dist)},{m.cluster_count}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .core import SwarmParams
-from .engine import Box
+from .engine import SEED_LIMIT, Box
 
 MODES = ("none", "env", "social", "both")
 
@@ -93,6 +93,8 @@ def validate(cfg: RunConfig, lines: dict[str, int] | None = None) -> RunConfig:
            f"key 'steps' must be >= 0, got {cfg.steps}")
     _check(cfg.stride >= 1, "stride", ln("stride"),
            f"key 'stride' must be >= 1, got {cfg.stride}")
+    _check(0 <= cfg.seed < SEED_LIMIT, "seed", ln("seed"),
+           f"key 'seed' must be in [0, 2**64), got {cfg.seed}")
     _check(cfg.c1 > 0, "c1", ln("c1"),
            f"key 'c1' must be positive, got {cfg.c1}")
     _check(cfg.c2 > 0, "c2", ln("c2"),

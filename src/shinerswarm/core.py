@@ -11,8 +11,12 @@ a displacement by the separation distance ``s``, flipping it when the
 neighbor is closer than ``s``, which folds attraction and collision
 avoidance into a single complex-valued function.
 
-All functions are pure given an explicit ``numpy.random.Generator``; nothing
-here keeps mutable state, so the module is safe to use from multiple threads.
+``node_step`` is the scalar reference path of one node-step. It takes its
+four normals from an explicit stream argument (anything with a
+``standard_normal`` method), whereas the engine's vectorised step
+(``engine.move``) takes every node's normals at once from
+``engine.step_normals``, a pure function of (seed, node, step). Nothing here
+keeps mutable state.
 """
 
 from __future__ import annotations

@@ -41,7 +41,8 @@ DEFAULT_N_POINTS = 6001
 
 
 class GridSpanError(ValueError):
-    """The grid is too narrow to hold the pdf (mass deficit above 1e-3)."""
+    """The grid is too narrow or too coarse to hold the pdf (mass deficit
+    above 1e-3)."""
 
 
 @dataclass(frozen=True)
@@ -138,18 +139,26 @@ def initial_pdf(x0: float, params: KernelParams,
     """Pdf after the first step: the kernel from x0 sampled on the
     log-graded grid of n_points nodes spanning [z_min, z_max].
 
-    Raises GridSpanError when more than 1e-3 of the mass falls outside the
-    grid, naming the span that would be needed.
+    Raises GridSpanError when the grid holds less than 1 - 1e-3 of the
+    mass. The message names the span that would be needed, or, when the span
+    already holds x0 +/- 8 sd, the point count as the cause.
     """
     z, w = _graded_grid(z_min, z_max, n_points, params.c2)
     f = GridPdf(z, w, kernel_pdf(x0, z, params), t=1)
     mass = float(f.w @ f.values)
     if mass < 1.0 - 1e-3:
         sd = float(params.sd(x0))
+        lo, hi = x0 - 8 * sd, x0 + 8 * sd
+        held = (f"grid [{z_min}, {z_max}] of {n_points} points holds only "
+                f"mass {mass:.6f} of the first-step pdf")
+        if z_min <= lo and hi <= z_max:
+            spacing = float(np.diff(z)[np.searchsorted(z, x0) - 1])
+            raise GridSpanError(
+                f"{held}; the span holds [{lo:.6g}, {hi:.6g}], but "
+                f"{n_points} points are too few: the nodes near x0 are "
+                f"{spacing:.3g} apart against a first-step sd of {sd:.3g}")
         raise GridSpanError(
-            f"grid [{z_min}, {z_max}] holds only mass {mass:.6f} of the "
-            f"first-step pdf; span at least [{x0 - 8 * sd:.6g}, "
-            f"{x0 + 8 * sd:.6g}] is required")
+            f"{held}; span at least [{lo:.6g}, {hi:.6g}] is required")
     return f
 
 

@@ -1,30 +1,36 @@
 """Synchronous time-stepped swarm simulation with reproducible randomness.
 
-Every node owns a private random stream derived from (master seed, node id),
-and initial placement uses a separate stream, so a run is bit-reproducible
-from its seed regardless of scheduling. Each step, all nodes read the same
-time-t snapshot, consume exactly four normals from their own stream (two for
-the step length, two for the heading noise), and move simultaneously.
-
-The per-node work after the draws is elementwise, so it is split into
-fixed-size blocks that an optional thread pool may execute concurrently;
-the block boundaries never depend on the worker count, which keeps results
-bit-identical whether one thread or many are used.
+Each step, all nodes read the same time-t snapshot, take four standard
+normals each (two for the step length, two for the heading noise), and move
+simultaneously. The normals of node i at step t are a pure function of
+(master seed, i, t): ``step_normals`` reads them from one counter-based
+Philox stream (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11) keyed by the seed, where the block of node i at step t sits at
+counter (i, t, 0, 0). A state is therefore just (t, positions, seed): it
+owns no generator, advancing it mutates nothing, and any copy resumes bit
+for bit, whatever the scheduling. Initial placement uses a separate stream
+(``init_stream``).
 """
 
 from __future__ import annotations
 
-import copy
-from concurrent.futures import ThreadPoolExecutor
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import SwarmParams, build_neighborhood, hammer
 
-# Nodes per elementwise work block; fixed so results cannot depend on the
-# number of workers.
-_BLOCK = 512
+# Master seeds are the first Philox key word, an unsigned 64-bit integer.
+SEED_LIMIT = 2 ** 64
+
+
+def check_seed(seed) -> int:
+    """The seed as an int; ValueError unless it is in [0, 2**64)."""
+    seed = operator.index(seed)
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -44,16 +50,19 @@ class Box:
 @dataclass
 class SwarmState:
     """One simulation frame: step index, node positions (complex), and the
-    per-node random streams.
+    master seed that keys every draw.
 
-    ``advance_swarm`` consumes the streams in place and returns a new state
-    sharing them; snapshot copies made by ``run`` carry deep-copied streams
-    and are therefore resumable.
+    The draws of a step depend only on (seed, t), so a state is complete on
+    its own: ``advance_swarm`` returns a new state and leaves this one as it
+    was, and a copy resumes bit for bit.
     """
 
     t: int
     positions: np.ndarray
-    streams: list[np.random.Generator]
+    seed: int
+
+    def __post_init__(self) -> None:
+        self.seed = check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -68,25 +77,35 @@ class Metrics:
 def init_stream(master_seed: int) -> np.random.Generator:
     """Stream used only for the initial placement."""
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(0,)))
-
-
-def node_stream(master_seed: int, node_id: int) -> np.random.Generator:
-    """Private stream of one node, keyed by (master seed, node id)."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(node_id + 1,)))
+        np.random.SeedSequence(entropy=check_seed(master_seed), spawn_key=(0,)))
 
 
 def init_swarm(params: SwarmParams, master_seed: int, region: Box) -> SwarmState:
-    """Place ``n_nodes`` i.i.d. uniform over ``region`` and attach per-node
-    streams."""
+    """Place ``n_nodes`` i.i.d. uniform over ``region``."""
     rng = init_stream(master_seed)
     u = rng.uniform(size=(params.n_nodes, 2))
     x = region.min_x + u[:, 0] * (region.max_x - region.min_x)
     y = region.min_y + u[:, 1] * (region.max_y - region.min_y)
-    positions = x + 1j * y
-    streams = [node_stream(master_seed, i) for i in range(params.n_nodes)]
-    return SwarmState(t=0, positions=positions, streams=streams)
+    return SwarmState(t=0, positions=x + 1j * y, seed=master_seed)
+
+
+def step_normals(master_seed: int, t: int, n: int) -> np.ndarray:
+    """The (n, 4) standard normals that nodes 0..n-1 draw at step t.
+
+    Row i comes from the four 64-bit words of the Philox4x64 block with key
+    (master_seed, 0) and counter (i, t, 0, 0), so it depends on neither n nor
+    the order of evaluation. Box-Muller maps each pair of words (a, b) to
+    ``sqrt(-2 log(1 - u_a)) * (cos, sin)(2 pi u_b)`` with the 53-bit uniforms
+    ``u = (word >> 11) * 2**-53`` in [0, 1), so every value is finite.
+    """
+    # uint64 arrays: numpy converts a key or counter given as a list of
+    # Python ints through float64, which rounds words above 2**53
+    key = np.array([check_seed(master_seed), 0], dtype=np.uint64)
+    counter = np.array([0, t, 0, 0], dtype=np.uint64)
+    raw = np.random.Philox(key=key, counter=counter).random_raw(4 * n)
+    u = (raw >> 11).reshape(n, 2, 2) * 2.0 ** -53
+    g = np.sqrt(-2.0 * np.log1p(-u[..., 0])) * np.exp(2j * np.pi * u[..., 1])
+    return g.view(np.float64)
 
 
 def default_sigma_const(positions, params: SwarmParams) -> float:
@@ -103,18 +122,16 @@ def resolve_sigma_const(params: SwarmParams, positions) -> SwarmParams:
     return replace(params, sigma_const=default_sigma_const(positions, params))
 
 
-def advance_swarm(state: SwarmState, params: SwarmParams,
-                  workers: int = 1) -> SwarmState:
-    """One synchronous step: all nodes read the time-t snapshot, draw, and
-    move together. Consumes the state's streams; returns the t+1 state."""
-    p = state.positions
+def move(positions: np.ndarray, params: SwarmParams,
+         g: np.ndarray) -> np.ndarray:
+    """Positions after one synchronous step in which node i uses the normals
+    ``g[i]``: the step length is ``sigma * hypot(g[i, 0], g[i, 1])`` and the
+    heading is the angle of the social term plus the noise
+    ``g[i, 2] + 1j * g[i, 3]``. Pure: reads the time-t positions only."""
+    p = positions
     n = p.size
-
-    draws = np.empty((n, 4))
-    for i, stream in enumerate(state.streams):
-        draws[i] = stream.standard_normal(4)
-    u_raw = np.hypot(draws[:, 0], draws[:, 1])
-    z = draws[:, 2] + 1j * draws[:, 3]
+    u_raw = np.hypot(g[:, 0], g[:, 1])
+    z = g[:, 2] + 1j * g[:, 3]
 
     if params.social_enabled:
         graph = build_neighborhood(p, params.r)
@@ -135,24 +152,23 @@ def advance_swarm(state: SwarmState, params: SwarmParams,
         if params.sigma_const is None:
             raise ValueError("sigma_const must be set when the environmental "
                              "factor is disabled")
-        sigma = np.full(n, float(params.sigma_const))
+        sigma = float(params.sigma_const)
 
-    new_p = np.empty_like(p)
+    v = np.angle(arg)
+    v = np.where(v == -np.pi, np.pi, v)
+    return p + sigma * u_raw * np.exp(1j * v)
 
-    def do_block(lo: int, hi: int) -> None:
-        v = np.angle(arg[lo:hi])
-        v = np.where(v == -np.pi, np.pi, v)
-        new_p[lo:hi] = p[lo:hi] + sigma[lo:hi] * u_raw[lo:hi] * np.exp(1j * v)
 
-    spans = [(lo, min(lo + _BLOCK, n)) for lo in range(0, n, _BLOCK)]
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda span: do_block(*span), spans))
-    else:
-        for lo, hi in spans:
-            do_block(lo, hi)
-
-    return SwarmState(t=state.t + 1, positions=new_p, streams=state.streams)
+def advance_swarm(state: SwarmState, params: SwarmParams,
+                  workers: int = 1) -> SwarmState:
+    """One synchronous step: all nodes read the time-t snapshot, draw their
+    step-t normals, and move together; returns the t+1 state. ``workers`` is
+    accepted and ignored: the step is one vectorised pass whose result cannot
+    depend on it."""
+    p = state.positions
+    g = step_normals(state.seed, state.t, p.size)
+    return SwarmState(t=state.t + 1, positions=move(p, params, g),
+                      seed=state.seed)
 
 
 def compute_metrics(state: SwarmState, params: SwarmParams, eps: float) -> Metrics:
@@ -179,28 +195,24 @@ def compute_metrics(state: SwarmState, params: SwarmParams, eps: float) -> Metri
     )
 
 
-def _snapshot(state: SwarmState) -> SwarmState:
-    return SwarmState(t=state.t,
-                      positions=state.positions.copy(),
-                      streams=[copy.deepcopy(g) for g in state.streams])
-
-
 def run(params: SwarmParams, master_seed: int, region: Box, n_steps: int,
         snapshot_stride: int, eps: float = 0.15,
         workers: int = 1) -> list[tuple[SwarmState, Metrics]]:
-    """Simulate ``n_steps`` steps, recording (snapshot, metrics) at t = 0,
-    every ``snapshot_stride`` steps, and the final step."""
+    """Simulate ``n_steps`` steps, recording (state, metrics) at t = 0,
+    every ``snapshot_stride`` steps, and the final step. Steps never modify
+    a state, so each recorded one is a resumable snapshot. ``workers`` is
+    accepted and ignored."""
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     if snapshot_stride < 1:
         raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
     state = init_swarm(params, master_seed, region)
     params = resolve_sigma_const(params, state.positions)
-    records = [(_snapshot(state), compute_metrics(state, params, eps))]
+    records = [(state, compute_metrics(state, params, eps))]
     for t in range(1, n_steps + 1):
-        state = advance_swarm(state, params, workers=workers)
+        state = advance_swarm(state, params)
         if t % snapshot_stride == 0 or t == n_steps:
-            records.append((_snapshot(state), compute_metrics(state, params, eps)))
+            records.append((state, compute_metrics(state, params, eps)))
     return records
 
 
@@ -209,11 +221,11 @@ def first_passage(params: SwarmParams, master_seed: int, region: Box,
                   workers: int = 1) -> int | None:
     """First step at which the fraction of nodes within ``eps`` of the
     darkest spot reaches ``frac``; None if it never does within
-    ``max_steps``."""
+    ``max_steps``. ``workers`` is accepted and ignored."""
     state = init_swarm(params, master_seed, region)
     params = resolve_sigma_const(params, state.positions)
     for t in range(1, max_steps + 1):
-        state = advance_swarm(state, params, workers=workers)
+        state = advance_swarm(state, params)
         if (np.abs(state.positions - params.rho) <= eps).mean() >= frac:
             return t
     return None

@@ -51,12 +51,35 @@ def snapshot_svg(points: list[tuple[float, float]],
     return "\n".join(lines) + "\n"
 
 
+# Share of each curve's mass left out of the view on either side.
+VIEW_TAIL = 1e-3
+
+
+def mass_range(z: np.ndarray, p: np.ndarray) -> tuple[float, float]:
+    """The VIEW_TAIL and 1 - VIEW_TAIL quantiles of the mass of a pdf sampled
+    at the increasing nodes z, by the trapezoid rule; the ends of z when the
+    samples hold no mass."""
+    z = np.asarray(z, float)
+    p = np.asarray(p, float)
+    cdf = np.concatenate([[0.0], np.cumsum((p[1:] + p[:-1]) * 0.5 * np.diff(z))])
+    if not cdf[-1] > 0:
+        return float(z[0]), float(z[-1])
+    lo, hi = np.interp([VIEW_TAIL * cdf[-1], (1 - VIEW_TAIL) * cdf[-1]], cdf, z)
+    return float(lo), float(hi)
+
+
 def density_svg(curves: list[tuple[int, np.ndarray, np.ndarray]]) -> str:
-    """Line plot of one or more (t, z, pdf) curves with plain axes."""
+    """Line plot of one or more (t, z, pdf) curves with plain axes.
+
+    The x-axis spans where the curves' mass is (see ``mass_range``), not the
+    whole grid, whose log-graded tails can be many times wider; every
+    sample stays in the polyline, clipped to the plot area.
+    """
     if not curves:
         raise ValueError("no curves to plot")
-    z_lo = min(float(z.min()) for _, z, _ in curves)
-    z_hi = max(float(z.max()) for _, z, _ in curves)
+    ranges = [mass_range(z, p) for _, z, p in curves]
+    z_lo = min(lo for lo, _ in ranges)
+    z_hi = max(hi for _, hi in ranges)
     p_hi = max(float(p.max()) for _, _, p in curves)
     if p_hi <= 0:
         p_hi = 1.0
@@ -76,6 +99,8 @@ def density_svg(curves: list[tuple[int, np.ndarray, np.ndarray]]) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{DENSITY_W}" '
         f'height="{DENSITY_H}" viewBox="0 0 {DENSITY_W} {DENSITY_H}">',
         f'<rect width="{DENSITY_W}" height="{DENSITY_H}" fill="white"/>',
+        f'<clipPath id="plot"><rect x="{x0}" y="{y1}" width="{x1 - x0}" '
+        f'height="{y0 - y1}"/></clipPath>',
         f'<line class="axis" x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" '
         f'stroke="black"/>',
         f'<line class="axis" x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" '
@@ -93,6 +118,7 @@ def density_svg(curves: list[tuple[int, np.ndarray, np.ndarray]]) -> str:
         pts = " ".join(f"{_px(a)},{_px(b)}" for a, b in zip(vx, vy))
         color = palette[k % len(palette)]
         lines.append(f'<polyline class="curve" data-t="{t}" fill="none" '
-                     f'stroke="{color}" points="{pts}"/>')
+                     f'stroke="{color}" clip-path="url(#plot)" '
+                     f'points="{pts}"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -32,6 +32,20 @@ def ref_chain_seconds(ref_chain) -> float:
     return _REF_TIMING["seconds"]
 
 
+class FakeStream:
+    """Replays preset values in place of standard-normal draws."""
+
+    def __init__(self, values):
+        self._vals = [float(v) for v in values]
+
+    def standard_normal(self, size=None):
+        if size is None:
+            return self._vals.pop(0)
+        n = int(np.prod(size))
+        out = np.array([self._vals.pop(0) for _ in range(n)])
+        return out.reshape(size)
+
+
 def trapezoid_weights(z: np.ndarray) -> np.ndarray:
     """Trapezoid-rule weights for samples at the increasing nodes z, from the
     node spacing alone (independent of the weights the program uses)."""

@@ -92,6 +92,16 @@ def test_simulate_bad_config_exits_2(tmp_path):
     assert main(["simulate", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_simulate_seed_outside_uint64_exits_2(tmp_path, capsys, seed):
+    out = tmp_path / "out"
+    assert main(["simulate", "--seed", seed, "--steps", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "key 'seed'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_simulate_missing_config_exits_3(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 3
 
@@ -151,6 +161,16 @@ def test_density_narrow_grid_exits_4(tmp_path):
                  "--grid-max", "8", "--grid-points", "501",
                  "--out", str(tmp_path / "d.csv")])
     assert code == 4
+
+
+def test_density_coarse_grid_blames_point_count(tmp_path, capsys):
+    # the default span holds x0 +/- 8 sd; 7 nodes cannot resolve the pdf
+    code = main(["density", "--x0", "5", "--t", "3", "--grid-points", "7",
+                 "--out", str(tmp_path / "d.csv")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "7 points are too few" in err
+    assert "span at least" not in err
 
 
 def test_density_bad_params_exit_2(tmp_path):

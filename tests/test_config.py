@@ -52,6 +52,19 @@ def test_invariant_error_carries_line_number():
         parse_config("c1 = 0.1\nc2 = 0.2\nw = -4\n")
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seed_outside_uint64_rejected(seed):
+    with pytest.raises(ConfigError,
+                       match=r"line 2: key 'seed' must be in \[0, 2\*\*64\)"):
+        parse_config(f"steps = 3\nseed = {seed}\n")
+    with pytest.raises(ConfigError, match="key 'seed'"):
+        apply_overrides(RunConfig(), seed=int(seed))
+
+
+def test_largest_seed_accepted():
+    assert parse_config("seed = 18446744073709551615\n").seed == 2 ** 64 - 1
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate key 'seed'"):
         parse_config("seed = 1\nseed = 2\n")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import FakeStream
 from shinerswarm.core import (
     NeighborGraph,
     StepDraw,
@@ -16,20 +17,6 @@ from shinerswarm.core import (
     social_direction,
     step_displacement,
 )
-
-
-class FakeStream:
-    """Replays preset values in place of standard-normal draws."""
-
-    def __init__(self, values):
-        self._vals = [float(v) for v in values]
-
-    def standard_normal(self, size=None):
-        if size is None:
-            return self._vals.pop(0)
-        n = int(np.prod(size))
-        out = np.array([self._vals.pop(0) for _ in range(n)])
-        return out.reshape(size)
 
 
 def brute_force_adjacency(positions, r):

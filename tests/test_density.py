@@ -80,6 +80,12 @@ def test_initial_pdf_rejects_narrow_grid():
         initial_pdf(REF_X0, REF_KERNEL, z_min=-2.0, z_max=8.0, n_points=501)
 
 
+def test_initial_pdf_coarse_grid_names_point_count():
+    with pytest.raises(GridSpanError, match="7 points are too few") as info:
+        initial_pdf(REF_X0, REF_KERNEL, n_points=7)
+    assert "span at least" not in str(info.value)
+
+
 def _uniform_grid_pdf(z_min, z_max, n, values, t=1) -> GridPdf:
     """A GridPdf on np.linspace nodes with trapezoid weights of its own."""
     z = np.linspace(z_min, z_max, n)

@@ -1,8 +1,10 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from conftest import FakeStream
 from shinerswarm.core import SwarmParams, build_neighborhood, node_step
 from shinerswarm.engine import (
     Box,
@@ -12,9 +14,10 @@ from shinerswarm.engine import (
     default_sigma_const,
     first_passage,
     init_swarm,
-    node_stream,
+    move,
     resolve_sigma_const,
     run,
+    step_normals,
 )
 
 UNIT_BOX = Box(-0.5, -0.5, 0.5, 0.5)
@@ -55,6 +58,70 @@ def test_degenerate_region_rejected():
         Box(0.0, 0.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_seed_outside_uint64_rejected(seed):
+    params = SwarmParams(n_nodes=3)
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        init_swarm(params, seed, UNIT_BOX)
+    with pytest.raises(ValueError, match="seed"):
+        SwarmState(0, np.zeros(3, dtype=complex), seed)
+
+
+def test_largest_seed_accepted():
+    state = init_swarm(SwarmParams(n_nodes=3), 2 ** 64 - 1, UNIT_BOX)
+    assert np.all(np.isfinite(advance_swarm(state, SwarmParams(n_nodes=3)).positions))
+
+
+# ---------------------------------------------------------------------------
+# step_normals
+
+
+def _box_muller_oracle(words) -> list[float]:
+    """Four normals from four 64-bit words, by scalar Box-Muller on the
+    53-bit uniforms (word >> 11) * 2**-53."""
+    u = [(int(w) >> 11) * 2.0 ** -53 for w in words]
+    out = []
+    for a, b in ((u[0], u[1]), (u[2], u[3])):
+        radius = math.sqrt(-2.0 * math.log1p(-a))
+        out += [radius * math.cos(2 * math.pi * b), radius * math.sin(2 * math.pi * b)]
+    return out
+
+
+@pytest.mark.parametrize("seed, t", [(0, 0), (5, 3), (2 ** 63 + 5, 1),
+                                     (2 ** 64 - 1, 10 ** 6)])
+def test_step_normals_rows_are_fresh_philox_blocks(seed, t):
+    g = step_normals(seed, t, 9)
+    assert g.shape == (9, 4)
+    for i in range(9):
+        # integer key and counter: numpy splits them into the 64-bit words
+        # (seed, 0) and (i, t, 0, 0)
+        words = np.random.Philox(key=seed, counter=i + (t << 64)).random_raw(4)
+        # scalar libm and numpy's vector loops may differ in the last ulp
+        np.testing.assert_allclose(g[i], _box_muller_oracle(words),
+                                   rtol=0, atol=1e-14)
+
+
+def test_step_normals_rows_stable_under_prefix():
+    full = step_normals(11, 4, 300)
+    for m in (1, 2, 17, 299):
+        assert np.array_equal(step_normals(11, 4, m), full[:m])
+    assert not np.array_equal(step_normals(11, 5, 300), full)
+    assert not np.array_equal(step_normals(12, 4, 300), full)
+
+
+def test_step_normals_moments():
+    g = step_normals(2024, 7, 250_000)
+    assert np.all(np.isfinite(g))
+    # 250k samples per column: standard error of the mean 0.002
+    assert np.all(np.abs(g.mean(axis=0)) < 0.01)
+    assert np.all(np.abs(g.var(axis=0) - 1) < 0.02)
+    assert np.all(np.abs((g ** 4).mean(axis=0) - 3) < 0.1)
+    corr = np.corrcoef(g, rowvar=False)
+    assert np.all(np.abs(corr - np.eye(4)) < 0.01)
+    u_raw = np.hypot(g[:, 0], g[:, 1])
+    assert u_raw.mean() == pytest.approx(math.sqrt(math.pi / 2), abs=0.01)
+
+
 # ---------------------------------------------------------------------------
 # advance_swarm
 
@@ -63,8 +130,7 @@ def test_single_node_moves_by_noise_angle():
     params = SwarmParams(n_nodes=1, c1=0.1, c2=0.1, rho=0j)
     state = init_swarm(params, 5, UNIT_BOX)
     p0 = complex(state.positions[0])
-    ref = node_stream(5, 0)
-    g1, g2, zr, zi = ref.standard_normal(4)
+    g1, g2, zr, zi = step_normals(5, 0, 1)[0]
     sigma = 0.1 * (0.1 + abs(p0))
     expected = p0 + sigma * math.hypot(g1, g2) * np.exp(1j * math.atan2(zi, zr))
     new = advance_swarm(state, params)
@@ -76,10 +142,11 @@ def test_advance_matches_scalar_reference_path():
     params = SwarmParams(n_nodes=60)
     state = init_swarm(params, 21, UNIT_BOX)
     graph = build_neighborhood(state.positions, params.r)
+    g = step_normals(21, 0, 60)
     expected = np.empty(60, dtype=np.complex128)
     for i in range(60):
         disp, _ = node_step(i, state.positions, graph, params,
-                            node_stream(21, i))
+                            FakeStream(g[i]))
         expected[i] = state.positions[i] + disp
     new = advance_swarm(state, params)
     np.testing.assert_allclose(new.positions, expected, rtol=0, atol=1e-12)
@@ -126,13 +193,10 @@ def test_permutation_equivariance():
     rng = np.random.default_rng(123)
     pos = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n)
     perm = rng.permutation(n)
-    a = SwarmState(0, pos.copy(), [node_stream(7, i) for i in range(n)])
-    b = SwarmState(0, pos[perm].copy(),
-                   [node_stream(7, int(perm[k])) for k in range(n)])
-    new_a = advance_swarm(a, params)
-    new_b = advance_swarm(b, params)
+    g = step_normals(7, 0, n)
     # identical up to float summation order of the relabeled neighbor sums
-    np.testing.assert_allclose(new_b.positions, new_a.positions[perm],
+    np.testing.assert_allclose(move(pos[perm], params, g[perm]),
+                               move(pos, params, g)[perm],
                                rtol=0, atol=1e-12)
 
 
@@ -149,7 +213,7 @@ def test_advance_env_off_requires_sigma_const():
 
 def test_metrics_degenerate_collapse():
     params = SwarmParams(n_nodes=5, rho=0.1 + 0.2j)
-    state = SwarmState(0, np.full(5, 0.1 + 0.2j), [])
+    state = SwarmState(0, np.full(5, 0.1 + 0.2j), 0)
     m = compute_metrics(state, params, eps=0.15)
     assert m.mean_dist_to_rho == 0.0
     assert m.frac_within_eps == 1.0
@@ -159,14 +223,14 @@ def test_metrics_degenerate_collapse():
 
 def test_metrics_disconnected_pair():
     params = SwarmParams(n_nodes=2, r=0.2)
-    state = SwarmState(0, np.array([0j, 0.6 + 0j]), [])
+    state = SwarmState(0, np.array([0j, 0.6 + 0j]), 0)
     m = compute_metrics(state, params, eps=0.15)
     assert m.cluster_count == 2
 
 
 def test_metrics_hand_case():
     params = SwarmParams(n_nodes=4, r=0.2, rho=0j)
-    state = SwarmState(0, np.array([0j, 0.1 + 0j, 0.2 + 0j, 1 + 0j]), [])
+    state = SwarmState(0, np.array([0j, 0.1 + 0j, 0.2 + 0j, 1 + 0j]), 0)
     m = compute_metrics(state, params, eps=0.15)
     assert m.cluster_count == 2
     # pairs: 0.1, 0.2, 1.0, 0.1, 0.9, 0.8 -> 3.1/6
@@ -177,7 +241,7 @@ def test_metrics_hand_case():
 
 def test_metrics_single_node():
     params = SwarmParams(n_nodes=1)
-    state = SwarmState(0, np.array([0.3 + 0.4j]), [])
+    state = SwarmState(0, np.array([0.3 + 0.4j]), 0)
     m = compute_metrics(state, params, eps=0.15)
     assert m.mean_pairwise_dist == 0.0
     assert m.cluster_count == 1
@@ -213,7 +277,7 @@ def test_run_is_bit_reproducible():
 
 
 def test_run_independent_of_worker_count():
-    # >512 nodes so the elementwise work spans multiple fixed blocks
+    # a worker count is accepted but cannot change the result
     params = SwarmParams(n_nodes=1200)
     a = run(params, 6, UNIT_BOX, n_steps=5, snapshot_stride=5)
     b = run(params, 6, UNIT_BOX, n_steps=5, snapshot_stride=5, workers=8)
@@ -230,6 +294,22 @@ def test_run_snapshots_are_resumable():
     for _ in range(5):
         state = advance_swarm(state, params)
     assert np.array_equal(state.positions, records[2][0].positions)
+
+
+def test_snapshot_resumes_bit_for_bit_from_plain_data():
+    params = SwarmParams(n_nodes=25)
+    records = run(params, 13, UNIT_BOX, n_steps=10, snapshot_stride=5)
+    mid = records[1][0]
+    before = mid.positions.copy()
+    # a state is (t, positions, seed): rebuilt from a pickle, it resumes the
+    # run, and advancing the same snapshot twice gives the same result
+    for start in (pickle.loads(pickle.dumps(mid)), mid, mid):
+        state = start
+        for _ in range(5):
+            state = advance_swarm(state, params)
+        assert state.t == 10
+        assert np.array_equal(state.positions, records[2][0].positions)
+    assert np.array_equal(mid.positions, before)
 
 
 # ---------------------------------------------------------------------------

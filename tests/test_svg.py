@@ -2,8 +2,17 @@ import re
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
-from shinerswarm.svg import arena_to_view, density_svg, snapshot_svg
+from shinerswarm.svg import (
+    DENSITY_H,
+    DENSITY_W,
+    MARGIN,
+    arena_to_view,
+    density_svg,
+    mass_range,
+    snapshot_svg,
+)
 
 
 @pytest.mark.parametrize("arena, view", [
@@ -53,3 +62,42 @@ def test_density_svg_one_polyline_per_curve():
     text = density_svg([(t, z, np.full(11, t)) for t in (1, 2, 3)])
     assert text.count('<polyline class="curve"') == 3
     assert 'data-t="2"' in text
+
+
+def _axis_labels(text):
+    """The z values printed at the left and right ends of the x-axis."""
+    lo = re.search(r'<text x="[^"]+" y="[^"]+" font-size="12">([^<]+)</text>', text)
+    hi = re.search(r'<text x="[^"]+" y="[^"]+" font-size="12" '
+                   r'text-anchor="end">([^<]+)</text>', text)
+    return float(lo.group(1)), float(hi.group(1))
+
+
+def test_density_view_spans_the_mass_not_the_grid():
+    z = np.linspace(-60, 60, 6001)
+    p = norm.pdf(z)
+    assert mass_range(z, p) == (pytest.approx(norm.ppf(1e-3), abs=1e-3),
+                                pytest.approx(norm.ppf(1 - 1e-3), abs=1e-3))
+    text = density_svg([(1, z, p)])
+    assert _axis_labels(text) == (pytest.approx(norm.ppf(1e-3), abs=1e-3),
+                                  pytest.approx(norm.ppf(1 - 1e-3), abs=1e-3))
+    # every sample is kept, and the curve is clipped to the plot area
+    assert f'<clipPath id="plot"><rect x="{MARGIN}" ' in text
+    assert 'clip-path="url(#plot)"' in text
+
+
+def test_density_view_of_zero_mass_is_the_grid():
+    z = np.linspace(-2.0, 3.0, 11)
+    assert mass_range(z, np.zeros(11)) == (-2.0, 3.0)
+
+
+def test_reference_t3_curve_fills_the_plot(ref_chain):
+    # the README's density --x0 5 --t 3 example, on the +/-1000 log-graded grid
+    f = ref_chain[3]
+    text = density_svg([(3, f.z, f.values)])
+    pts = re.search(r'points="([^"]*)"', text).group(1).split()
+    xy = np.array([[float(v) for v in pt.split(",")] for pt in pts])
+    axis_y = DENSITY_H - MARGIN
+    inked = xy[(xy[:, 0] >= MARGIN) & (xy[:, 0] <= DENSITY_W - MARGIN)
+               & (xy[:, 1] < axis_y - 1)]
+    width = inked[:, 0].max() - inked[:, 0].min()
+    assert width > 0.5 * (DENSITY_W - 2 * MARGIN)
