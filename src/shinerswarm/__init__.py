@@ -5,16 +5,10 @@ from .config import ConfigError, RunConfig, format_config, parse_config
 from .core import (
     NeighborGraph,
     Position,
-    StepDraw,
     SwarmParams,
     build_neighborhood,
     env_speed,
     hammer,
-    node_step,
-    sample_u,
-    sample_z,
-    social_direction,
-    step_displacement,
 )
 from .density import (
     GridPdf,
@@ -53,7 +47,6 @@ __all__ = [
     "NeighborGraph",
     "Position",
     "RunConfig",
-    "StepDraw",
     "SwarmParams",
     "SwarmState",
     "advance_swarm",
@@ -69,13 +62,8 @@ __all__ = [
     "initial_pdf",
     "kernel_pdf",
     "mc_sample",
-    "node_step",
     "parse_config",
     "pdf_at_time",
     "propagate",
     "run",
-    "sample_u",
-    "sample_z",
-    "social_direction",
-    "step_displacement",
 ]

@@ -39,6 +39,8 @@ EXIT_RENDER = 5
 SNAPSHOT_HEADER = "step,node_id,x,y"
 METRICS_HEADER = "step,mean_dist,frac_within_eps,mean_pairwise_dist,cluster_count"
 DENSITY_HEADER = "t,z,pdf"
+COLUMN_TYPES = {SNAPSHOT_HEADER: (int, int, float, float),
+                DENSITY_HEADER: (int, float, float)}
 
 
 def _fmt(v: float) -> str:
@@ -71,8 +73,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, str(exc))
 
-    records = run(cfg.swarm_params(), cfg.seed, cfg.region(), cfg.steps,
-                  cfg.stride, eps=cfg.eps, workers=args.workers)
+    try:
+        records = run(cfg.swarm_params(), cfg.seed, cfg.region(), cfg.steps,
+                      cfg.stride, eps=cfg.eps)
+    except ValueError as exc:
+        return _fail(EXIT_NUMERIC, str(exc))
 
     snap_lines = [SNAPSHOT_HEADER]
     metric_lines = [METRICS_HEADER]
@@ -136,6 +141,15 @@ def _read_csv(path: str) -> tuple[str, list[list[str]]]:
     return header, rows[1:]
 
 
+def _parse_row(row: list[str], types: tuple) -> tuple:
+    """One CSV row converted field by field; ValueError if the field count
+    or a field is wrong."""
+    if len(row) != len(types):
+        raise ValueError(f"{','.join(row)!r} has {len(row)} fields, "
+                         f"expected {len(types)}")
+    return tuple(kind(field) for kind, field in zip(types, row))
+
+
 def cmd_metrics(args: argparse.Namespace) -> int:
     try:
         header, rows = _read_csv(args.infile)
@@ -146,22 +160,29 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if header != SNAPSHOT_HEADER:
         return _fail(EXIT_CONFIG,
                      f"expected header {SNAPSHOT_HEADER!r}, got {header!r}")
-    by_step: dict[int, list[tuple[int, complex]]] = {}
+    if not args.eps >= 0:
+        return _fail(EXIT_CONFIG, f"--eps must be >= 0, got {args.eps}")
     try:
-        for step_s, node_s, x_s, y_s in rows:
-            by_step.setdefault(int(step_s), []).append(
-                (int(node_s), complex(float(x_s), float(y_s))))
+        params = SwarmParams(r=args.r, rho=complex(args.rho_x, args.rho_y))
+    except ValueError as exc:
+        return _fail(EXIT_CONFIG, str(exc))
+    try:
+        table = [_parse_row(row, COLUMN_TYPES[header]) for row in rows]
     except ValueError as exc:
         return _fail(EXIT_CONFIG, f"malformed snapshot row: {exc}")
+    by_step: dict[int, list[tuple[int, complex]]] = {}
+    for step, node, x, y in table:
+        by_step.setdefault(step, []).append((node, complex(x, y)))
 
     print(METRICS_HEADER)
     for step in sorted(by_step):
         nodes = sorted(by_step[step])
         positions = np.array([p for _, p in nodes], dtype=np.complex128)
-        params = SwarmParams(n_nodes=len(nodes), r=args.r,
-                             rho=complex(args.rho_x, args.rho_y))
         state = SwarmState(t=step, positions=positions, seed=0)
-        m = compute_metrics(state, params, args.eps)
+        try:
+            m = compute_metrics(state, params, args.eps)
+        except ValueError as exc:
+            return _fail(EXIT_NUMERIC, f"step {step}: {exc}")
         print(f"{m.t},{_fmt(m.mean_dist_to_rho)},{_fmt(m.frac_within_eps)},"
               f"{_fmt(m.mean_pairwise_dist)},{m.cluster_count}")
     return EXIT_OK
@@ -174,34 +195,38 @@ def cmd_render(args: argparse.Namespace) -> int:
         return _fail(EXIT_IO, f"cannot read input: {exc}")
     except ValueError as exc:
         return _fail(EXIT_RENDER, str(exc))
+    types = COLUMN_TYPES.get(header)
+    if types is None:
+        return _fail(EXIT_RENDER, f"unrecognized CSV header {header!r}")
+    try:
+        table = [_parse_row(row, types) for row in rows]
+    except ValueError as exc:
+        return _fail(EXIT_RENDER, f"malformed row: {exc}")
+    present = sorted({row[0] for row in table})
+    if not present:
+        return _fail(EXIT_RENDER, f"{args.infile}: no data rows")
 
     if header == SNAPSHOT_HEADER:
-        steps_present = sorted({int(r[0]) for r in rows})
         step = args.step
         if step is None:
-            if len(steps_present) > 1:
+            if len(present) > 1:
                 return _fail(EXIT_RENDER,
-                             f"file holds steps {steps_present}; --step required")
-            step = steps_present[0]
-        if step not in steps_present:
-            return _fail(EXIT_RENDER,
-                         f"step {step} not in file (has {steps_present})")
-        pts = [(float(r[2]), float(r[3])) for r in rows if int(r[0]) == step]
+                             f"file holds steps {present}; --step required")
+            step = present[0]
+        if step not in present:
+            return _fail(EXIT_RENDER, f"step {step} not in file (has {present})")
+        pts = [(x, y) for s, _, x, y in table if s == step]
         text = snapshot_svg(pts, rho=(args.rho_x, args.rho_y))
-    elif header == DENSITY_HEADER:
-        ts_present = sorted({int(r[0]) for r in rows})
-        wanted = ts_present if args.step is None else [args.step]
-        if args.step is not None and args.step not in ts_present:
+    else:
+        if args.step is not None and args.step not in present:
             return _fail(EXIT_RENDER,
-                         f"t={args.step} not in file (has {ts_present})")
+                         f"t={args.step} not in file (has {present})")
         curves = []
-        for t in wanted:
-            zs = np.array([float(r[1]) for r in rows if int(r[0]) == t])
-            ps = np.array([float(r[2]) for r in rows if int(r[0]) == t])
+        for t in present if args.step is None else [args.step]:
+            zs = np.array([z for u, z, _ in table if u == t])
+            ps = np.array([p for u, _, p in table if u == t])
             curves.append((t, zs, ps))
         text = density_svg(curves)
-    else:
-        return _fail(EXIT_RENDER, f"unrecognized CSV header {header!r}")
 
     try:
         _write_text(args.out, text)
@@ -223,7 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int)
     p.add_argument("--mode", choices=("none", "env", "social", "both"))
     p.add_argument("--out", help="output directory")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; has no effect, since "
+                        "each step is one vectorised pass")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("density", help="propagate the 1D location pdf")

@@ -55,7 +55,6 @@ class RunConfig:
                    self.region_max_x, self.region_max_y)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 _INT_KEYS = {"n_nodes", "steps", "stride", "seed"}
 _FLOAT_KEYS = {"c1", "c2", "r", "w", "s", "rho_x", "rho_y", "sigma_const",
                "eps", "region_min_x", "region_min_y", "region_max_x",

@@ -11,18 +11,16 @@ a displacement by the separation distance ``s``, flipping it when the
 neighbor is closer than ``s``, which folds attraction and collision
 avoidance into a single complex-valued function.
 
-``node_step`` is the scalar reference path of one node-step. It takes its
-four normals from an explicit stream argument (anything with a
-``standard_normal`` method), whereas the engine's vectorised step
-(``engine.move``) takes every node's normals at once from
-``engine.step_normals``, a pure function of (seed, node, step). Nothing here
-keeps mutable state.
+Neighbors are the nodes within the sensing radius r. ``build_neighborhood``
+finds them with a sorted cell list and returns one CSR array pair
+(``NeighborGraph``), which the engine's vectorised step (``engine.move``)
+reads as flat (i, j) edge arrays. Nothing here keeps mutable state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,132 +67,128 @@ class SwarmParams:
             raise ValueError(f"sigma_const must be >= 0, got {self.sigma_const}")
 
 
-@dataclass(frozen=True)
-class StepDraw:
-    """One node-step's realized randomness: raw step length, complex noise,
-    heading, and speed scale."""
+# Cells are 2**-20 wider than r. p / cell is rounded, so on cells of side
+# exactly r a pair that passes the distance test can land two cells apart
+# (x = 1 - 2**-53 and 2 with r = 1). Within 2**30 cells of the origin the
+# slack outweighs the rounding, and int64 cell keys cannot overflow. Below
+# 2**-511, r * r is subnormal and the test passes pairs up to 1e-4 beyond r,
+# so cells are never narrower than that.
+_CELL_SLACK = 1.0 + 2.0 ** -20
+_MIN_CELL = 2.0 ** -511
+_MAX_CELL = 2.0 ** 30
 
-    u_raw: float
-    z: complex
-    v: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if not self.u_raw >= 0:
-            raise ValueError(f"u_raw must be >= 0, got {self.u_raw}")
-        if not self.sigma >= 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+# Cell offsets (dx, dy) that visit every unordered pair of equal or adjacent
+# cells once.
+_HALF_OFFSETS = ((0, 0), (1, -1), (1, 0), (1, 1), (0, 1))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NeighborGraph:
-    """Symmetric, loop-free adjacency under the sensing-radius relation.
+    """Symmetric, loop-free neighbor graph under the sensing-radius relation,
+    in compressed sparse row form.
 
-    ``adjacency[i]`` is a sorted int array of the neighbors of node i; an
-    edge (i, j) exists exactly when ``|p_i - p_j| <= r``.
+    The neighbors of node i are ``indices[indptr[i]:indptr[i + 1]]``, in
+    ascending order; an edge (i, j) exists exactly when ``|p_i - p_j| <= r``.
     """
 
-    adjacency: list[np.ndarray] = field(default_factory=list)
+    indptr: np.ndarray
+    indices: np.ndarray
 
     @property
     def n_nodes(self) -> int:
-        return len(self.adjacency)
+        return self.indptr.size - 1
 
     def degrees(self) -> np.ndarray:
-        return np.array([a.size for a in self.adjacency], dtype=np.int64)
+        return np.diff(self.indptr)
 
     def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Both orientations of every edge as flat (i, j) index arrays,
         grouped by i with j ascending."""
-        if not self.adjacency:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
         i_idx = np.repeat(np.arange(self.n_nodes, dtype=np.int64), self.degrees())
-        j_idx = (np.concatenate(self.adjacency) if i_idx.size
-                 else np.empty(0, dtype=np.int64))
-        return i_idx, j_idx
+        return i_idx, self.indices
 
     def component_count(self) -> int:
-        """Number of connected components (isolated nodes count as one each)."""
-        n = self.n_nodes
-        seen = np.zeros(n, dtype=bool)
-        count = 0
-        for start in range(n):
-            if seen[start]:
-                continue
-            count += 1
-            stack = [start]
-            seen[start] = True
-            while stack:
-                node = stack.pop()
-                for nbr in self.adjacency[node]:
-                    if not seen[nbr]:
-                        seen[nbr] = True
-                        stack.append(int(nbr))
-        return count
+        """Number of connected components (isolated nodes count as one each).
+
+        Min-label propagation with pointer jumping: each round, the node
+        that i points at takes the smallest label of i's neighbors, then
+        every node jumps one pointer further. At the fixed point each
+        component is labelled by its smallest node, the only node that
+        labels itself.
+        """
+        i_idx, j_idx = self.directed_edges()
+        nodes = np.arange(self.n_nodes, dtype=np.int64)
+        label = nodes
+        while True:
+            hooked = label.copy()
+            np.minimum.at(hooked, label[i_idx], label[j_idx])
+            hooked = hooked[hooked]
+            if np.array_equal(hooked, label):
+                return int(np.count_nonzero(label == nodes))
+            label = hooked
 
 
 def build_neighborhood(positions, r: float) -> NeighborGraph:
-    """Fixed-radius neighbor search via spatial hashing on cells of side r.
+    """Fixed-radius neighbor search with a sorted cell list (Allen &
+    Tildesley, *Computer Simulation of Liquids*) on cells of side just over r.
 
-    Points at distance exactly r are neighbors (inclusive). The distance test
-    compares squared magnitudes, so exactly-representable boundary pairs are
-    classified without a sqrt round trip.
+    Nodes are sorted once by an int64 cell key with a one-cell margin, so no
+    offset wraps and every cell is a run of the sorted order. A node's
+    candidates are the later members of its own run and the runs of four
+    half-offset cells. Points at distance exactly r are neighbors: the test
+    compares squared magnitudes, so exactly-representable boundary pairs
+    are classified without a sqrt round trip.
+
+    Raises ValueError, naming the node, when a position is not finite or
+    lies 2**30 or more cells from the origin.
     """
     p = np.asarray(positions, dtype=np.complex128).ravel()
     n = p.size
     if r < 0:
         raise ValueError(f"sensing radius must be >= 0, got {r}")
+    bad = ~np.isfinite(p)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"node {i}: position {p[i]} is not finite")
     if n == 0:
-        return NeighborGraph([])
-    if not np.all(np.isfinite(p)):
-        raise ValueError("positions must be finite")
+        return NeighborGraph(np.zeros(1, dtype=np.int64),
+                             np.empty(0, dtype=np.int64))
 
-    cell = r if r > 0 else 1.0
-    kx = np.floor(p.real / cell).astype(np.int64)
-    ky = np.floor(p.imag / cell).astype(np.int64)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        buckets.setdefault((int(kx[i]), int(ky[i])), []).append(i)
-    cells = {key: np.asarray(idx, dtype=np.int64) for key, idx in buckets.items()}
+    cell = (max(r, _MIN_CELL) if r > 0 else 1.0) * _CELL_SLACK
+    fx = np.floor(p.real / cell)
+    fy = np.floor(p.imag / cell)
+    far = np.maximum(np.abs(fx), np.abs(fy))
+    i = int(np.argmax(far))
+    if far[i] >= _MAX_CELL:
+        raise ValueError(f"node {i}: position {p[i]} is {far[i]:.3g} cells of "
+                         f"side {cell:g} from the origin; the neighbor search "
+                         f"is exact only below 2**30")
+    kx = (fx - fx.min() + 1).astype(np.int64)
+    ky = (fy - fy.min() + 1).astype(np.int64)
+    height = int(ky.max()) + 2
+    key = kx * height + ky
 
-    r2 = r * r
-    heads: list[np.ndarray] = []
-    tails: list[np.ndarray] = []
-    # Any pair within r lies in the same or an adjacent cell; the four
-    # half-neighborhood offsets visit each unordered cell pair once.
-    for (cx, cy), idx in cells.items():
-        a = p[idx]
-        if idx.size > 1:
-            d = a[:, None] - a[None, :]
-            close = (d.real * d.real + d.imag * d.imag) <= r2
-            ii, jj = np.nonzero(np.triu(close, k=1))
-            heads.append(idx[ii])
-            tails.append(idx[jj])
-        for dx, dy in ((1, 0), (1, 1), (0, 1), (-1, 1)):
-            other = cells.get((cx + dx, cy + dy))
-            if other is None:
-                continue
-            b = p[other]
-            d = a[:, None] - b[None, :]
-            ii, jj = np.nonzero((d.real * d.real + d.imag * d.imag) <= r2)
-            heads.append(idx[ii])
-            tails.append(other[jj])
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    offsets = np.array([dx * height + dy for dx, dy in _HALF_OFFSETS])
+    target = (offsets[:, None] + sorted_key[None, :]).ravel()
+    lo = np.searchsorted(sorted_key, target, "left")
+    hi = np.searchsorted(sorted_key, target, "right")
+    lo[:n] = np.arange(1, n + 1)  # own cell: only the later members
+    counts = hi - lo
+    a = np.repeat(np.tile(np.arange(n), len(_HALF_OFFSETS)), counts)
+    b = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts),
+                                            counts)
+    u, v = order[a], order[b]
+    d = p[u] - p[v]
+    close = (d.real * d.real + d.imag * d.imag) <= r * r
+    u, v = u[close], v[close]
 
-    if heads:
-        u = np.concatenate(heads)
-        v = np.concatenate(tails)
-    else:
-        u = v = np.empty(0, dtype=np.int64)
-    i_all = np.concatenate([u, v])
-    j_all = np.concatenate([v, u])
-    order = np.lexsort((j_all, i_all))
-    i_all, j_all = i_all[order], j_all[order]
-    counts = np.bincount(i_all, minlength=n)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    adjacency = [j_all[offsets[k]:offsets[k + 1]] for k in range(n)]
-    return NeighborGraph(adjacency)
-
+    rows = np.concatenate([u, v])
+    cols = np.concatenate([v, u])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return NeighborGraph(indptr, cols[np.lexsort((cols, rows))])
 
 def env_speed(p, params: SwarmParams):
     """Speed scale at location(s) p: ``c1 * (c2 + |p - rho|)`` when the
@@ -230,80 +224,3 @@ def hammer(z, s):
     if np.ndim(z) == 0 and np.ndim(s) == 0:
         return complex(out)
     return out
-
-
-def social_direction(i: int, positions, graph: NeighborGraph,
-                     params: SwarmParams, z: complex) -> float:
-    """Heading of node i: angle of the neighbor-averaged hammer displacement
-    scaled by w, plus the complex noise z.
-
-    With no neighbors, or with the social factor disabled, this reduces to
-    the angle of the noise alone (the same as w = 0). Returns a value in
-    (-pi, pi]; an exactly-zero argument maps to angle 0.
-    """
-    p = np.asarray(positions, dtype=np.complex128)
-    nbrs = graph.adjacency[i]
-    if params.social_enabled and nbrs.size > 0:
-        total = complex(np.sum(hammer(p[nbrs] - p[i], params.s)))
-        arg = (params.w / nbrs.size) * total + z
-    else:
-        arg = complex(z)
-    if arg == 0:
-        return 0.0
-    v = math.atan2(arg.imag, arg.real)
-    if v == -math.pi:  # atan2(-0.0, x<0); fold onto the (-pi, pi] convention
-        return math.pi
-    return v
-
-
-def step_displacement(sigma, v, u_raw):
-    """Complex displacement ``(sigma * u_raw) * exp(1j * v)``.
-
-    Accepts scalars or arrays (broadcast together).
-    """
-    mag = np.asarray(sigma) * np.asarray(u_raw)
-    out = mag * np.exp(1j * np.asarray(v))
-    if out.ndim == 0:
-        return complex(out)
-    return out
-
-
-def sample_u(stream: np.random.Generator, size: int | None = None):
-    """Raw step length(s): norm of two consecutive standard normals
-    (chi with 2 dof; population mean sqrt(pi/2)).
-
-    With ``size=None`` consumes exactly two normal draws and returns a float;
-    otherwise returns an array of ``size`` samples, two draws per sample.
-    """
-    if size is None:
-        g1, g2 = stream.standard_normal(2)
-        return math.hypot(g1, g2)
-    g = stream.standard_normal((size, 2))
-    return np.hypot(g[:, 0], g[:, 1])
-
-
-def sample_z(stream: np.random.Generator, size: int | None = None):
-    """Complex noise with independent standard-normal real and imaginary
-    parts (unit variance per component), drawn real part first.
-    """
-    if size is None:
-        zr, zi = stream.standard_normal(2)
-        return complex(zr, zi)
-    g = stream.standard_normal((size, 2))
-    return g[:, 0] + 1j * g[:, 1]
-
-
-def node_step(i: int, positions, graph: NeighborGraph, params: SwarmParams,
-              stream: np.random.Generator) -> tuple[complex, StepDraw]:
-    """Single-node update: consume exactly four normals in fixed order
-    (two for the step length, then two for the noise) and return the
-    displacement together with the realized draw.
-
-    This is the scalar reference path; the engine vectorizes the same
-    computation across nodes.
-    """
-    u_raw = sample_u(stream)
-    z = sample_z(stream)
-    sigma = env_speed(positions[i], params)
-    v = social_direction(i, positions, graph, params, z)
-    return step_displacement(sigma, v, u_raw), StepDraw(u_raw, z, v, sigma)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SwarmParams, build_neighborhood, hammer
+from .core import SwarmParams, build_neighborhood, env_speed, hammer
 
 # Master seeds are the first Philox key word, an unsigned 64-bit integer.
 SEED_LIMIT = 2 ** 64
@@ -146,25 +146,14 @@ def move(positions: np.ndarray, params: SwarmParams,
     else:
         arg = z
 
-    if params.env_enabled:
-        sigma = params.c1 * (params.c2 + np.abs(p - params.rho))
-    else:
-        if params.sigma_const is None:
-            raise ValueError("sigma_const must be set when the environmental "
-                             "factor is disabled")
-        sigma = float(params.sigma_const)
-
     v = np.angle(arg)
     v = np.where(v == -np.pi, np.pi, v)
-    return p + sigma * u_raw * np.exp(1j * v)
+    return p + env_speed(p, params) * u_raw * np.exp(1j * v)
 
 
-def advance_swarm(state: SwarmState, params: SwarmParams,
-                  workers: int = 1) -> SwarmState:
+def advance_swarm(state: SwarmState, params: SwarmParams) -> SwarmState:
     """One synchronous step: all nodes read the time-t snapshot, draw their
-    step-t normals, and move together; returns the t+1 state. ``workers`` is
-    accepted and ignored: the step is one vectorised pass whose result cannot
-    depend on it."""
+    step-t normals, and move together; returns the t+1 state."""
     p = state.positions
     g = step_normals(state.seed, state.t, p.size)
     return SwarmState(t=state.t + 1, positions=move(p, params, g),
@@ -196,12 +185,15 @@ def compute_metrics(state: SwarmState, params: SwarmParams, eps: float) -> Metri
 
 
 def run(params: SwarmParams, master_seed: int, region: Box, n_steps: int,
-        snapshot_stride: int, eps: float = 0.15,
-        workers: int = 1) -> list[tuple[SwarmState, Metrics]]:
+        snapshot_stride: int,
+        eps: float = 0.15) -> list[tuple[SwarmState, Metrics]]:
     """Simulate ``n_steps`` steps, recording (state, metrics) at t = 0,
     every ``snapshot_stride`` steps, and the final step. Steps never modify
-    a state, so each recorded one is a resumable snapshot. ``workers`` is
-    accepted and ignored."""
+    a state, so each recorded one is a resumable snapshot.
+
+    A ValueError from a step or its metrics, such as positions that have
+    diverged too far for the neighbor search, is raised again with the
+    step prefixed (``step 400: node 17: ...``)."""
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     if snapshot_stride < 1:
@@ -210,18 +202,20 @@ def run(params: SwarmParams, master_seed: int, region: Box, n_steps: int,
     params = resolve_sigma_const(params, state.positions)
     records = [(state, compute_metrics(state, params, eps))]
     for t in range(1, n_steps + 1):
-        state = advance_swarm(state, params)
-        if t % snapshot_stride == 0 or t == n_steps:
-            records.append((state, compute_metrics(state, params, eps)))
+        try:
+            state = advance_swarm(state, params)
+            if t % snapshot_stride == 0 or t == n_steps:
+                records.append((state, compute_metrics(state, params, eps)))
+        except ValueError as exc:
+            raise ValueError(f"step {t}: {exc}") from exc
     return records
 
 
 def first_passage(params: SwarmParams, master_seed: int, region: Box,
-                  eps: float, frac: float, max_steps: int,
-                  workers: int = 1) -> int | None:
+                  eps: float, frac: float, max_steps: int) -> int | None:
     """First step at which the fraction of nodes within ``eps`` of the
     darkest spot reaches ``frac``; None if it never does within
-    ``max_steps``. ``workers`` is accepted and ignored."""
+    ``max_steps``."""
     state = init_swarm(params, master_seed, region)
     params = resolve_sigma_const(params, state.positions)
     for t in range(1, max_steps + 1):

@@ -1,0 +1,117 @@
+"""Scalar reference path of one node-step, kept as a test oracle.
+
+These functions compute one node's step from first principles: they read the
+node's neighbors from the CSR graph one slice at a time and take its four
+normals from an explicit stream argument (anything with a
+``standard_normal`` method, such as ``conftest.FakeStream`` or a
+``numpy.random.Generator``). The tests compare ``engine.move``, which does
+the same for all nodes at once, against them.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from shinerswarm.core import NeighborGraph, SwarmParams, env_speed, hammer
+
+
+def neighbors(graph: NeighborGraph, i: int) -> np.ndarray:
+    """Node i's neighbors, ascending: its row of the CSR graph."""
+    return graph.indices[graph.indptr[i]:graph.indptr[i + 1]]
+
+
+@dataclass(frozen=True)
+class StepDraw:
+    """One node-step's realized randomness: raw step length, complex noise,
+    heading, and speed scale."""
+
+    u_raw: float
+    z: complex
+    v: float
+    sigma: float
+
+    def __post_init__(self) -> None:
+        if not self.u_raw >= 0:
+            raise ValueError(f"u_raw must be >= 0, got {self.u_raw}")
+        if not self.sigma >= 0:
+            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+
+
+def social_direction(i: int, positions, graph: NeighborGraph,
+                     params: SwarmParams, z: complex) -> float:
+    """Heading of node i: angle of the neighbor-averaged hammer displacement
+    scaled by w, plus the complex noise z.
+
+    With no neighbors, or with the social factor disabled, this reduces to
+    the angle of the noise alone (the same as w = 0). Returns a value in
+    (-pi, pi]; an exactly-zero argument maps to angle 0.
+    """
+    p = np.asarray(positions, dtype=np.complex128)
+    nbrs = neighbors(graph, i)
+    if params.social_enabled and nbrs.size > 0:
+        total = complex(np.sum(hammer(p[nbrs] - p[i], params.s)))
+        arg = (params.w / nbrs.size) * total + z
+    else:
+        arg = complex(z)
+    if arg == 0:
+        return 0.0
+    v = math.atan2(arg.imag, arg.real)
+    if v == -math.pi:  # atan2(-0.0, x<0); fold onto the (-pi, pi] convention
+        return math.pi
+    return v
+
+
+def step_displacement(sigma, v, u_raw):
+    """Complex displacement ``(sigma * u_raw) * exp(1j * v)``.
+
+    Accepts scalars or arrays (broadcast together).
+    """
+    mag = np.asarray(sigma) * np.asarray(u_raw)
+    out = mag * np.exp(1j * np.asarray(v))
+    if out.ndim == 0:
+        return complex(out)
+    return out
+
+
+def sample_u(stream: np.random.Generator, size: int | None = None):
+    """Raw step length(s): norm of two consecutive standard normals
+    (chi with 2 dof; population mean sqrt(pi/2)).
+
+    With ``size=None`` consumes exactly two normal draws and returns a float;
+    otherwise returns an array of ``size`` samples, two draws per sample.
+    """
+    if size is None:
+        g1, g2 = stream.standard_normal(2)
+        return math.hypot(g1, g2)
+    g = stream.standard_normal((size, 2))
+    return np.hypot(g[:, 0], g[:, 1])
+
+
+def sample_z(stream: np.random.Generator, size: int | None = None):
+    """Complex noise with independent standard-normal real and imaginary
+    parts (unit variance per component), drawn real part first.
+    """
+    if size is None:
+        zr, zi = stream.standard_normal(2)
+        return complex(zr, zi)
+    g = stream.standard_normal((size, 2))
+    return g[:, 0] + 1j * g[:, 1]
+
+
+def node_step(i: int, positions, graph: NeighborGraph, params: SwarmParams,
+              stream: np.random.Generator) -> tuple[complex, StepDraw]:
+    """Single-node update: consume exactly four normals in fixed order
+    (two for the step length, then two for the noise) and return the
+    displacement together with the realized draw.
+
+    The engine computes the same step for every node at once
+    (``engine.move``).
+    """
+    u_raw = sample_u(stream)
+    z = sample_z(stream)
+    sigma = env_speed(positions[i], params)
+    v = social_direction(i, positions, graph, params, z)
+    return step_displacement(sigma, v, u_raw), StepDraw(u_raw, z, v, sigma)

@@ -16,8 +16,9 @@ import pytest
 from scipy.stats import norm
 
 from conftest import REF_KERNEL, REF_X0, trapezoid_weights, tv_distance_to_samples
+from oracle import neighbors, sample_u, sample_z
 from shinerswarm.cli import main
-from shinerswarm.core import SwarmParams, build_neighborhood, hammer, sample_u, sample_z
+from shinerswarm.core import SwarmParams, build_neighborhood, hammer
 from shinerswarm.density import grid_stats, mc_sample
 from shinerswarm.engine import Box, first_passage, run
 
@@ -220,7 +221,7 @@ def test_criterion_8_neighbor_graph_oracle():
         np.fill_diagonal(close, False)
         for i in range(len(p)):
             expected = np.flatnonzero(close[i])
-            assert np.array_equal(graph.adjacency[i], expected), (
+            assert np.array_equal(neighbors(graph, i), expected), (
                 f"case {case}: node {i} adjacency mismatch")
     _report("criterion 8", True,
             f"100 instances (N<=500) match the brute-force oracle, "

@@ -180,6 +180,19 @@ def test_density_bad_params_exit_2(tmp_path):
                  "--out", out]) == 2
 
 
+def test_simulate_diverging_run_exits_4_naming_the_step(tmp_path, capsys):
+    # the env-only walk with c1 = 3 reaches |p| ~ 1e218 by step 400, too far
+    # out for exact cell indices, so the t = 400 metrics cannot be formed
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text("mode = env\nc1 = 3\nsteps = 400\nstride = 400\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 400: node ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # metrics
 
@@ -207,6 +220,31 @@ def test_metrics_wrong_header_exits_2(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
     assert main(["metrics", "--in", str(bad), "--eps", "0.1"]) == 2
+
+
+@pytest.fixture()
+def one_row(tmp_path):
+    csv = tmp_path / "one.csv"
+    csv.write_text("step,node_id,x,y\n1,0,0.5,0\n")
+    return csv
+
+
+def test_metrics_negative_eps_exits_2(one_row, capsys):
+    assert main(["metrics", "--in", str(one_row), "--eps", "-1"]) == 2
+    assert "--eps" in capsys.readouterr().err
+
+
+def test_metrics_negative_radius_exits_2(one_row, capsys):
+    assert main(["metrics", "--in", str(one_row), "--eps", "0.1",
+                 "--r", "-1"]) == 2
+    assert "sensing radius r" in capsys.readouterr().err
+
+
+def test_metrics_non_finite_position_exits_4(tmp_path, capsys):
+    csv = tmp_path / "nan.csv"
+    csv.write_text("step,node_id,x,y\n2,0,0.5,0\n2,1,nan,0\n")
+    assert main(["metrics", "--in", str(csv), "--eps", "0.1"]) == 4
+    assert "step 2: node 1" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +302,21 @@ def test_render_unknown_header_exits_5(tmp_path):
     bad.write_text("x,y\n1,2\n")
     assert main(["render", "--in", str(bad), "--step", "0",
                  "--out", str(tmp_path / "x.svg")]) == 5
+
+
+@pytest.mark.parametrize("row", ["1,0,abc,0", "1,0,0.5", "x,0,0.5,0"])
+def test_render_malformed_row_exits_5(tmp_path, capsys, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"step,node_id,x,y\n1,1,0,0\n{row}\n")
+    assert main(["render", "--in", str(bad), "--out", str(tmp_path / "x.svg")]) == 5
+    assert "malformed row" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("header", ["step,node_id,x,y", "t,z,pdf"])
+def test_render_header_without_rows_exits_5(tmp_path, header):
+    bare = tmp_path / "bare.csv"
+    bare.write_text(header + "\n")
+    assert main(["render", "--in", str(bare), "--out", str(tmp_path / "x.svg")]) == 5
 
 
 def test_render_missing_input_exits_3(tmp_path):

@@ -4,18 +4,21 @@ import numpy as np
 import pytest
 
 from conftest import FakeStream
-from shinerswarm.core import (
-    NeighborGraph,
+from oracle import (
     StepDraw,
-    SwarmParams,
-    build_neighborhood,
-    env_speed,
-    hammer,
+    neighbors,
     node_step,
     sample_u,
     sample_z,
     social_direction,
     step_displacement,
+)
+from shinerswarm.core import (
+    NeighborGraph,
+    SwarmParams,
+    build_neighborhood,
+    env_speed,
+    hammer,
 )
 
 
@@ -34,7 +37,8 @@ def brute_force_adjacency(positions, r):
 
 
 def as_lists(graph: NeighborGraph):
-    return [sorted(int(j) for j in a) for a in graph.adjacency]
+    return [sorted(int(j) for j in neighbors(graph, i))
+            for i in range(graph.n_nodes)]
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +53,7 @@ def test_neighborhood_hand_case():
 
 def test_neighborhood_zero_radius_distinct_points():
     g = build_neighborhood([0j, 1j, 2 + 0j, 3 - 1j], r=0.0)
-    assert all(a.size == 0 for a in g.adjacency)
+    assert all(neighbors(g, i).size == 0 for i in range(g.n_nodes))
 
 
 def test_neighborhood_boundary_distance_is_inclusive():
@@ -72,10 +76,10 @@ def test_neighborhood_exact_boundary_constructions():
                complex(3.0 * 2.0 ** -k, 4.0 * 2.0 ** -k),
                complex(np.nextafter(r, np.inf), 0.0)]
         g = build_neighborhood(pts, r)
-        assert 1 in g.adjacency[0]
-        assert 2 in g.adjacency[0]
-        assert 3 in g.adjacency[0]
-        assert 4 not in g.adjacency[0]
+        assert 1 in neighbors(g, 0)
+        assert 2 in neighbors(g, 0)
+        assert 3 in neighbors(g, 0)
+        assert 4 not in neighbors(g, 0)
 
 
 def test_neighborhood_matches_bruteforce_on_random_instances():
@@ -94,16 +98,47 @@ def test_neighborhood_invariants_and_order_independence():
     rng = np.random.default_rng(99)
     p = rng.uniform(-1, 1, 60) + 1j * rng.uniform(-1, 1, 60)
     g = build_neighborhood(p, 0.3)
-    for i, nbrs in enumerate(g.adjacency):
+    for i in range(g.n_nodes):
+        nbrs = neighbors(g, i)
         assert i not in nbrs
         for j in nbrs:
-            assert i in g.adjacency[j]
+            assert i in neighbors(g, j)
     perm = rng.permutation(60)
     g2 = build_neighborhood(p[perm], 0.3)
     inv = np.argsort(perm)  # inv[original id] = permuted id
-    remapped = [sorted(int(perm[j]) for j in g2.adjacency[int(inv[i])])
+    remapped = [sorted(int(perm[j]) for j in neighbors(g2, int(inv[i])))
                 for i in range(60)]
     assert remapped == as_lists(g)
+
+
+def test_neighborhood_keeps_pairs_an_ulp_below_a_cell_boundary():
+    # 1 - 2**-53 and 2 pass the distance test with r = 1 (the difference
+    # rounds to 1), although on cells of side exactly r they sit two apart
+    below = float(np.nextafter(1.0, 0.0))
+    for p in ([below + 0j, 2 + 0j], [0.3 + below * 1j, 0.3 + 2j]):
+        assert as_lists(build_neighborhood(p, 1.0)) == brute_force_adjacency(p, 1.0)
+        assert as_lists(build_neighborhood(p, 1.0)) == [[1], [0]]
+    # with r = 1e-160, r * r is subnormal and a pair 1e-4 beyond r passes
+    r = 1e-160
+    p = [r * (1 - 1e-9) + 0j, r * (2 + 1e-4 - 1e-9) + 0j]
+    assert as_lists(build_neighborhood(p, r)) == brute_force_adjacency(p, r)
+    assert as_lists(build_neighborhood(p, r)) == [[1], [0]]
+
+
+def test_neighborhood_names_the_node_it_cannot_place():
+    with pytest.raises(ValueError, match=r"^node 1: position .* not finite"):
+        build_neighborhood([0j, complex(np.inf, 0)], 0.1)
+    with pytest.raises(ValueError, match=r"^node 2: .* cells of side"):
+        build_neighborhood([0j, 1 + 0j, 1e12j], 0.2)
+    with pytest.raises(ValueError, match=r"^node 1: .* cells of side"):
+        build_neighborhood([0j, complex(-1.1e9, 0.0)], 1.0)
+
+
+def test_neighborhood_at_the_cell_limit():
+    # opposite corners just inside 2**30 cells: the widest keys still fit
+    edge = 1.07e9
+    p = [complex(-edge, -edge), complex(edge, edge), complex(edge, edge + 0.5)]
+    assert as_lists(build_neighborhood(p, 1.0)) == [[], [2], [1]]
 
 
 def test_neighborhood_rejects_bad_input():

@@ -1,0 +1,146 @@
+"""Property tests of the CSR neighbor graph and its component count.
+
+Point sets come in three kinds: arbitrary floats, tight clusters with exact
+duplicates (many nodes per cell), and dyadic grids where many pairs sit at
+distance exactly r. Each graph is checked against an O(N^2) brute-force
+oracle, against the CSR invariants, and, for the component count, against
+``scipy.sparse.csgraph.connected_components``.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+
+from oracle import neighbors
+from shinerswarm.core import NeighborGraph, build_neighborhood
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
+                             derandomize=True, database=None)
+
+coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+radii = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=5.0))
+
+
+@st.composite
+def arbitrary_points(draw):
+    xs = draw(st.lists(coords, max_size=80))
+    ys = draw(st.lists(coords, min_size=len(xs), max_size=len(xs)))
+    return np.array(xs) + 1j * np.array(ys), draw(radii)
+
+
+@st.composite
+def clustered_points(draw):
+    centers = draw(st.lists(st.tuples(coords, coords), min_size=1, max_size=4))
+    spread = draw(st.floats(min_value=0.0, max_value=0.5))
+    members = draw(st.lists(
+        st.tuples(st.sampled_from(centers),
+                  st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+        min_size=1, max_size=80))
+    p = np.array([complex(cx + spread * dx, cy + spread * dy)
+                  for (cx, cy), dx, dy in members])
+    repeats = draw(st.lists(st.integers(0, p.size - 1), max_size=10))
+    return np.concatenate([p, p[repeats]]), draw(radii)
+
+
+@st.composite
+def dyadic_points(draw):
+    # coordinates k/32 and r = m/32: every distance test is exact, and
+    # pairs at distance exactly r are common (axis-aligned and 3-4-5)
+    ks = st.integers(-40, 40)
+    pairs = draw(st.lists(st.tuples(ks, ks), max_size=80))
+    p = np.array([complex(x, y) for x, y in pairs]) / 32.0
+    return p, draw(st.integers(0, 12)) / 32.0
+
+
+point_sets = st.one_of(arbitrary_points(), clustered_points(), dyadic_points())
+
+
+def brute_force_csr(p, r):
+    """O(N^2) oracle: full squared-distance matrix, rows as CSR."""
+    d = p[:, None] - p[None, :]
+    close = (d.real * d.real + d.imag * d.imag) <= r * r
+    np.fill_diagonal(close, False)
+    indptr = np.concatenate([[0], np.cumsum(close.sum(axis=1))])
+    return indptr, np.nonzero(close)[1]
+
+
+@PROPERTY_SETTINGS
+@given(point_sets)
+def test_csr_graph_equals_brute_force(case):
+    p, r = case
+    graph = build_neighborhood(p, r)
+    indptr, indices = brute_force_csr(p, r)
+    np.testing.assert_array_equal(graph.indptr, indptr)
+    np.testing.assert_array_equal(graph.indices, indices)
+
+
+@PROPERTY_SETTINGS
+@given(point_sets)
+def test_csr_invariants(case):
+    p, r = case
+    graph = build_neighborhood(p, r)
+    n = p.size
+    assert graph.n_nodes == n
+    assert graph.indptr[0] == 0 and graph.indptr[-1] == graph.indices.size
+    assert np.all(np.diff(graph.indptr) >= 0)
+    edges = set()
+    for i in range(n):
+        row = neighbors(graph, i)
+        assert np.all(np.diff(row) > 0), f"row {i} not strictly ascending"
+        assert i not in row, f"loop at node {i}"
+        edges.update((i, int(j)) for j in row)
+    assert edges == {(j, i) for i, j in edges}
+    i_idx, j_idx = graph.directed_edges()
+    assert set(zip(i_idx.tolist(), j_idx.tolist())) == edges
+
+
+def scipy_components(graph: NeighborGraph) -> int:
+    n = graph.n_nodes
+    matrix = csr_matrix((np.ones(graph.indices.size), graph.indices,
+                         graph.indptr), shape=(n, n))
+    return connected_components(matrix, directed=False)[0]
+
+
+@PROPERTY_SETTINGS
+@given(point_sets)
+def test_component_count_matches_scipy_on_neighbor_graphs(case):
+    p, r = case
+    graph = build_neighborhood(p, r)
+    assert graph.component_count() == scipy_components(graph)
+
+
+@st.composite
+def edge_lists(draw):
+    n = draw(st.integers(0, 60))
+    if n == 0:
+        return 0, []
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=3 * n))
+
+
+def graph_from_edges(n, edges):
+    """CSR graph of the undirected simple graph on n nodes with these edges."""
+    pairs = {(i, j) for i, j in edges if i != j}
+    pairs |= {(j, i) for i, j in pairs}
+    rows = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[:, 0], minlength=n))])
+    return NeighborGraph(indptr.astype(np.int64), rows[:, 1])
+
+
+@PROPERTY_SETTINGS
+@given(edge_lists())
+def test_component_count_matches_scipy_on_any_graph(case):
+    graph = graph_from_edges(*case)
+    assert graph.component_count() == scipy_components(graph)
+
+
+def test_component_count_on_shuffled_long_path():
+    # a path whose labels decrease away from one end is the slow case of
+    # min-label propagation; pointer jumping must still reach one component
+    n = 3000
+    order = np.random.default_rng(17).permutation(n)
+    for path in (order, np.arange(n)[::-1]):
+        graph = graph_from_edges(n, zip(path[:-1].tolist(), path[1:].tolist()))
+        assert graph.component_count() == 1
