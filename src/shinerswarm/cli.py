@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, apply_overrides, parse_config
-from .core import SwarmParams
+from .core import SwarmParams, require
 from .density import (
     DEFAULT_N_POINTS,
     DEFAULT_Z_MAX,
@@ -101,10 +101,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_density(args: argparse.Namespace) -> int:
     try:
-        if args.t < 1:
-            raise ConfigError(f"t must be >= 1, got {args.t}")
+        require(args.t >= 1, "t", "must be >= 1", args.t)
         params = KernelParams(c1=args.c1, c2=args.c2)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(EXIT_CONFIG, str(exc))
     try:
         f = initial_pdf(args.x0, params, args.grid_min, args.grid_max,
@@ -160,9 +159,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if header != SNAPSHOT_HEADER:
         return _fail(EXIT_CONFIG,
                      f"expected header {SNAPSHOT_HEADER!r}, got {header!r}")
-    if not args.eps >= 0:
-        return _fail(EXIT_CONFIG, f"--eps must be >= 0, got {args.eps}")
     try:
+        require(args.eps >= 0, "--eps", "must be >= 0", args.eps)
         params = SwarmParams(r=args.r, rho=complex(args.rho_x, args.rho_y))
     except ValueError as exc:
         return _fail(EXIT_CONFIG, str(exc))

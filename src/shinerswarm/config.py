@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from .core import SwarmParams
-from .engine import SEED_LIMIT, Box
+from .core import ParamError, SwarmParams, require
+from .engine import Box, check_seed
 
 MODES = ("none", "env", "social", "both")
 
@@ -75,45 +75,31 @@ def _parse_value(key: str, raw: str, line_no: int):
             f"line {line_no}: cannot parse value {raw!r} for key '{key}'") from None
 
 
-def _check(cond: bool, key: str, line_no: int | None, message: str) -> None:
-    if cond:
-        return
-    where = f"line {line_no}: " if line_no is not None else ""
-    raise ConfigError(f"{where}{message}")
+# Model rules report the model's names; these keys are spelled differently
+# in the config.
+_CONFIG_KEYS = {"rho.real": "rho_x", "rho.imag": "rho_y",
+                "max_x": "region_max_x", "max_y": "region_max_y"}
 
 
 def validate(cfg: RunConfig, lines: dict[str, int] | None = None) -> RunConfig:
     """Raise ConfigError on any invariant violation, citing the source line
-    of the offending key when known."""
-    ln = (lines or {}).get
-    _check(cfg.n_nodes >= 1, "n_nodes", ln("n_nodes"),
-           f"key 'n_nodes' must be >= 1, got {cfg.n_nodes}")
-    _check(cfg.steps >= 0, "steps", ln("steps"),
-           f"key 'steps' must be >= 0, got {cfg.steps}")
-    _check(cfg.stride >= 1, "stride", ln("stride"),
-           f"key 'stride' must be >= 1, got {cfg.stride}")
-    _check(0 <= cfg.seed < SEED_LIMIT, "seed", ln("seed"),
-           f"key 'seed' must be in [0, 2**64), got {cfg.seed}")
-    _check(cfg.c1 > 0, "c1", ln("c1"),
-           f"key 'c1' must be positive, got {cfg.c1}")
-    _check(cfg.c2 > 0, "c2", ln("c2"),
-           f"key 'c2' must be positive, got {cfg.c2}")
-    _check(cfg.r >= 0, "r", ln("r"), f"key 'r' must be >= 0, got {cfg.r}")
-    _check(cfg.w >= 0, "w", ln("w"), f"key 'w' must be >= 0, got {cfg.w}")
-    _check(cfg.s >= 0, "s", ln("s"), f"key 's' must be >= 0, got {cfg.s}")
-    _check(cfg.eps >= 0, "eps", ln("eps"),
-           f"key 'eps' must be >= 0, got {cfg.eps}")
-    _check(cfg.sigma_const is None or cfg.sigma_const >= 0,
-           "sigma_const", ln("sigma_const"),
-           f"key 'sigma_const' must be >= 0, got {cfg.sigma_const}")
-    _check(cfg.mode in MODES, "mode", ln("mode"),
-           f"key 'mode' must be one of {'|'.join(MODES)}, got {cfg.mode!r}")
-    _check(cfg.region_min_x < cfg.region_max_x, "region_max_x",
-           ln("region_max_x"),
-           "region must satisfy region_min_x < region_max_x")
-    _check(cfg.region_min_y < cfg.region_max_y, "region_max_y",
-           ln("region_max_y"),
-           "region must satisfy region_min_y < region_max_y")
+    of the offending key when known. Only the run keys are checked here; the
+    model keys are checked by the types that own them (SwarmParams, Box and
+    check_seed)."""
+    try:
+        require(cfg.steps >= 0, "steps", "must be >= 0", cfg.steps)
+        require(cfg.stride >= 1, "stride", "must be >= 1", cfg.stride)
+        require(cfg.eps >= 0, "eps", "must be >= 0", cfg.eps)
+        require(cfg.mode in MODES, "mode", f"must be one of {'|'.join(MODES)}",
+                repr(cfg.mode))
+        check_seed(cfg.seed)
+        cfg.swarm_params()
+        cfg.region()
+    except ParamError as exc:
+        key = _CONFIG_KEYS.get(exc.key, exc.key)
+        line = (lines or {}).get(key)
+        where = f"line {line}: " if line is not None else ""
+        raise ConfigError(f"{where}key '{key}' {exc.rule}") from None
     return cfg
 
 

@@ -28,6 +28,23 @@ import numpy as np
 Position = complex
 
 
+class ParamError(ValueError):
+    """A parameter outside its range. ``key`` names the parameter and
+    ``rule`` is the rest of the message, e.g. ``must be >= 0, got -1``."""
+
+    def __init__(self, key: str, rule: str, name: str = "") -> None:
+        super().__init__(f"{name}{key} {rule}")
+        self.key = key
+        self.rule = rule
+
+
+def require(ok: bool, key: str, rule: str, value, name: str = "") -> None:
+    """Raise ParamError for ``key`` unless ``ok``. Rules are written as the
+    condition that holds, so a NaN, which fails every comparison, fails."""
+    if not ok:
+        raise ParamError(key, f"{rule}, got {value}", name)
+
+
 @dataclass(frozen=True)
 class SwarmParams:
     """Model constants shared by every node.
@@ -49,22 +66,19 @@ class SwarmParams:
     sigma_const: float | None = None
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 1:
-            raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes}")
-        if not self.c1 > 0:
-            raise ValueError(f"c1 must be positive, got {self.c1}")
-        if not self.c2 > 0:
-            raise ValueError(f"c2 must be positive, got {self.c2}")
-        if self.r < 0:
-            raise ValueError(f"sensing radius r must be >= 0, got {self.r}")
-        if self.w < 0:
-            raise ValueError(f"social weight w must be >= 0, got {self.w}")
-        if self.s < 0:
-            raise ValueError(f"separation distance s must be >= 0, got {self.s}")
-        if not (math.isfinite(self.rho.real) and math.isfinite(self.rho.imag)):
-            raise ValueError("rho must be finite")
-        if self.sigma_const is not None and not self.sigma_const >= 0:
-            raise ValueError(f"sigma_const must be >= 0, got {self.sigma_const}")
+        require(self.n_nodes >= 1, "n_nodes", "must be >= 1", self.n_nodes)
+        require(self.c1 > 0, "c1", "must be positive", self.c1)
+        require(self.c2 > 0, "c2", "must be positive", self.c2)
+        require(self.r >= 0, "r", "must be >= 0", self.r, "sensing radius ")
+        require(self.w >= 0, "w", "must be >= 0", self.w, "social weight ")
+        require(self.s >= 0, "s", "must be >= 0", self.s,
+                "separation distance ")
+        require(math.isfinite(self.rho.real), "rho.real", "must be finite",
+                self.rho.real)
+        require(math.isfinite(self.rho.imag), "rho.imag", "must be finite",
+                self.rho.imag)
+        require(self.sigma_const is None or self.sigma_const >= 0,
+                "sigma_const", "must be >= 0", self.sigma_const)
 
 
 # Cells are 2**-20 wider than r. p / cell is rounded, so on cells of side
@@ -144,8 +158,7 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
     """
     p = np.asarray(positions, dtype=np.complex128).ravel()
     n = p.size
-    if r < 0:
-        raise ValueError(f"sensing radius must be >= 0, got {r}")
+    require(r >= 0, "r", "must be >= 0", r, "sensing radius ")
     bad = ~np.isfinite(p)
     if bad.any():
         i = int(np.argmax(bad))
@@ -215,8 +228,8 @@ def hammer(z, s):
     from ``z / |z|`` rather than a trig round trip, so the output magnitude
     is ``||z| - s|`` to within a few ulp.
     """
-    if np.any(np.asarray(s) < 0):
-        raise ValueError(f"separation distance must be >= 0, got {s}")
+    require(np.all(np.asarray(s) >= 0), "s", "must be >= 0", s,
+            "separation distance ")
     arr = np.asarray(z, dtype=np.complex128)
     mag = np.abs(arr)
     safe = np.where(mag > 0.0, mag, 1.0)

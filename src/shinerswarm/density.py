@@ -29,6 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import require
+
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 # Default log-graded grid for the reference scenario (x0 = 5, c1 = 1,
@@ -38,6 +40,10 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 DEFAULT_Z_MIN = -1000.0
 DEFAULT_Z_MAX = 1000.0
 DEFAULT_N_POINTS = 6001
+
+# Output rows per block in propagate, which bounds the kernel matrix it
+# holds at once to _BLOCK rows.
+_BLOCK = 1024
 
 
 class GridSpanError(ValueError):
@@ -53,10 +59,8 @@ class KernelParams:
     c2: float = 0.1
 
     def __post_init__(self) -> None:
-        if not self.c1 > 0:
-            raise ValueError(f"c1 must be positive, got {self.c1}")
-        if not self.c2 > 0:
-            raise ValueError(f"c2 must be positive, got {self.c2}")
+        require(self.c1 > 0, "c1", "must be positive", self.c1)
+        require(self.c2 > 0, "c2", "must be positive", self.c2)
 
     def sd(self, x):
         """Kernel standard deviation conditioned at x (kinked at x = 0)."""
@@ -162,7 +166,7 @@ def initial_pdf(x0: float, params: KernelParams,
     return f
 
 
-def propagate(f: GridPdf, params: KernelParams, block: int = 1024) -> GridPdf:
+def propagate(f: GridPdf, params: KernelParams) -> GridPdf:
     """Push the pdf one step forward on the same grid.
 
     Each output value is the quadrature of f(x) * kernel(x -> z) with the
@@ -174,8 +178,8 @@ def propagate(f: GridPdf, params: KernelParams, block: int = 1024) -> GridPdf:
     wf = f.w * f.values
     sd = params.sd(z)
     out = np.empty_like(f.values)
-    for lo in range(0, z.size, block):
-        hi = min(lo + block, z.size)
+    for lo in range(0, z.size, _BLOCK):
+        hi = min(lo + _BLOCK, z.size)
         kernel = (np.exp(-0.5 * ((z[lo:hi, None] - z[None, :]) / sd[None, :]) ** 2)
                   / (sd[None, :] * _SQRT_2PI))
         out[lo:hi] = kernel @ wf
@@ -187,8 +191,7 @@ def pdf_at_time(x0: float, t: int, params: KernelParams,
                 n_points: int = DEFAULT_N_POINTS) -> GridPdf:
     """Location pdf after t >= 1 steps from x0 (initial pdf plus t-1
     propagations)."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    require(t >= 1, "t", "must be >= 1", t)
     f = initial_pdf(x0, params, z_min, z_max, n_points)
     for _ in range(t - 1):
         f = propagate(f, params)
@@ -199,10 +202,8 @@ def mc_sample(x0: float, t: int, n_paths: int, params: KernelParams,
               stream: np.random.Generator) -> np.ndarray:
     """Final positions of n_paths independent walkers after t steps of the
     exact chain; the grid-free cross-check for the propagated pdf."""
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    require(n_paths >= 1, "n_paths", "must be >= 1", n_paths)
+    require(t >= 0, "t", "must be >= 0", t)
     x = np.full(n_paths, float(x0))
     for _ in range(t):
         x = x + params.sd(x) * stream.standard_normal(n_paths)

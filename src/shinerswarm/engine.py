@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SwarmParams, build_neighborhood, env_speed, hammer
+from .core import SwarmParams, build_neighborhood, env_speed, hammer, require
 
 # Master seeds are the first Philox key word, an unsigned 64-bit integer.
 SEED_LIMIT = 2 ** 64
@@ -28,14 +28,13 @@ SEED_LIMIT = 2 ** 64
 def check_seed(seed) -> int:
     """The seed as an int; ValueError unless it is in [0, 2**64)."""
     seed = operator.index(seed)
-    if not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    require(0 <= seed < SEED_LIMIT, "seed", "must be in [0, 2**64)", seed)
     return seed
 
 
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned placement region."""
+    """Axis-aligned placement region; each max must exceed its min."""
 
     min_x: float
     min_y: float
@@ -43,8 +42,10 @@ class Box:
     max_y: float
 
     def __post_init__(self) -> None:
-        if not (self.min_x < self.max_x and self.min_y < self.max_y):
-            raise ValueError(f"degenerate region {self}")
+        require(self.min_x < self.max_x, "max_x",
+                f"must exceed the minimum {self.min_x}", self.max_x, "region ")
+        require(self.min_y < self.max_y, "max_y",
+                f"must exceed the minimum {self.min_y}", self.max_y, "region ")
 
 
 @dataclass
@@ -184,6 +185,16 @@ def compute_metrics(state: SwarmState, params: SwarmParams, eps: float) -> Metri
     )
 
 
+def _at_step(t: int, step_fn, *args):
+    """``step_fn(*args)``, raising its ValueError again with step t prefixed,
+    e.g. positions that diverged too far for the neighbor search give
+    ``step 400: node 17: ...``."""
+    try:
+        return step_fn(*args)
+    except ValueError as exc:
+        raise ValueError(f"step {t}: {exc}") from exc
+
+
 def run(params: SwarmParams, master_seed: int, region: Box, n_steps: int,
         snapshot_stride: int,
         eps: float = 0.15) -> list[tuple[SwarmState, Metrics]]:
@@ -191,23 +202,19 @@ def run(params: SwarmParams, master_seed: int, region: Box, n_steps: int,
     every ``snapshot_stride`` steps, and the final step. Steps never modify
     a state, so each recorded one is a resumable snapshot.
 
-    A ValueError from a step or its metrics, such as positions that have
-    diverged too far for the neighbor search, is raised again with the
-    step prefixed (``step 400: node 17: ...``)."""
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
-    if snapshot_stride < 1:
-        raise ValueError(f"snapshot_stride must be >= 1, got {snapshot_stride}")
+    A ValueError from a step or its metrics names the step (see
+    ``_at_step``)."""
+    require(n_steps >= 0, "n_steps", "must be >= 0", n_steps)
+    require(snapshot_stride >= 1, "snapshot_stride", "must be >= 1",
+            snapshot_stride)
     state = init_swarm(params, master_seed, region)
     params = resolve_sigma_const(params, state.positions)
     records = [(state, compute_metrics(state, params, eps))]
     for t in range(1, n_steps + 1):
-        try:
-            state = advance_swarm(state, params)
-            if t % snapshot_stride == 0 or t == n_steps:
-                records.append((state, compute_metrics(state, params, eps)))
-        except ValueError as exc:
-            raise ValueError(f"step {t}: {exc}") from exc
+        state = _at_step(t, advance_swarm, state, params)
+        if t % snapshot_stride == 0 or t == n_steps:
+            records.append((state, _at_step(t, compute_metrics, state, params,
+                                            eps)))
     return records
 
 
@@ -215,11 +222,11 @@ def first_passage(params: SwarmParams, master_seed: int, region: Box,
                   eps: float, frac: float, max_steps: int) -> int | None:
     """First step at which the fraction of nodes within ``eps`` of the
     darkest spot reaches ``frac``; None if it never does within
-    ``max_steps``."""
+    ``max_steps``. A ValueError from a step names the step, as in ``run``."""
     state = init_swarm(params, master_seed, region)
     params = resolve_sigma_const(params, state.positions)
     for t in range(1, max_steps + 1):
-        state = advance_swarm(state, params)
+        state = _at_step(t, advance_swarm, state, params)
         if (np.abs(state.positions - params.rho) <= eps).mean() >= frac:
             return t
     return None

@@ -102,6 +102,16 @@ def test_simulate_seed_outside_uint64_exits_2(tmp_path, capsys, seed):
     assert not out.exists()
 
 
+def test_simulate_nan_rho_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("rho_x = nan\nsteps = 1\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1: key 'rho_x'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_simulate_missing_config_exits_3(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 3
 
@@ -238,6 +248,13 @@ def test_metrics_negative_radius_exits_2(one_row, capsys):
     assert main(["metrics", "--in", str(one_row), "--eps", "0.1",
                  "--r", "-1"]) == 2
     assert "sensing radius r" in capsys.readouterr().err
+
+
+def test_metrics_nan_radius_exits_2(one_row, capsys):
+    assert main(["metrics", "--in", str(one_row), "--eps", "0.1",
+                 "--r", "nan"]) == 2
+    err = capsys.readouterr()
+    assert "sensing radius r" in err.err and err.out == ""
 
 
 def test_metrics_non_finite_position_exits_4(tmp_path, capsys):

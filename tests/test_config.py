@@ -85,6 +85,27 @@ def test_degenerate_region_rejected():
         parse_config("region_min_x = 1\nregion_max_x = -1\n")
 
 
+@pytest.mark.parametrize("text, cited", [
+    ("rho_x = nan\n", "line 1: key 'rho_x'"),
+    ("seed = 2\nrho_y = inf\n", "line 2: key 'rho_y'"),
+    ("r = nan\n", "line 1: key 'r'"),
+    ("steps = 1\nw = nan\n", "line 2: key 'w'"),
+    ("s = nan\n", "line 1: key 's'"),
+    ("eps = nan\n", "line 1: key 'eps'"),
+    ("sigma_const = nan\n", "line 1: key 'sigma_const'"),
+    ("region_min_y = 0\nregion_max_y = 0\n", "line 2: key 'region_max_y'"),
+])
+def test_nan_and_out_of_range_model_keys_cite_key_and_line(text, cited):
+    with pytest.raises(ConfigError) as info:
+        parse_config(text)
+    assert str(info.value).startswith(cited)
+
+
+def test_apply_overrides_rejects_nan_model_key():
+    with pytest.raises(ConfigError, match=r"^key 'r' must be >= 0, got nan"):
+        apply_overrides(RunConfig(), r=float("nan"))
+
+
 def test_round_trip_defaults():
     cfg = RunConfig()
     assert parse_config(format_config(cfg)) == cfg

@@ -148,6 +148,11 @@ def test_neighborhood_rejects_bad_input():
         build_neighborhood([0j], -1.0)
 
 
+def test_neighborhood_rejects_nan_radius():
+    with pytest.raises(ValueError, match="sensing radius"):
+        build_neighborhood([0j, 0.1 + 0j], np.nan)
+
+
 def test_component_count():
     g = build_neighborhood([0j, 0.1 + 0j, 1 + 0j], r=0.2)
     assert g.component_count() == 2
@@ -234,6 +239,13 @@ def test_hammer_magnitude_and_direction_properties():
 def test_hammer_rejects_negative_separation():
     with pytest.raises(ValueError):
         hammer(1 + 0j, -0.1)
+
+
+def test_hammer_rejects_nan_separation():
+    with pytest.raises(ValueError, match="separation distance"):
+        hammer(1 + 0j, np.nan)
+    with pytest.raises(ValueError, match="separation distance"):
+        hammer(np.ones(3, dtype=complex), np.array([0.1, np.nan, 0.1]))
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +409,22 @@ def test_swarm_params_validation():
         SwarmParams(w=-0.5)
     with pytest.raises(ValueError, match="sigma_const"):
         SwarmParams(sigma_const=-0.1)
+
+
+@pytest.mark.parametrize("key", ["n_nodes", "c1", "c2", "r", "w", "s",
+                                 "sigma_const"])
+def test_swarm_params_reject_nan(key):
+    with pytest.raises(ValueError, match=f"{key} must be") as info:
+        SwarmParams(**{key: math.nan})
+    assert info.value.key == key
+
+
+@pytest.mark.parametrize("rho, key", [(complex(math.nan, 0), "rho.real"),
+                                      (complex(0, math.inf), "rho.imag")])
+def test_swarm_params_name_the_non_finite_part_of_rho(rho, key):
+    with pytest.raises(ValueError, match="must be finite") as info:
+        SwarmParams(rho=rho)
+    assert info.value.key == key
 
 
 def test_step_draw_validation():

@@ -339,3 +339,13 @@ def test_first_passage_reached_and_not_reached():
     assert t is not None and 1 <= t <= 400
     assert first_passage(params, 0, UNIT_BOX, eps=0.15, frac=1.1,
                          max_steps=3) is None
+
+
+def test_first_passage_names_the_step_as_run_does():
+    # c1 = 3 diverges: by step 14 a node is too far out for the neighbor search
+    params = SwarmParams(c1=3.0)
+    with pytest.raises(ValueError, match=r"^step 14: node \d+: ") as passage:
+        first_passage(params, 0, UNIT_BOX, 0.15, 0.9, 2000)
+    with pytest.raises(ValueError) as ran:
+        run(params, 0, UNIT_BOX, n_steps=2000, snapshot_stride=2000)
+    assert str(passage.value) == str(ran.value)
