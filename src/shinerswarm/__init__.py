@@ -4,7 +4,6 @@ location-density propagator that cross-checks the model's behavior."""
 from .config import ConfigError, RunConfig, format_config, parse_config
 from .core import (
     NeighborGraph,
-    Position,
     SwarmParams,
     build_neighborhood,
     env_speed,
@@ -13,7 +12,6 @@ from .core import (
 from .density import (
     GridPdf,
     GridSpanError,
-    GridStats,
     KernelParams,
     grid_stats,
     initial_pdf,
@@ -41,11 +39,9 @@ __all__ = [
     "ConfigError",
     "GridPdf",
     "GridSpanError",
-    "GridStats",
     "KernelParams",
     "Metrics",
     "NeighborGraph",
-    "Position",
     "RunConfig",
     "SwarmParams",
     "SwarmState",

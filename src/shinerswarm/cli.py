@@ -15,8 +15,8 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, apply_overrides, parse_config
-from .core import SwarmParams, require
+from .config import MODES, ConfigError, apply_overrides, config_key, parse_config
+from .core import ParamError, SwarmParams, require
 from .density import (
     DEFAULT_N_POINTS,
     DEFAULT_Z_MAX,
@@ -27,7 +27,7 @@ from .density import (
     initial_pdf,
     propagate,
 )
-from .engine import SwarmState, compute_metrics, run
+from .engine import Metrics, SwarmState, check_run_args, compute_metrics, run
 from .svg import density_svg, snapshot_svg
 
 EXIT_OK = 0
@@ -47,6 +47,11 @@ def _fmt(v: float) -> str:
     return format(float(v), ".9g")
 
 
+def _metrics_row(m: Metrics) -> str:
+    return (f"{m.t},{_fmt(m.mean_dist_to_rho)},{_fmt(m.frac_within_eps)},"
+            f"{_fmt(m.mean_pairwise_dist)},{m.cluster_count}")
+
+
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
@@ -58,6 +63,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    require(args.workers >= 1, "workers", "must be >= 1", args.workers)
     text = ""
     if args.config is not None:
         try:
@@ -84,10 +90,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for state, metrics in records:
         for i, p in enumerate(state.positions):
             snap_lines.append(f"{state.t},{i},{_fmt(p.real)},{_fmt(p.imag)}")
-        metric_lines.append(
-            f"{metrics.t},{_fmt(metrics.mean_dist_to_rho)},"
-            f"{_fmt(metrics.frac_within_eps)},"
-            f"{_fmt(metrics.mean_pairwise_dist)},{metrics.cluster_count}")
+        metric_lines.append(_metrics_row(metrics))
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
         _write_text(os.path.join(cfg.out_dir, "snapshots.csv"),
@@ -100,11 +103,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_density(args: argparse.Namespace) -> int:
-    try:
-        require(args.t >= 1, "t", "must be >= 1", args.t)
-        params = KernelParams(c1=args.c1, c2=args.c2)
-    except ValueError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
+    require(args.t >= 1, "t", "must be >= 1", args.t)
+    params = KernelParams(c1=args.c1, c2=args.c2)
     try:
         f = initial_pdf(args.x0, params, args.grid_min, args.grid_max,
                         args.grid_points)
@@ -130,16 +130,6 @@ def cmd_density(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_csv(path: str) -> tuple[str, list[list[str]]]:
-    with open(path) as fh:
-        content = fh.read()
-    rows = [line.split(",") for line in content.splitlines() if line]
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header = ",".join(rows[0])
-    return header, rows[1:]
-
-
 def _parse_row(row: list[str], types: tuple) -> tuple:
     """One CSV row converted field by field; ValueError if the field count
     or a field is wrong."""
@@ -149,25 +139,34 @@ def _parse_row(row: list[str], types: tuple) -> tuple:
     return tuple(kind(field) for kind, field in zip(types, row))
 
 
-def cmd_metrics(args: argparse.Namespace) -> int:
+def _load_csv(path: str, headers) -> tuple[str, list[tuple]]:
+    """Header and typed rows of a CSV file whose header is in ``headers``;
+    OSError if it cannot be read, ValueError if its content is wrong."""
+    with open(path) as fh:
+        lines = [line for line in fh.read().splitlines() if line]
+    if not lines:
+        raise ValueError(f"{path}: empty file")
+    header, *rows = lines
+    if header not in headers:
+        raise ValueError(f"expected header {' or '.join(map(repr, headers))}"
+                         f", got {header!r}")
     try:
-        header, rows = _read_csv(args.infile)
+        table = [_parse_row(row.split(","), COLUMN_TYPES[header])
+                 for row in rows]
+    except ValueError as exc:
+        raise ValueError(f"malformed row: {exc}") from None
+    return header, table
+
+
+def cmd_metrics(args: argparse.Namespace) -> int:
+    check_run_args(eps=args.eps)
+    params = SwarmParams(r=args.r, rho=complex(args.rho_x, args.rho_y))
+    try:
+        _, table = _load_csv(args.infile, (SNAPSHOT_HEADER,))
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot read input: {exc}")
     except ValueError as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    if header != SNAPSHOT_HEADER:
-        return _fail(EXIT_CONFIG,
-                     f"expected header {SNAPSHOT_HEADER!r}, got {header!r}")
-    try:
-        require(args.eps >= 0, "--eps", "must be >= 0", args.eps)
-        params = SwarmParams(r=args.r, rho=complex(args.rho_x, args.rho_y))
-    except ValueError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
-    try:
-        table = [_parse_row(row, COLUMN_TYPES[header]) for row in rows]
-    except ValueError as exc:
-        return _fail(EXIT_CONFIG, f"malformed snapshot row: {exc}")
     by_step: dict[int, list[tuple[int, complex]]] = {}
     for step, node, x, y in table:
         by_step.setdefault(step, []).append((node, complex(x, y)))
@@ -181,25 +180,17 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             m = compute_metrics(state, params, args.eps)
         except ValueError as exc:
             return _fail(EXIT_NUMERIC, f"step {step}: {exc}")
-        print(f"{m.t},{_fmt(m.mean_dist_to_rho)},{_fmt(m.frac_within_eps)},"
-              f"{_fmt(m.mean_pairwise_dist)},{m.cluster_count}")
+        print(_metrics_row(m))
     return EXIT_OK
 
 
 def cmd_render(args: argparse.Namespace) -> int:
     try:
-        header, rows = _read_csv(args.infile)
+        header, table = _load_csv(args.infile, COLUMN_TYPES)
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot read input: {exc}")
     except ValueError as exc:
         return _fail(EXIT_RENDER, str(exc))
-    types = COLUMN_TYPES.get(header)
-    if types is None:
-        return _fail(EXIT_RENDER, f"unrecognized CSV header {header!r}")
-    try:
-        table = [_parse_row(row, types) for row in rows]
-    except ValueError as exc:
-        return _fail(EXIT_RENDER, f"malformed row: {exc}")
     present = sorted({row[0] for row in table})
     if not present:
         return _fail(EXIT_RENDER, f"{args.infile}: no data rows")
@@ -244,18 +235,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--steps", type=int)
     p.add_argument("--stride", type=int)
-    p.add_argument("--mode", choices=("none", "env", "social", "both"))
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--out", help="output directory")
     p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; has no effect, since "
-                        "each step is one vectorised pass")
+                   help="accepted for compatibility; must be >= 1 and has "
+                        "no effect, since each step is one vectorised pass")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("density", help="propagate the 1D location pdf")
     p.add_argument("--x0", type=float, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--c1", type=float, default=1.0)
-    p.add_argument("--c2", type=float, default=0.1)
+    p.add_argument("--c1", type=float, default=KernelParams.c1)
+    p.add_argument("--c2", type=float, default=KernelParams.c2)
     p.add_argument("--grid-min", type=float, default=DEFAULT_Z_MIN)
     p.add_argument("--grid-max", type=float, default=DEFAULT_Z_MAX)
     p.add_argument("--grid-points", type=int, default=DEFAULT_N_POINTS,
@@ -268,25 +259,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("metrics", help="recompute metrics from a snapshot CSV")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--r", type=float, default=0.2)
-    p.add_argument("--rho-x", type=float, default=0.0)
-    p.add_argument("--rho-y", type=float, default=0.0)
+    p.add_argument("--r", type=float, default=SwarmParams.r)
+    p.add_argument("--rho-x", type=float, default=SwarmParams.rho.real)
+    p.add_argument("--rho-y", type=float, default=SwarmParams.rho.imag)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("render", help="draw a snapshot or density CSV as SVG")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--step", type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--rho-x", type=float, default=0.0)
-    p.add_argument("--rho-y", type=float, default=0.0)
+    p.add_argument("--rho-x", type=float, default=SwarmParams.rho.real)
+    p.add_argument("--rho-y", type=float, default=SwarmParams.rho.imag)
     p.set_defaults(func=cmd_render)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code. Commands check their
+    flags first; a ParamError from those checks exits 2 naming the flag."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParamError as exc:
+        flag = "--" + config_key(exc.key).replace("_", "-")
+        return _fail(EXIT_CONFIG, f"{flag}: {exc}")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Flat key=value run configuration.
 
 One ``key = value`` per line, ``#`` starts a comment, unknown keys are
-rejected. Defaults reproduce the reference swarm scenario: 100 nodes on
-[-0.5, 0.5]^2, darkest spot at the origin, c1 = c2 = 0.1, r = 0.2, w = 20,
-s = 0.08. Command-line flags override file values, which override defaults.
+rejected. Defaults reproduce the reference swarm scenario: the model keys
+take SwarmParams' defaults and nodes are placed on [-0.5, 0.5]^2.
+Command-line flags override file values, which override defaults.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .core import ParamError, SwarmParams, require
-from .engine import Box, check_seed
+from .engine import DEFAULT_EPS, Box, check_run_args, check_seed
 
 MODES = ("none", "env", "social", "both")
 
@@ -22,20 +22,20 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    n_nodes: int = 100
+    n_nodes: int = SwarmParams.n_nodes
     steps: int = 70
     stride: int = 35
-    c1: float = 0.1
-    c2: float = 0.1
-    r: float = 0.2
-    w: float = 20.0
-    s: float = 0.08
-    rho_x: float = 0.0
-    rho_y: float = 0.0
+    c1: float = SwarmParams.c1
+    c2: float = SwarmParams.c2
+    r: float = SwarmParams.r
+    w: float = SwarmParams.w
+    s: float = SwarmParams.s
+    rho_x: float = SwarmParams.rho.real
+    rho_y: float = SwarmParams.rho.imag
     seed: int = 0
     mode: str = "both"
-    sigma_const: float | None = None
-    eps: float = 0.15
+    sigma_const: float | None = SwarmParams.sigma_const
+    eps: float = DEFAULT_EPS
     region_min_x: float = -0.5
     region_min_y: float = -0.5
     region_max_x: float = 0.5
@@ -55,48 +55,45 @@ class RunConfig:
                    self.region_max_x, self.region_max_y)
 
 
-_INT_KEYS = {"n_nodes", "steps", "stride", "seed"}
-_FLOAT_KEYS = {"c1", "c2", "r", "w", "s", "rho_x", "rho_y", "sigma_const",
-               "eps", "region_min_x", "region_min_y", "region_max_x",
-               "region_max_y"}
-_STR_KEYS = {"mode", "out_dir"}
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+# Each key's parser, from its RunConfig annotation (a string in this module).
+_PARSERS = {f.name: {"int": int, "str": str}.get(f.type, float)
+            for f in fields(RunConfig)}
 
 
 def _parse_value(key: str, raw: str, line_no: int):
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        return raw
+        return _PARSERS[key](raw)
     except ValueError:
         raise ConfigError(
             f"line {line_no}: cannot parse value {raw!r} for key '{key}'") from None
 
 
 # Model rules report the model's names; these keys are spelled differently
-# in the config.
+# in the config and, as flags, on the command line.
 _CONFIG_KEYS = {"rho.real": "rho_x", "rho.imag": "rho_y",
-                "max_x": "region_max_x", "max_y": "region_max_y"}
+                "max_x": "region_max_x", "max_y": "region_max_y",
+                "n_steps": "steps", "snapshot_stride": "stride"}
+
+
+def config_key(key: str) -> str:
+    """The config key for the model key that a ParamError names."""
+    return _CONFIG_KEYS.get(key, key)
 
 
 def validate(cfg: RunConfig, lines: dict[str, int] | None = None) -> RunConfig:
     """Raise ConfigError on any invariant violation, citing the source line
-    of the offending key when known. Only the run keys are checked here; the
-    model keys are checked by the types that own them (SwarmParams, Box and
-    check_seed)."""
+    of the offending key when known. Only the mode is checked here; every
+    other key is checked by the code that owns it (check_run_args,
+    check_seed, SwarmParams and Box)."""
     try:
-        require(cfg.steps >= 0, "steps", "must be >= 0", cfg.steps)
-        require(cfg.stride >= 1, "stride", "must be >= 1", cfg.stride)
-        require(cfg.eps >= 0, "eps", "must be >= 0", cfg.eps)
+        check_run_args(cfg.steps, cfg.stride, cfg.eps)
         require(cfg.mode in MODES, "mode", f"must be one of {'|'.join(MODES)}",
                 repr(cfg.mode))
         check_seed(cfg.seed)
         cfg.swarm_params()
         cfg.region()
     except ParamError as exc:
-        key = _CONFIG_KEYS.get(exc.key, exc.key)
+        key = config_key(exc.key)
         line = (lines or {}).get(key)
         where = f"line {line}: " if line is not None else ""
         raise ConfigError(f"{where}key '{key}' {exc.rule}") from None
@@ -116,7 +113,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {line_no}: expected 'key = value', "
                               f"got {raw_line.strip()!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in KNOWN_KEYS:
+        if key not in _PARSERS:
             raise ConfigError(f"line {line_no}: unknown key '{key}'")
         if key in lines:
             raise ConfigError(f"line {line_no}: duplicate key '{key}' "
@@ -128,12 +125,19 @@ def parse_config(text: str) -> RunConfig:
 
 
 def format_config(cfg: RunConfig) -> str:
-    """Serialize to the config format; parse_config(format_config(c)) == c."""
+    """Serialize to the config format; parse_config(format_config(c)) == c.
+
+    Raises ConfigError naming the key when a string value holds ``#``, a
+    line break or outer whitespace, which the format cannot carry."""
     out = []
     for f in fields(RunConfig):
         value = getattr(cfg, f.name)
         if value is None:
             continue
+        if isinstance(value, str) and ("#" in value or value != value.strip()
+                                       or len(value.splitlines()) > 1):
+            raise ConfigError(f"key '{f.name}' cannot be written: {value!r} "
+                              f"holds '#', a line break or outer whitespace")
         out.append(f"{f.name} = {value}")
     return "\n".join(out) + "\n"
 
@@ -144,7 +148,7 @@ def apply_overrides(cfg: RunConfig, **overrides) -> RunConfig:
     changes = {k: v for k, v in overrides.items() if v is not None}
     if not changes:
         return cfg
-    unknown = set(changes) - KNOWN_KEYS
+    unknown = changes.keys() - _PARSERS.keys()
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
     return validate(replace(cfg, **changes))

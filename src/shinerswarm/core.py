@@ -24,9 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# An agent location: x + 1j*y in arena units.
-Position = complex
-
 
 class ParamError(ValueError):
     """A parameter outside its range. ``key`` names the parameter and
@@ -45,6 +42,13 @@ def require(ok: bool, key: str, rule: str, value, name: str = "") -> None:
         raise ParamError(key, f"{rule}, got {value}", name)
 
 
+def check_speed_law(c1: float, c2: float) -> None:
+    """ParamError unless both constants of the speed law
+    ``c1 * (c2 + distance)`` are positive and finite."""
+    for key, value in (("c1", c1), ("c2", c2)):
+        require(0 < value < math.inf, key, "must be positive and finite", value)
+
+
 @dataclass(frozen=True)
 class SwarmParams:
     """Model constants shared by every node.
@@ -60,15 +64,14 @@ class SwarmParams:
     r: float = 0.2
     w: float = 20.0
     s: float = 0.08
-    rho: Position = 0j
+    rho: complex = 0j
     env_enabled: bool = True
     social_enabled: bool = True
     sigma_const: float | None = None
 
     def __post_init__(self) -> None:
         require(self.n_nodes >= 1, "n_nodes", "must be >= 1", self.n_nodes)
-        require(self.c1 > 0, "c1", "must be positive", self.c1)
-        require(self.c2 > 0, "c2", "must be positive", self.c2)
+        check_speed_law(self.c1, self.c2)
         require(self.r >= 0, "r", "must be >= 0", self.r, "sensing radius ")
         require(self.w >= 0, "w", "must be >= 0", self.w, "social weight ")
         require(self.s >= 0, "s", "must be >= 0", self.s,
@@ -201,7 +204,7 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
     cols = np.concatenate([v, u])
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return NeighborGraph(indptr, cols[np.lexsort((cols, rows))])
+    return NeighborGraph(indptr, np.sort(rows * n + cols) % n)
 
 def env_speed(p, params: SwarmParams):
     """Speed scale at location(s) p: ``c1 * (c2 + |p - rho|)`` when the

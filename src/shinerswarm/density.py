@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import require
+from .core import check_speed_law, require
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -59,8 +59,7 @@ class KernelParams:
     c2: float = 0.1
 
     def __post_init__(self) -> None:
-        require(self.c1 > 0, "c1", "must be positive", self.c1)
-        require(self.c2 > 0, "c2", "must be positive", self.c2)
+        check_speed_law(self.c1, self.c2)
 
     def sd(self, x):
         """Kernel standard deviation conditioned at x (kinked at x = 0)."""
@@ -176,13 +175,9 @@ def propagate(f: GridPdf, params: KernelParams) -> GridPdf:
     """
     z = f.z
     wf = f.w * f.values
-    sd = params.sd(z)
     out = np.empty_like(f.values)
     for lo in range(0, z.size, _BLOCK):
-        hi = min(lo + _BLOCK, z.size)
-        kernel = (np.exp(-0.5 * ((z[lo:hi, None] - z[None, :]) / sd[None, :]) ** 2)
-                  / (sd[None, :] * _SQRT_2PI))
-        out[lo:hi] = kernel @ wf
+        out[lo:lo + _BLOCK] = kernel_pdf(z, z[lo:lo + _BLOCK, None], params) @ wf
     return GridPdf(z, f.w, out, t=f.t + 1)
 
 
@@ -212,17 +207,18 @@ def mc_sample(x0: float, t: int, n_paths: int, params: KernelParams,
 
 def grid_stats(f: GridPdf, eps: float) -> GridStats:
     """Total mass and mean (first moment over mass) by the grid's weights,
-    and the mass within ``|z| <= eps`` by the trapezoid rule over the nodes
-    there. The shortfall of mass below 1 is the truncated tail the grid has
-    lost."""
+    and the mass within ``|z| <= eps``: the integral of the linear
+    interpolant of the pdf from -eps to eps, both ends clipped to the grid,
+    so partial cells at the ends count. The shortfall of mass below 1 is the
+    truncated tail the grid has lost."""
     z = f.z
     mass = float(f.w @ f.values)
     if mass <= 0.0:
         raise ValueError("pdf has zero mass")
     mean = float(f.w @ (z * f.values)) / mass
-    inside = np.abs(z) <= eps
-    if inside.sum() >= 2:
-        near = float(np.trapezoid(f.values[inside], z[inside]))
-    else:
-        near = 0.0
+    lo, hi = max(-eps, z[0]), min(eps, z[-1])
+    near = 0.0
+    if lo < hi:
+        zn = np.concatenate(([lo], z[(lo < z) & (z < hi)], [hi]))
+        near = float(np.trapezoid(np.interp(zn, z, f.values), zn))
     return GridStats(mass=mass, mean=mean, mass_near=near)

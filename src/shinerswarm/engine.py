@@ -24,6 +24,9 @@ from .core import SwarmParams, build_neighborhood, env_speed, hammer, require
 # Master seeds are the first Philox key word, an unsigned 64-bit integer.
 SEED_LIMIT = 2 ** 64
 
+# Radius around the darkest spot within which a node counts as arrived.
+DEFAULT_EPS = 0.15
+
 
 def check_seed(seed) -> int:
     """The seed as an int; ValueError unless it is in [0, 2**64)."""
@@ -32,9 +35,19 @@ def check_seed(seed) -> int:
     return seed
 
 
+def check_run_args(n_steps: int = 0, snapshot_stride: int = 1,
+                   eps: float = DEFAULT_EPS) -> None:
+    """ParamError unless n_steps >= 0, snapshot_stride >= 1 and eps >= 0."""
+    require(n_steps >= 0, "n_steps", "must be >= 0", n_steps)
+    require(snapshot_stride >= 1, "snapshot_stride", "must be >= 1",
+            snapshot_stride)
+    require(eps >= 0, "eps", "must be >= 0", eps)
+
+
 @dataclass(frozen=True)
 class Box:
-    """Axis-aligned placement region; each max must exceed its min."""
+    """Axis-aligned placement region; on each axis the max must exceed the
+    min by a finite width."""
 
     min_x: float
     min_y: float
@@ -42,10 +55,11 @@ class Box:
     max_y: float
 
     def __post_init__(self) -> None:
-        require(self.min_x < self.max_x, "max_x",
-                f"must exceed the minimum {self.min_x}", self.max_x, "region ")
-        require(self.min_y < self.max_y, "max_y",
-                f"must exceed the minimum {self.min_y}", self.max_y, "region ")
+        for axis, lo, hi in (("x", self.min_x, self.max_x),
+                             ("y", self.min_y, self.max_y)):
+            require(0 < hi - lo < np.inf, f"max_{axis}",
+                    f"must exceed the minimum {lo} by a finite width", hi,
+                    "region ")
 
 
 @dataclass
@@ -165,9 +179,11 @@ def compute_metrics(state: SwarmState, params: SwarmParams, eps: float) -> Metri
     """Convergence and cohesion summary of one frame.
 
     Clusters are the connected components of the sensing-radius graph. The
-    pairwise mean is over unordered pairs and is 0 for a single node.
+    pairwise mean is over unordered pairs and is 0 for a single node. The
+    graph, built first, rejects positions it cannot place.
     """
     p = state.positions
+    graph = build_neighborhood(p, params.r)
     d = np.abs(p - params.rho)
     n = p.size
     if n >= 2:
@@ -175,7 +191,6 @@ def compute_metrics(state: SwarmState, params: SwarmParams, eps: float) -> Metri
         pairwise = float(np.abs(p[iu[0]] - p[iu[1]]).mean())
     else:
         pairwise = 0.0
-    graph = build_neighborhood(p, params.r)
     return Metrics(
         t=state.t,
         mean_dist_to_rho=float(d.mean()),
@@ -197,19 +212,17 @@ def _at_step(t: int, step_fn, *args):
 
 def run(params: SwarmParams, master_seed: int, region: Box, n_steps: int,
         snapshot_stride: int,
-        eps: float = 0.15) -> list[tuple[SwarmState, Metrics]]:
+        eps: float = DEFAULT_EPS) -> list[tuple[SwarmState, Metrics]]:
     """Simulate ``n_steps`` steps, recording (state, metrics) at t = 0,
     every ``snapshot_stride`` steps, and the final step. Steps never modify
     a state, so each recorded one is a resumable snapshot.
 
     A ValueError from a step or its metrics names the step (see
-    ``_at_step``)."""
-    require(n_steps >= 0, "n_steps", "must be >= 0", n_steps)
-    require(snapshot_stride >= 1, "snapshot_stride", "must be >= 1",
-            snapshot_stride)
+    ``_at_step``), the initial placement's metrics as step 0."""
+    check_run_args(n_steps, snapshot_stride, eps)
     state = init_swarm(params, master_seed, region)
     params = resolve_sigma_const(params, state.positions)
-    records = [(state, compute_metrics(state, params, eps))]
+    records = [(state, _at_step(0, compute_metrics, state, params, eps))]
     for t in range(1, n_steps + 1):
         state = _at_step(t, advance_swarm, state, params)
         if t % snapshot_stride == 0 or t == n_steps:

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,32 @@ def test_simulate_nan_rho_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, line", [
+    ("region_max_x = inf\n", 1),
+    ("region_min_x = -1e308\nregion_max_x = 1e308\n", 2),
+])
+def test_simulate_infinite_region_width_exits_2(tmp_path, capsys, text, line):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: key 'region_max_x' must exceed")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_workers_below_1_exits_2(tmp_path, capsys, workers):
+    out = tmp_path / "out"
+    assert main(["simulate", "--workers", workers, "--steps", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --workers: workers must be >= 1, got {workers}\n"
+    assert not out.exists()
+
+
 def test_simulate_missing_config_exits_3(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 3
 
@@ -181,6 +208,19 @@ def test_density_coarse_grid_blames_point_count(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "7 points are too few" in err
     assert "span at least" not in err
+
+
+@pytest.mark.parametrize("flag, value", [("--c1", "inf"), ("--c2", "inf"),
+                                         ("--c1", "nan"), ("--t", "0")])
+def test_density_flag_errors_exit_2_naming_the_flag(tmp_path, capsys, flag,
+                                                    value):
+    argv = ["density", "--x0", "5", "--t", "1", "--out",
+            str(tmp_path / "d.csv"), flag, value]  # the last --t counts
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: {flag[2:]} must be ")
 
 
 def test_density_bad_params_exit_2(tmp_path):
@@ -255,6 +295,20 @@ def test_metrics_nan_radius_exits_2(one_row, capsys):
                  "--r", "nan"]) == 2
     err = capsys.readouterr()
     assert "sensing radius r" in err.err and err.out == ""
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--rho-x", "nan", "rho.real must be finite, got nan"),
+    ("--rho-y", "inf", "rho.imag must be finite, got inf"),
+    ("--r", "-1", "sensing radius r must be >= 0, got -1.0"),
+    ("--eps", "-1", "eps must be >= 0, got -1.0"),
+])
+def test_metrics_flag_errors_name_the_flag(one_row, capsys, flag, value,
+                                           message):
+    argv = ["metrics", "--in", str(one_row), "--eps", "0.1", flag, value]
+    assert main(argv) == 2
+    err = capsys.readouterr()
+    assert err.err == f"error: {flag}: {message}\n" and err.out == ""
 
 
 def test_metrics_non_finite_position_exits_4(tmp_path, capsys):

@@ -1,13 +1,17 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shinerswarm.config import (
+    MODES,
     ConfigError,
     RunConfig,
     apply_overrides,
     format_config,
     parse_config,
+    validate,
 )
 
 
@@ -118,6 +122,54 @@ def test_round_trip_custom_values():
                     region_min_x=-1.0, region_min_y=-2.0, region_max_x=1.0,
                     region_max_y=2.0, out_dir="results/run1")
     assert parse_config(format_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("out_dir", ["a#b", " pad", "pad ", "x\ny", "x\ry",
+                                     "x\u2028y", "\n"])
+def test_format_config_refuses_values_it_cannot_carry(out_dir):
+    with pytest.raises(ConfigError, match="key 'out_dir' cannot be written"):
+        format_config(RunConfig(out_dir=out_dir))
+
+
+nonneg = st.floats(min_value=0.0)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def configs(draw):
+    """Mostly valid configs, with floats anywhere in their valid ranges
+    (inf included where a rule allows it) and arbitrary out_dir text."""
+    region = {}
+    for axis in "xy":
+        lo = draw(finite)
+        region[f"region_min_{axis}"] = lo
+        region[f"region_max_{axis}"] = lo + draw(nonneg)
+    return RunConfig(
+        n_nodes=draw(st.integers(1, 10 ** 6)),
+        steps=draw(st.integers(0, 10 ** 6)),
+        stride=draw(st.integers(1, 10 ** 6)),
+        c1=draw(nonneg), c2=draw(nonneg), r=draw(nonneg), w=draw(nonneg),
+        s=draw(nonneg), rho_x=draw(finite), rho_y=draw(finite),
+        seed=draw(st.integers(0, 2 ** 64 - 1)),
+        mode=draw(st.sampled_from(MODES)),
+        sigma_const=draw(st.none() | nonneg), eps=draw(nonneg),
+        out_dir=draw(st.text() | st.sampled_from(["a#b", " pad", "x\ny"])),
+        **region)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(configs())
+def test_format_config_round_trips_or_refuses(cfg):
+    try:
+        validate(cfg)
+    except ConfigError:
+        return
+    try:
+        text = format_config(cfg)
+    except ConfigError as exc:
+        assert str(exc).startswith("key 'out_dir' cannot be written")
+        return
+    assert parse_config(text) == cfg
 
 
 def test_mode_maps_to_factor_switches():

@@ -20,6 +20,7 @@ from shinerswarm.core import (
     env_speed,
     hammer,
 )
+from shinerswarm.density import KernelParams
 
 
 def brute_force_adjacency(positions, r):
@@ -424,6 +425,14 @@ def test_swarm_params_reject_nan(key):
 def test_swarm_params_name_the_non_finite_part_of_rho(rho, key):
     with pytest.raises(ValueError, match="must be finite") as info:
         SwarmParams(rho=rho)
+    assert info.value.key == key
+
+
+@pytest.mark.parametrize("key", ["c1", "c2"])
+@pytest.mark.parametrize("params", [SwarmParams, KernelParams])
+def test_speed_law_constants_must_be_finite(params, key):
+    with pytest.raises(ValueError, match=f"{key} must be positive and finite") as info:
+        params(**{key: math.inf})
     assert info.value.key == key
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -255,6 +257,23 @@ def test_grid_stats_uniform():
     assert stats.mass == pytest.approx(1.0)
     assert stats.mean == pytest.approx(0.0, abs=1e-12)
     assert stats.mass_near == pytest.approx(0.5)
+
+
+def test_grid_stats_mass_near_counts_partial_cells():
+    f = _uniform_grid_pdf(-1.0, 1.0, 5, np.full(5, 0.5))  # nodes 0.5 apart
+    assert grid_stats(f, eps=0.25).mass_near == pytest.approx(0.25)
+    assert grid_stats(f, eps=0.75).mass_near == pytest.approx(0.75)
+    assert grid_stats(f, eps=5.0).mass_near == pytest.approx(1.0)
+    assert grid_stats(f, eps=0.0).mass_near == 0.0
+
+
+@pytest.mark.parametrize("n_points", [3001, 12001])
+def test_mass_near_on_graded_grids_matches_closed_form(n_points):
+    # the first step from 0 is N(0, 0.1^2); eps = 0.1 falls inside a cell of
+    # either grid, and its mass within 0.1 is erf(1 / sqrt(2))
+    f = initial_pdf(0.0, REF_KERNEL, n_points=n_points)
+    assert grid_stats(f, eps=0.1).mass_near == pytest.approx(
+        math.erf(2 ** -0.5), abs=1e-5)
 
 
 def test_grid_stats_rejects_zero_mass():

@@ -1,5 +1,6 @@
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,16 @@ def test_init_mean_is_region_center():
 def test_degenerate_region_rejected():
     with pytest.raises(ValueError):
         Box(0.0, 0.0, 0.0, 1.0)
+
+
+def test_region_width_must_be_positive_and_finite_on_each_axis():
+    for box, key in [((-0.5, -0.5, math.inf, 0.5), "max_x"),
+                     ((-1e308, -0.5, 1e308, 0.5), "max_x"),
+                     ((-0.5, -math.inf, 0.5, 0.5), "max_y"),
+                     ((-0.5, -0.5, 0.5, math.nan), "max_y")]:
+        with pytest.raises(ValueError, match="finite width") as info:
+            Box(*box)
+        assert info.value.key == key
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
@@ -249,6 +260,14 @@ def test_metrics_single_node():
     assert m.mean_dist_to_rho == pytest.approx(0.5)
 
 
+def test_metrics_reject_non_finite_positions_before_arithmetic():
+    state = SwarmState(0, np.array([0j, np.inf, np.inf]), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^node 1: position .* not finite"):
+            compute_metrics(state, SwarmParams(n_nodes=3), eps=0.15)
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -266,6 +285,20 @@ def test_run_zero_steps():
     records = run(params, 4, UNIT_BOX, n_steps=0, snapshot_stride=5)
     assert len(records) == 1
     assert records[0][0].t == 0
+
+
+@pytest.mark.parametrize("eps", [-0.1, math.nan])
+def test_run_rejects_negative_or_nan_eps(eps):
+    with pytest.raises(ValueError, match="eps must be >= 0") as info:
+        run(SwarmParams(n_nodes=3), 0, UNIT_BOX, 2, 1, eps=eps)
+    assert info.value.key == "eps"
+
+
+def test_run_names_step_0_when_the_placement_cannot_be_measured():
+    # a finite region so far out that its nodes lie beyond 2**30 cells
+    far = Box(1e300, 0.0, 2e300, 1.0)
+    with pytest.raises(ValueError, match=r"^step 0: node \d+: .* cells of side"):
+        run(SwarmParams(n_nodes=3), 0, far, n_steps=1, snapshot_stride=1)
 
 
 def test_run_is_bit_reproducible():
