@@ -104,6 +104,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_density(args: argparse.Namespace) -> int:
     require(args.t >= 1, "t", "must be >= 1", args.t)
+    require(args.near_eps >= 0, "near_eps", "must be >= 0", args.near_eps)
     params = KernelParams(c1=args.c1, c2=args.c2)
     try:
         f = initial_pdf(args.x0, params, args.grid_min, args.grid_max,

@@ -5,7 +5,10 @@ normal around its current one with standard deviation ``c1 * (c2 + |x|)``.
 The location pdf after t steps has no closed form for t >= 2, so it is
 pushed forward numerically: starting from the one-step Gaussian, each
 application of ``propagate`` convolves the current grid pdf with the
-location-dependent kernel by trapezoidal quadrature.
+location-dependent kernel by trapezoidal quadrature. One step costs O(n^2)
+kernel evaluations on an n-point grid but only O(n) memory: the kernel
+matrix is never stored whole, only one cache-sized block of its rows at a
+time.
 
 The kernel width is ``c1 * c2`` at the darkest spot and grows without bound
 away from it, so a uniform grid is either too coarse at the origin or too
@@ -32,6 +35,7 @@ import numpy as np
 from .core import check_speed_law, require
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_SQRT_HALF = np.sqrt(0.5)
 
 # Default log-graded grid for the reference scenario (x0 = 5, c1 = 1,
 # c2 = 0.1): spacing 0.0003 at the origin and 0.016 at x = 5, and a span so
@@ -41,9 +45,11 @@ DEFAULT_Z_MIN = -1000.0
 DEFAULT_Z_MAX = 1000.0
 DEFAULT_N_POINTS = 6001
 
-# Output rows per block in propagate, which bounds the kernel matrix it
-# holds at once to _BLOCK rows.
-_BLOCK = 1024
+# Bytes of kernel entries that propagate builds at once: a row block this
+# size (21 rows at 6001 points) stays in a core's L2 cache through its
+# elementwise passes and the product. On a 2-vCPU Xeon with 2 MiB of L2 per
+# core, 2 MiB blocks measured about 8% slower per step.
+_BLOCK_BYTES = 2 ** 20
 
 
 class GridSpanError(ValueError):
@@ -64,6 +70,13 @@ class KernelParams:
     def sd(self, x):
         """Kernel standard deviation conditioned at x (kinked at x = 0)."""
         return self.c1 * (self.c2 + np.abs(x))
+
+    def factors(self, mu):
+        """Per-source factors ``(k, norm)`` of the kernel from mu, whose pdf
+        at z is ``norm * exp(-(k * (z - mu))**2)``: ``k = sqrt(0.5) / sd``
+        and ``norm = 1 / (sd * sqrt(2 pi))``, with sd conditioned at mu."""
+        sd = self.sd(mu)
+        return _SQRT_HALF / sd, 1.0 / (sd * _SQRT_2PI)
 
 
 @dataclass
@@ -104,8 +117,9 @@ class GridStats(NamedTuple):
 def kernel_pdf(mu, z, params: KernelParams):
     """Transition density: normal pdf with mean mu and standard deviation
     ``c1 * (c2 + |mu|)``, evaluated at z. Broadcasts over mu and z."""
-    sd = params.sd(np.asarray(mu))
-    out = np.exp(-0.5 * ((np.asarray(z) - mu) / sd) ** 2) / (sd * _SQRT_2PI)
+    mu = np.asarray(mu)
+    k, norm = params.factors(mu)
+    out = norm * np.exp(-np.square(k * (np.asarray(z) - mu)))
     if out.ndim == 0:
         return float(out)
     return out
@@ -168,16 +182,31 @@ def initial_pdf(x0: float, params: KernelParams,
 def propagate(f: GridPdf, params: KernelParams) -> GridPdf:
     """Push the pdf one step forward on the same grid.
 
-    Each output value is the quadrature of f(x) * kernel(x -> z) with the
-    grid's weights; output rows are evaluated in fixed blocks so the result
-    never depends on how the work is batched. Mass can only shrink (tail
+    Output value i is the quadrature ``sum_j w_j f_j kernel(z_j -> z_i)``
+    over the grid's weights. The kernel's normalisation is folded into the
+    source vector once per call, ``wf_j = w_j f_j norm_j``, and its width
+    into ``k_j`` (see ``KernelParams.factors``), so each kernel entry costs
+    one subtract, multiply, square and ``exp(-.)``. Output rows go through
+    one reused buffer of ``_BLOCK_BYTES`` in blocks fixed by the grid size,
+    so for a given grid the result does not depend on how the work is
+    batched. On a grid that resolves the kernel, mass can only shrink (tail
     truncation); the deficit is observable via grid_stats.
     """
     z = f.z
-    wf = f.w * f.values
-    out = np.empty_like(f.values)
-    for lo in range(0, z.size, _BLOCK):
-        out[lo:lo + _BLOCK] = kernel_pdf(z, z[lo:lo + _BLOCK, None], params) @ wf
+    n = z.size
+    k, norm = params.factors(z)
+    wf = f.w * f.values * norm
+    rows = min(n, max(1, _BLOCK_BYTES // (n * z.itemsize)))
+    buf = np.empty((rows, n))
+    out = np.empty(n)
+    for lo in range(0, n, rows):
+        b = buf[:min(rows, n - lo)]
+        np.subtract(z[lo:lo + rows, None], z, out=b)
+        np.multiply(b, k, out=b)
+        np.square(b, out=b)
+        np.negative(b, out=b)
+        np.exp(b, out=b)
+        np.matmul(b, wf, out=out[lo:lo + b.shape[0]])
     return GridPdf(z, f.w, out, t=f.t + 1)
 
 

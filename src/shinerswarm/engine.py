@@ -235,7 +235,11 @@ def first_passage(params: SwarmParams, master_seed: int, region: Box,
                   eps: float, frac: float, max_steps: int) -> int | None:
     """First step at which the fraction of nodes within ``eps`` of the
     darkest spot reaches ``frac``; None if it never does within
-    ``max_steps``. A ValueError from a step names the step, as in ``run``."""
+    ``max_steps``. A ValueError from a step names the step, as in ``run``;
+    a ParamError names the argument out of range."""
+    check_run_args(eps=eps)
+    require(0 < frac <= 1, "frac", "must be in (0, 1]", frac)
+    require(max_steps >= 0, "max_steps", "must be >= 0", max_steps)
     state = init_swarm(params, master_seed, region)
     params = resolve_sigma_const(params, state.positions)
     for t in range(1, max_steps + 1):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from shinerswarm import cli
 from shinerswarm.cli import main
 
 
@@ -221,6 +222,22 @@ def test_density_flag_errors_exit_2_naming_the_flag(tmp_path, capsys, flag,
         assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag}: {flag[2:]} must be ")
+
+
+@pytest.mark.parametrize("value", ["nan", "-1"])
+def test_density_near_eps_checked_before_propagating(tmp_path, capsys,
+                                                     monkeypatch, value):
+    def no_grid(*args):
+        raise AssertionError("the pdf was computed before --near-eps was checked")
+
+    monkeypatch.setattr(cli, "initial_pdf", no_grid)
+    monkeypatch.setattr(cli, "propagate", no_grid)
+    out = tmp_path / "d.csv"
+    assert main(["density", "--x0", "5", "--t", "3", "--near-eps", value,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: --near-eps: near_eps must be >= 0, got {float(value)}")
+    assert not out.exists()
 
 
 def test_density_bad_params_exit_2(tmp_path):

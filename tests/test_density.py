@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from conftest import REF_KERNEL, REF_X0, trapezoid_weights, tv_distance_to_samples
@@ -139,6 +141,68 @@ def test_propagate_never_gains_mass(ref_chain):
     assert masses[2] <= masses[1] + 1e-9
     out = propagate(_dirac_at_zero(), REF_KERNEL)
     assert float(np.trapezoid(out.values, out.z)) <= 1.0 + 1e-9
+
+
+def _direct_quadrature(f: GridPdf, params: KernelParams) -> np.ndarray:
+    """Oracle for propagate: sum_j w_j f_j N(z_i; z_j, sd_j) with scipy's
+    normal pdf, the whole kernel matrix at once."""
+    sd = params.c1 * (params.c2 + np.abs(f.z))
+    return norm.pdf(f.z[:, None], loc=f.z, scale=sd) @ (f.w * f.values)
+
+
+def _graded_nodes(n, half_width, c2):
+    """n nodes uniform in u = sign(x) * log(1 + |x| / c2) on
+    [-half_width, half_width], built here apart from the program's grid."""
+    u = np.linspace(-1.0, 1.0, n) * math.log1p(half_width / c2)
+    return np.sign(u) * c2 * np.expm1(np.abs(u))
+
+
+# Tolerances fixed from float64 rounding before comparing: each kernel term
+# carries a few ulps of its exponent, at most ~700, so 1e-12 relative; values
+# below 1e-300 sit near the subnormal range, whose precision is lower.
+ORACLE_RTOL, ORACLE_ATOL = 1e-12, 1e-300
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_propagate_matches_direct_quadrature_partial_last_block(t):
+    # 1237 points: the row blocks do not divide the grid, so the last one is
+    # partial
+    f = pdf_at_time(REF_X0, t, REF_KERNEL, n_points=1237)
+    np.testing.assert_allclose(propagate(f, REF_KERNEL).values,
+                               _direct_quadrature(f, REF_KERNEL),
+                               rtol=ORACLE_RTOL, atol=ORACLE_ATOL)
+
+
+def test_propagate_matches_direct_quadrature_below_one_block():
+    # nodes about 0.35 apart in u against a kernel about 1 wide there
+    params = KernelParams(c1=1.0, c2=1.0)
+    z = _graded_nodes(5, 1.0, params.c2)
+    w = trapezoid_weights(z)
+    values = norm.pdf(z, loc=0.5, scale=params.sd(0.5))
+    f = GridPdf(z, w, 0.9 * values / (w @ values), t=1)
+    out = propagate(f, params)
+    assert out.t == 2
+    np.testing.assert_allclose(out.values, _direct_quadrature(f, params),
+                               rtol=ORACLE_RTOL, atol=ORACLE_ATOL)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(c1=st.floats(0.5, 2.0), c2=st.floats(0.05, 1.0),
+       x0=st.floats(-10.0, 10.0), extra=st.integers(0, 40))
+def test_propagate_matches_oracle_and_never_gains_mass(c1, c2, x0, extra):
+    # Small program grids over +-200 with nodes at most 0.05 apart in u,
+    # where the kernel is about c1 >= 0.5 wide everywhere. The trapezoid
+    # error at the origin's kink, about du^2 / (6 c1 sqrt(2 pi)), then stays
+    # below the 1e-3 deficit initial_pdf allows. On coarser grids, some of
+    # which initial_pdf accepts, the quadrature itself can gain mass.
+    params = KernelParams(c1, c2)
+    u_max = math.log1p(200.0 / c2)
+    n = 2 + math.ceil(u_max / 0.025) + extra
+    f = initial_pdf(x0, params, -200.0, 200.0, n)
+    out = propagate(f, params)
+    np.testing.assert_allclose(out.values, _direct_quadrature(f, params),
+                               rtol=ORACLE_RTOL, atol=ORACLE_ATOL)
+    assert out.w @ out.values <= f.w @ f.values + 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import FakeStream
 from oracle import node_step
-from shinerswarm.core import SwarmParams, build_neighborhood
+from shinerswarm.core import ParamError, SwarmParams, build_neighborhood
 from shinerswarm.engine import (
     Box,
     SwarmState,
@@ -370,8 +370,20 @@ def test_first_passage_reached_and_not_reached():
     params = SwarmParams(n_nodes=100)
     t = first_passage(params, 0, UNIT_BOX, eps=0.15, frac=0.9, max_steps=400)
     assert t is not None and 1 <= t <= 400
-    assert first_passage(params, 0, UNIT_BOX, eps=0.15, frac=1.1,
+    assert first_passage(params, 0, UNIT_BOX, eps=0.15, frac=1.0,
                          max_steps=3) is None
+
+
+@pytest.mark.parametrize("key, eps, frac, max_steps", [
+    ("eps", math.nan, 0.9, 5), ("eps", -1.0, 0.9, 5),
+    ("frac", 0.15, math.nan, 5), ("frac", 0.15, 1.5, 5), ("frac", 0.15, 0.0, 5),
+    ("max_steps", 0.15, 0.9, -3)])
+def test_first_passage_rejects_out_of_range_arguments(key, eps, frac,
+                                                      max_steps):
+    with pytest.raises(ParamError) as info:
+        first_passage(SwarmParams(n_nodes=10), 0, UNIT_BOX, eps, frac,
+                      max_steps)
+    assert info.value.key == key
 
 
 def test_first_passage_names_the_step_as_run_does():
