@@ -26,7 +26,6 @@ from .engine import (
     SwarmState,
     advance_swarm,
     compute_metrics,
-    default_sigma_const,
     first_passage,
     init_swarm,
     run,
@@ -48,7 +47,6 @@ __all__ = [
     "advance_swarm",
     "build_neighborhood",
     "compute_metrics",
-    "default_sigma_const",
     "env_speed",
     "first_passage",
     "format_config",

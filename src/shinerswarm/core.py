@@ -55,7 +55,7 @@ class SwarmParams:
 
     ``sigma_const`` is the fixed speed used when the environmental factor is
     disabled; it may be left as None and resolved later from the initial
-    placement (see ``engine.default_sigma_const``).
+    placement (see ``engine.resolve_sigma_const``).
     """
 
     n_nodes: int = 100
@@ -83,6 +83,12 @@ class SwarmParams:
         require(self.sigma_const is None or self.sigma_const >= 0,
                 "sigma_const", "must be >= 0", self.sigma_const)
 
+
+# Bytes of pairwise entries that a blocked O(N^2) loop (``density.propagate``,
+# ``engine.compute_metrics``) builds at once: a row block this size stays in
+# a core's L2 cache through its elementwise passes. On a 2-vCPU Xeon with
+# 2 MiB of L2 per core, 2 MiB blocks made a density step about 8% slower.
+BLOCK_BYTES = 2 ** 20
 
 # Cells are 2**-20 wider than r. p / cell is rounded, so on cells of side
 # exactly r a pair that passes the distance test can land two cells apart
@@ -145,6 +151,14 @@ class NeighborGraph:
             label = hooked
 
 
+def check_finite(p: np.ndarray) -> None:
+    """ValueError naming the first node whose position is not finite."""
+    finite = np.isfinite(p)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"node {i}: position {p[i]} is not finite")
+
+
 def build_neighborhood(positions, r: float) -> NeighborGraph:
     """Fixed-radius neighbor search with a sorted cell list (Allen &
     Tildesley, *Computer Simulation of Liquids*) on cells of side just over r.
@@ -162,10 +176,7 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
     p = np.asarray(positions, dtype=np.complex128).ravel()
     n = p.size
     require(r >= 0, "r", "must be >= 0", r, "sensing radius ")
-    bad = ~np.isfinite(p)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"node {i}: position {p[i]} is not finite")
+    check_finite(p)
     if n == 0:
         return NeighborGraph(np.zeros(1, dtype=np.int64),
                              np.empty(0, dtype=np.int64))

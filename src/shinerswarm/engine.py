@@ -9,7 +9,7 @@ SC'11) keyed by the seed, where the block of node i at step t sits at
 counter (i, t, 0, 0). A state is therefore just (t, positions, seed): it
 owns no generator, advancing it mutates nothing, and any copy resumes bit
 for bit, whatever the scheduling. Initial placement uses a separate stream
-(``init_stream``).
+(``init_swarm``).
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import SwarmParams, build_neighborhood, env_speed, hammer, require
+from .core import (BLOCK_BYTES, SwarmParams, build_neighborhood, check_finite,
+                   env_speed, hammer, require)
 
 # Master seeds are the first Philox key word, an unsigned 64-bit integer.
 SEED_LIMIT = 2 ** 64
@@ -89,15 +90,11 @@ class Metrics:
     cluster_count: int
 
 
-def init_stream(master_seed: int) -> np.random.Generator:
-    """Stream used only for the initial placement."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=check_seed(master_seed), spawn_key=(0,)))
-
-
 def init_swarm(params: SwarmParams, master_seed: int, region: Box) -> SwarmState:
-    """Place ``n_nodes`` i.i.d. uniform over ``region``."""
-    rng = init_stream(master_seed)
+    """Place ``n_nodes`` i.i.d. uniform over ``region``, drawn from a stream
+    of the seed used only for the initial placement."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=check_seed(master_seed), spawn_key=(0,)))
     u = rng.uniform(size=(params.n_nodes, 2))
     x = region.min_x + u[:, 0] * (region.max_x - region.min_x)
     y = region.min_y + u[:, 1] * (region.max_y - region.min_y)
@@ -123,18 +120,14 @@ def step_normals(master_seed: int, t: int, n: int) -> np.ndarray:
     return g.view(np.float64)
 
 
-def default_sigma_const(positions, params: SwarmParams) -> float:
-    """Constant speed for environment-off runs: the environment-on speed
-    averaged over the given placement, so both modes start comparably fast."""
-    d = np.abs(np.asarray(positions, dtype=np.complex128) - params.rho)
-    return float(params.c1 * (params.c2 + d.mean()))
-
-
 def resolve_sigma_const(params: SwarmParams, positions) -> SwarmParams:
-    """Fill in ``sigma_const`` from the placement when it is needed but unset."""
+    """Fill in ``sigma_const`` when it is needed but unset: the
+    environment-on speed averaged over the given placement, so both modes
+    start comparably fast."""
     if params.env_enabled or params.sigma_const is not None:
         return params
-    return replace(params, sigma_const=default_sigma_const(positions, params))
+    d = np.abs(np.asarray(positions, dtype=np.complex128) - params.rho)
+    return replace(params, sigma_const=float(params.c1 * (params.c2 + d.mean())))
 
 
 def move(positions: np.ndarray, params: SwarmParams,
@@ -168,34 +161,39 @@ def move(positions: np.ndarray, params: SwarmParams,
 
 def advance_swarm(state: SwarmState, params: SwarmParams) -> SwarmState:
     """One synchronous step: all nodes read the time-t snapshot, draw their
-    step-t normals, and move together; returns the t+1 state."""
+    step-t normals, and move together; returns the t+1 state.
+
+    Raises ValueError, naming the node, when a new position overflows to a
+    non-finite value, so a diverging walk stops at the step it diverges."""
     p = state.positions
     g = step_normals(state.seed, state.t, p.size)
-    return SwarmState(t=state.t + 1, positions=move(p, params, g),
-                      seed=state.seed)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = move(p, params, g)
+    check_finite(p)
+    return SwarmState(t=state.t + 1, positions=p, seed=state.seed)
 
 
 def compute_metrics(state: SwarmState, params: SwarmParams, eps: float) -> Metrics:
     """Convergence and cohesion summary of one frame.
 
     Clusters are the connected components of the sensing-radius graph. The
-    pairwise mean is over unordered pairs and is 0 for a single node. The
-    graph, built first, rejects positions it cannot place.
+    pairwise mean is over unordered pairs and is 0 for a single node: the
+    sum of ``|p_i - p_j|`` over full rows, which counts each pair twice, over
+    ``n (n - 1)``. Rows go in blocks of ``core.BLOCK_BYTES``, so memory is
+    O(N). The graph, built first, rejects positions it cannot place.
     """
     p = state.positions
     graph = build_neighborhood(p, params.r)
     d = np.abs(p - params.rho)
     n = p.size
-    if n >= 2:
-        iu = np.triu_indices(n, k=1)
-        pairwise = float(np.abs(p[iu[0]] - p[iu[1]]).mean())
-    else:
-        pairwise = 0.0
+    rows = max(1, BLOCK_BYTES // (n * p.itemsize))
+    total = sum(float(np.abs(p[lo:lo + rows, None] - p).sum())
+                for lo in range(0, n, rows))
     return Metrics(
         t=state.t,
         mean_dist_to_rho=float(d.mean()),
         frac_within_eps=float((d <= eps).mean()),
-        mean_pairwise_dist=pairwise,
+        mean_pairwise_dist=total / max(n * (n - 1), 1),
         cluster_count=graph.component_count(),
     )
 

@@ -1,8 +1,13 @@
+import contextlib
+import io
+import os
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shinerswarm import cli
 from shinerswarm.cli import main
@@ -240,6 +245,47 @@ def test_density_near_eps_checked_before_propagating(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("x0, c1, c2, span, points", [
+    (-3.0, 0.2084948428880079, 0.4385806037013126, 100.0, 24),
+    (-5.987865520260096, 0.22122924597651056, 0.2327820367860451,
+     144.56578175873105, 78)])
+def test_density_grid_too_coarse_for_the_kernel_exits_4(tmp_path, capsys, x0,
+                                                        c1, c2, span, points):
+    # on these grids the quadrature gains mass: 1.024 after one propagation
+    # on the first, 1 + 8e-8 at the first step on the second
+    code = main(["density", "--x0", str(x0), "--t", "2", "--c1", str(c1),
+                 "--c2", str(c2), "--grid-min", str(-span),
+                 "--grid-max", str(span), "--grid-points", str(points),
+                 "--out", str(tmp_path / "d.csv")])
+    assert code == 4
+    assert capsys.readouterr().err.startswith(
+        f"error: grid [{-span}, {span}]: {points} points are too few: ")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(x0=st.floats(-20.0, 20.0), c1=st.floats(0.05, 3.0),
+       c2=st.floats(0.01, 2.0), span=st.floats(0.5, 500.0),
+       points=st.integers(1, 1000))
+def test_density_exits_with_a_documented_code_and_never_gains_mass(
+        x0, c1, c2, span, points):
+    # flag=value: argparse reads a separate "-1e-05" as a flag, not a value
+    argv = ["density", f"--x0={x0!r}", "--t", "3", f"--c1={c1!r}",
+            f"--c2={c2!r}", f"--grid-min={-span!r}", f"--grid-max={span!r}",
+            "--grid-points", str(points), "--out", os.devnull]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 4)
+    # every flag but --grid-points is in range, so only a grid of fewer
+    # than 3 points is a config error; a grid that cannot hold the pdf is 4
+    assert (code == 2) == (points < 3)
+    if code == 0:
+        masses = [float(m) for m in re.findall(r"mass=(\S+)", stdout.getvalue())]
+        assert len(masses) == 3
+        assert max(masses) <= 1.0 + 1e-9
+
+
 def test_density_bad_params_exit_2(tmp_path):
     out = str(tmp_path / "d.csv")
     assert main(["density", "--x0", "5", "--t", "0", "--out", out]) == 2
@@ -257,6 +303,20 @@ def test_simulate_diverging_run_exits_4_naming_the_step(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: step 400: node ")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_simulate_env_only_overflow_exits_4_at_the_step_it_happens(tmp_path,
+                                                                  capsys):
+    # the same walk overflows to inf at step 558, between two records
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text("mode = env\nc1 = 3\nsteps = 1000\nstride = 1000\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "error: step 558: node 88: position (inf-infj) is not finite\n")
     assert not out.exists()
 
 

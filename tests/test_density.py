@@ -90,6 +90,14 @@ def test_initial_pdf_coarse_grid_names_point_count():
     assert "span at least" not in str(info.value)
 
 
+def test_initial_pdf_rejects_nodes_too_far_apart_for_the_kernel():
+    # nodes 0.26 apart in u against a kernel 0.17 wide there: one propagation
+    # of this grid gains 1e-4 of mass
+    params = KernelParams(0.2084948428880079, 0.4385806037013126)
+    with pytest.raises(GridSpanError, match="^grid .*: 44 points are too few: "):
+        initial_pdf(-1.3114711711202176, params, -100.0, 100.0, 44)
+
+
 def _uniform_grid_pdf(z_min, z_max, n, values, t=1) -> GridPdf:
     """A GridPdf on np.linspace nodes with trapezoid weights of its own."""
     z = np.linspace(z_min, z_max, n)

@@ -1,19 +1,28 @@
 import math
 import pickle
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from conftest import FakeStream
 from oracle import node_step
-from shinerswarm.core import ParamError, SwarmParams, build_neighborhood
+from shinerswarm.core import (
+    BLOCK_BYTES,
+    ParamError,
+    SwarmParams,
+    build_neighborhood,
+)
 from shinerswarm.engine import (
     Box,
     SwarmState,
     advance_swarm,
     compute_metrics,
-    default_sigma_const,
     first_passage,
     init_swarm,
     move,
@@ -212,6 +221,31 @@ def test_permutation_equivariance():
                                rtol=0, atol=1e-12)
 
 
+lattice = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(points=st.lists(lattice, min_size=1, max_size=60),
+       shift=st.tuples(st.integers(-4096, 4096), st.integers(-4096, 4096)),
+       social=st.booleans(), seed=st.integers(0, 2 ** 64 - 1))
+def test_translation_equivariance(points, shift, social, seed):
+    # positions, rho and the shift c on a 1/64 lattice: every difference
+    # p_j - p_i and p_i - rho is exact before and after the shift, so only
+    # the final p + step rounds differently
+    p = np.array([complex(x, y) for x, y in points]) / 64
+    c = complex(*shift) / 64
+    params = SwarmParams(n_nodes=p.size, rho=complex(3, -5) / 64,
+                         social_enabled=social)
+    graph = build_neighborhood(p, params.r)
+    moved = build_neighborhood(p + c, params.r)
+    assert np.array_equal(moved.indptr, graph.indptr)
+    assert np.array_equal(moved.indices, graph.indices)
+    g = step_normals(seed, 0, p.size)
+    np.testing.assert_allclose(
+        move(p + c, replace(params, rho=params.rho + c), g),
+        move(p, params, g) + c, rtol=0, atol=1e-12)
+
+
 def test_advance_env_off_requires_sigma_const():
     params = SwarmParams(n_nodes=3, env_enabled=False, sigma_const=None)
     state = init_swarm(params, 1, UNIT_BOX)
@@ -266,6 +300,38 @@ def test_metrics_reject_non_finite_positions_before_arithmetic():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=r"^node 1: position .* not finite"):
             compute_metrics(state, SwarmParams(n_nodes=3), eps=0.15)
+
+
+def _reference_density_state(n, seed=0):
+    """n nodes placed at the reference node density (box side sqrt(n / 100))."""
+    half = 0.5 * math.sqrt(n / 100)
+    return init_swarm(SwarmParams(n_nodes=n), seed, Box(-half, -half, half, half))
+
+
+# rows of one block are BLOCK_BYTES // (16 n): 200 nodes fit one block, and
+# 1000 nodes take 15 blocks of 65 rows and a partial one of 25
+@pytest.mark.parametrize("n", [1, 2, 200, 1000])
+def test_metrics_pairwise_mean_matches_pdist(n):
+    assert (BLOCK_BYTES // (16 * 200) >= 200
+            and 1000 % (BLOCK_BYTES // (16 * 1000)) != 0)
+    state = _reference_density_state(n, seed=n)
+    p = state.positions
+    expected = pdist(np.column_stack([p.real, p.imag])).mean() if n > 1 else 0.0
+    m = compute_metrics(state, SwarmParams(n_nodes=n), eps=0.15)
+    assert m.mean_pairwise_dist == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_metrics_memory_is_linear_in_nodes():
+    # all 2e6 pairs of 2000 nodes at once would take 92 MiB
+    state = _reference_density_state(2000)
+    params = SwarmParams(n_nodes=2000)
+    tracemalloc.start()
+    try:
+        compute_metrics(state, params, eps=0.15)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +410,7 @@ def test_snapshot_resumes_bit_for_bit_from_plain_data():
 def test_default_sigma_const_formula():
     params = SwarmParams(c1=0.1, c2=0.1, rho=0j, env_enabled=False)
     positions = np.array([0.3 + 0.4j, 1 + 0j])  # distances 0.5 and 1.0
-    assert default_sigma_const(positions, params) == pytest.approx(
+    assert resolve_sigma_const(params, positions).sigma_const == pytest.approx(
         0.1 * (0.1 + 0.75))
 
 
@@ -394,3 +460,15 @@ def test_first_passage_names_the_step_as_run_does():
     with pytest.raises(ValueError) as ran:
         run(params, 0, UNIT_BOX, n_steps=2000, snapshot_stride=2000)
     assert str(passage.value) == str(ran.value)
+
+
+def test_env_only_divergence_is_named_at_the_step_it_happens():
+    # no graph is built with the social factor off; the step that first
+    # overflows a position is caught by advance_swarm, and numpy's overflow
+    # warnings (errors under this suite's settings) stay inside it
+    params = SwarmParams(c1=3.0, social_enabled=False)
+    message = r"^step 558: node 88: position \(inf-infj\) is not finite$"
+    with pytest.raises(ValueError, match=message):
+        first_passage(params, 0, UNIT_BOX, 0.15, 0.9, 2000)
+    with pytest.raises(ValueError, match=message):
+        run(params, 0, UNIT_BOX, n_steps=1000, snapshot_stride=1000)
