@@ -10,7 +10,9 @@ Exit codes: 0 ok, 2 config error, 3 I/O error, 4 numeric/grid error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -21,13 +23,13 @@ from .density import (
     DEFAULT_N_POINTS,
     DEFAULT_Z_MAX,
     DEFAULT_Z_MIN,
-    GridSpanError,
     KernelParams,
     grid_stats,
     initial_pdf,
     propagate,
 )
-from .engine import Metrics, SwarmState, check_run_args, compute_metrics, run
+from .engine import (Metrics, SwarmState, at_step, check_run_args,
+                     compute_metrics, run)
 from .svg import density_svg, snapshot_svg
 
 EXIT_OK = 0
@@ -41,6 +43,11 @@ METRICS_HEADER = "step,mean_dist,frac_within_eps,mean_pairwise_dist,cluster_coun
 DENSITY_HEADER = "t,z,pdf"
 COLUMN_TYPES = {SNAPSHOT_HEADER: (int, int, float, float),
                 DENSITY_HEADER: (int, float, float)}
+
+# Up to Python 3.13, argparse takes "-1e-05" or "-inf" for an option, not a
+# value. No option here starts with a digit, "inf" or "nan", so any token
+# that does is read as a number.
+_NEGATIVE_NUMBER = re.compile(r"-(\d|\.\d|inf|nan)", re.IGNORECASE)
 
 
 def _fmt(v: float) -> str:
@@ -66,24 +73,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     require(args.workers >= 1, "workers", "must be >= 1", args.workers)
     text = ""
     if args.config is not None:
+        with open(args.config, "rb") as fh:
+            data = fh.read()
         try:
-            with open(args.config) as fh:
-                text = fh.read()
-        except OSError as exc:
-            return _fail(EXIT_IO, f"cannot read config: {exc}")
-    try:
-        cfg = parse_config(text)
-        cfg = apply_overrides(cfg, seed=args.seed, steps=args.steps,
-                              stride=args.stride, mode=args.mode,
-                              out_dir=args.out)
-    except ConfigError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
-
-    try:
-        records = run(cfg.swarm_params(), cfg.seed, cfg.region(), cfg.steps,
-                      cfg.stride, eps=cfg.eps)
-    except ValueError as exc:
-        return _fail(EXIT_NUMERIC, str(exc))
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config}: not UTF-8 text: {exc.reason} "
+                              f"at byte {exc.start}") from None
+    cfg = apply_overrides(parse_config(text), seed=args.seed, steps=args.steps,
+                          stride=args.stride, mode=args.mode,
+                          out_dir=args.out)
+    records = run(cfg.swarm_params(), cfg.seed, cfg.region(), cfg.steps,
+                  cfg.stride, eps=cfg.eps)
 
     snap_lines = [SNAPSHOT_HEADER]
     metric_lines = [METRICS_HEADER]
@@ -91,14 +92,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for i, p in enumerate(state.positions):
             snap_lines.append(f"{state.t},{i},{_fmt(p.real)},{_fmt(p.imag)}")
         metric_lines.append(_metrics_row(metrics))
-    try:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        _write_text(os.path.join(cfg.out_dir, "snapshots.csv"),
-                    "\n".join(snap_lines) + "\n")
-        _write_text(os.path.join(cfg.out_dir, "metrics.csv"),
-                    "\n".join(metric_lines) + "\n")
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write output: {exc}")
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    _write_text(os.path.join(cfg.out_dir, "snapshots.csv"),
+                "\n".join(snap_lines) + "\n")
+    _write_text(os.path.join(cfg.out_dir, "metrics.csv"),
+                "\n".join(metric_lines) + "\n")
     return EXIT_OK
 
 
@@ -106,13 +104,8 @@ def cmd_density(args: argparse.Namespace) -> int:
     require(args.t >= 1, "t", "must be >= 1", args.t)
     require(args.near_eps >= 0, "near_eps", "must be >= 0", args.near_eps)
     params = KernelParams(c1=args.c1, c2=args.c2)
-    try:
-        f = initial_pdf(args.x0, params, args.grid_min, args.grid_max,
-                        args.grid_points)
-    except GridSpanError as exc:
-        return _fail(EXIT_NUMERIC, str(exc))
-    except ValueError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
+    f = initial_pdf(args.x0, params, args.grid_min, args.grid_max,
+                    args.grid_points)
 
     lines = [DENSITY_HEADER]
     for t in range(1, args.t + 1):
@@ -124,20 +117,8 @@ def cmd_density(args: argparse.Namespace) -> int:
         print(f"t={t} mass={_fmt(stats.mass)} mean={_fmt(stats.mean)} "
               f"mass_near({args.near_eps:g})={_fmt(stats.mass_near)} "
               f"deficit={_fmt(1.0 - stats.mass)}")
-    try:
-        _write_text(args.out, "\n".join(lines) + "\n")
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write output: {exc}")
+    _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
-
-
-def _parse_row(row: list[str], types: tuple) -> tuple:
-    """One CSV row converted field by field; ValueError if the field count
-    or a field is wrong."""
-    if len(row) != len(types):
-        raise ValueError(f"{','.join(row)!r} has {len(row)} fields, "
-                         f"expected {len(types)}")
-    return tuple(kind(field) for kind, field in zip(types, row))
 
 
 def _load_csv(path: str, headers) -> tuple[str, list[tuple]]:
@@ -151,11 +132,14 @@ def _load_csv(path: str, headers) -> tuple[str, list[tuple]]:
     if header not in headers:
         raise ValueError(f"expected header {' or '.join(map(repr, headers))}"
                          f", got {header!r}")
-    try:
-        table = [_parse_row(row.split(","), COLUMN_TYPES[header])
-                 for row in rows]
-    except ValueError as exc:
-        raise ValueError(f"malformed row: {exc}") from None
+    table = []
+    for row in rows:
+        try:
+            table.append(tuple(kind(field) for kind, field in zip(
+                COLUMN_TYPES[header], row.split(","), strict=True)))
+        except ValueError as exc:
+            raise ValueError(f"malformed row {row!r} under {header!r}: "
+                             f"{exc}") from None
     return header, table
 
 
@@ -164,64 +148,57 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     params = SwarmParams(r=args.r, rho=complex(args.rho_x, args.rho_y))
     try:
         _, table = _load_csv(args.infile, (SNAPSHOT_HEADER,))
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read input: {exc}")
     except ValueError as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    by_step: dict[int, list[tuple[int, complex]]] = {}
+    by_step: dict[int, dict[int, complex]] = {}
     for step, node, x, y in table:
-        by_step.setdefault(step, []).append((node, complex(x, y)))
+        nodes = by_step.setdefault(step, {})
+        if node in nodes:
+            return _fail(EXIT_CONFIG, f"step {step}: node {node} appears twice")
+        nodes[node] = complex(x, y)
 
     print(METRICS_HEADER)
     for step in sorted(by_step):
-        nodes = sorted(by_step[step])
-        positions = np.array([p for _, p in nodes], dtype=np.complex128)
+        positions = np.array([p for _, p in sorted(by_step[step].items())])
         state = SwarmState(t=step, positions=positions, seed=0)
-        try:
-            m = compute_metrics(state, params, args.eps)
-        except ValueError as exc:
-            return _fail(EXIT_NUMERIC, f"step {step}: {exc}")
-        print(_metrics_row(m))
+        print(_metrics_row(at_step(step, compute_metrics, state, params,
+                                   args.eps)))
     return EXIT_OK
 
 
+def _draw(header: str, table: list[tuple], args: argparse.Namespace) -> str:
+    """The SVG of the requested step(s) of a loaded CSV; ValueError if the
+    file cannot meet the request or a value to draw is not finite."""
+    present = sorted({row[0] for row in table})
+    steps = present if args.step is None else [args.step]
+    if not present:
+        raise ValueError(f"{args.infile}: no data rows")
+    if steps[0] not in present:
+        raise ValueError(f"--step {args.step} not in file (has {present})")
+    if header == SNAPSHOT_HEADER and len(steps) > 1:
+        raise ValueError(f"file holds steps {present}; --step required")
+    rows = [row for row in table if row[0] in steps]
+    for row in rows:
+        if not (math.isfinite(row[-2]) and math.isfinite(row[-1])):
+            raise ValueError(f"step {row[0]}: row {','.join(map(str, row))} "
+                             f"holds a value that is not finite")
+    if header == SNAPSHOT_HEADER:
+        return snapshot_svg([(x, y) for _, _, x, y in rows],
+                            rho=(args.rho_x, args.rho_y))
+    return density_svg([(t, np.array([z for u, z, _ in rows if u == t]),
+                          np.array([p for u, _, p in rows if u == t]))
+                        for t in steps])
+
+
 def cmd_render(args: argparse.Namespace) -> int:
+    # values too large to draw give view coordinates that are not finite,
+    # which svg refuses; numpy's warnings on the way would only repeat that
     try:
-        header, table = _load_csv(args.infile, COLUMN_TYPES)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot read input: {exc}")
+        with np.errstate(all="ignore"):
+            text = _draw(*_load_csv(args.infile, COLUMN_TYPES), args)
     except ValueError as exc:
         return _fail(EXIT_RENDER, str(exc))
-    present = sorted({row[0] for row in table})
-    if not present:
-        return _fail(EXIT_RENDER, f"{args.infile}: no data rows")
-
-    if header == SNAPSHOT_HEADER:
-        step = args.step
-        if step is None:
-            if len(present) > 1:
-                return _fail(EXIT_RENDER,
-                             f"file holds steps {present}; --step required")
-            step = present[0]
-        if step not in present:
-            return _fail(EXIT_RENDER, f"step {step} not in file (has {present})")
-        pts = [(x, y) for s, _, x, y in table if s == step]
-        text = snapshot_svg(pts, rho=(args.rho_x, args.rho_y))
-    else:
-        if args.step is not None and args.step not in present:
-            return _fail(EXIT_RENDER,
-                         f"t={args.step} not in file (has {present})")
-        curves = []
-        for t in present if args.step is None else [args.step]:
-            zs = np.array([z for u, z, _ in table if u == t])
-            ps = np.array([p for u, _, p in table if u == t])
-            curves.append((t, zs, ps))
-        text = density_svg(curves)
-
-    try:
-        _write_text(args.out, text)
-    except OSError as exc:
-        return _fail(EXIT_IO, f"cannot write output: {exc}")
+    _write_text(args.out, text)
     return EXIT_OK
 
 
@@ -273,18 +250,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-y", type=float, default=SwarmParams.rho.imag)
     p.set_defaults(func=cmd_render)
 
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand and return its exit code. Commands check their
-    flags first; a ParamError from those checks exits 2 naming the flag."""
+    """Run one subcommand and return its exit code. Commands raise and this
+    maps their errors: a flag's ParamError and a ConfigError to 2, an
+    OSError to 3, any other ValueError to 4. Only ``metrics`` (2 on a
+    malformed CSV) and ``render`` (5 on a bad request) exit by themselves."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParamError as exc:
         flag = "--" + config_key(exc.key).replace("_", "-")
         return _fail(EXIT_CONFIG, f"{flag}: {exc}")
+    except ConfigError as exc:
+        return _fail(EXIT_CONFIG, str(exc))
+    except OSError as exc:
+        return _fail(EXIT_IO, str(exc))
+    except ValueError as exc:
+        return _fail(EXIT_NUMERIC, str(exc))
 
 
 if __name__ == "__main__":

@@ -72,7 +72,9 @@ def _parse_value(key: str, raw: str, line_no: int):
 # in the config and, as flags, on the command line.
 _CONFIG_KEYS = {"rho.real": "rho_x", "rho.imag": "rho_y",
                 "max_x": "region_max_x", "max_y": "region_max_y",
-                "n_steps": "steps", "snapshot_stride": "stride"}
+                "n_steps": "steps", "snapshot_stride": "stride",
+                "n_points": "grid_points", "z_min": "grid_min",
+                "z_max": "grid_max"}
 
 
 def config_key(key: str) -> str:
@@ -146,8 +148,6 @@ def apply_overrides(cfg: RunConfig, **overrides) -> RunConfig:
     """Apply non-None overrides (e.g. from command-line flags) and
     revalidate."""
     changes = {k: v for k, v in overrides.items() if v is not None}
-    if not changes:
-        return cfg
     unknown = changes.keys() - _PARSERS.keys()
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")

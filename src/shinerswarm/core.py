@@ -182,8 +182,9 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
                              np.empty(0, dtype=np.int64))
 
     cell = (max(r, _MIN_CELL) if r > 0 else 1.0) * _CELL_SLACK
-    fx = np.floor(p.real / cell)
-    fy = np.floor(p.imag / cell)
+    with np.errstate(over="ignore"):  # an infinite cell index is refused below
+        fx = np.floor(p.real / cell)
+        fy = np.floor(p.imag / cell)
     far = np.maximum(np.abs(fx), np.abs(fy))
     i = int(np.argmax(far))
     if far[i] >= _MAX_CELL:
@@ -207,8 +208,11 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
     b = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts),
                                             counts)
     u, v = order[a], order[b]
-    d = p[u] - p[v]
-    close = (d.real * d.real + d.imag * d.imag) <= r * r
+    # candidates are under 2.9 r apart: no square overflows for r < 2**510
+    with np.errstate(over="ignore"):
+        d = p[u] - p[v]
+        close = ((d.real * d.real + d.imag * d.imag) <= r * r
+                 if r < 2.0 ** 510 else np.abs(d) <= r)
     u, v = u[close], v[close]
 
     rows = np.concatenate([u, v])
@@ -223,15 +227,12 @@ def env_speed(p, params: SwarmParams):
 
     Accepts a scalar or an array of positions and returns the same shape.
     """
-    scalar = np.ndim(p) == 0
     if params.env_enabled:
-        out = params.c1 * (params.c2 + np.abs(np.asarray(p) - params.rho))
-        return float(out) if scalar else out
+        return (params.c1 * (params.c2 + np.abs(np.asarray(p) - params.rho)))[()]
     if params.sigma_const is None:
         raise ValueError("sigma_const must be set when the environmental "
                          "factor is disabled")
-    sc = float(params.sigma_const)
-    return sc if scalar else np.full(np.shape(p), sc)
+    return np.full(np.shape(p), float(params.sigma_const))[()]
 
 
 def hammer(z, s):
@@ -247,7 +248,5 @@ def hammer(z, s):
     arr = np.asarray(z, dtype=np.complex128)
     mag = np.abs(arr)
     safe = np.where(mag > 0.0, mag, 1.0)
-    out = np.where(mag > 0.0, (mag - np.asarray(s)) * (arr / safe), 0.0 + 0.0j)
-    if np.ndim(z) == 0 and np.ndim(s) == 0:
-        return complex(out)
-    return out
+    return np.where(mag > 0.0, (mag - np.asarray(s)) * (arr / safe),
+                    0.0 + 0.0j)[()]

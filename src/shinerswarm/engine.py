@@ -127,7 +127,9 @@ def resolve_sigma_const(params: SwarmParams, positions) -> SwarmParams:
     if params.env_enabled or params.sigma_const is not None:
         return params
     d = np.abs(np.asarray(positions, dtype=np.complex128) - params.rho)
-    return replace(params, sigma_const=float(params.c1 * (params.c2 + d.mean())))
+    with np.errstate(over="ignore"):  # the metrics or first step report inf
+        mean = d.mean()
+    return replace(params, sigma_const=float(params.c1 * (params.c2 + mean)))
 
 
 def move(positions: np.ndarray, params: SwarmParams,
@@ -180,25 +182,31 @@ def compute_metrics(state: SwarmState, params: SwarmParams, eps: float) -> Metri
     pairwise mean is over unordered pairs and is 0 for a single node: the
     sum of ``|p_i - p_j|`` over full rows, which counts each pair twice, over
     ``n (n - 1)``. Rows go in blocks of ``core.BLOCK_BYTES``, so memory is
-    O(N). The graph, built first, rejects positions it cannot place.
+    O(N). ValueError for positions the graph, built first, cannot place, and
+    for distance sums that overflow.
     """
     p = state.positions
     graph = build_neighborhood(p, params.r)
-    d = np.abs(p - params.rho)
     n = p.size
     rows = max(1, BLOCK_BYTES // (n * p.itemsize))
-    total = sum(float(np.abs(p[lo:lo + rows, None] - p).sum())
-                for lo in range(0, n, rows))
+    with np.errstate(over="ignore"):
+        d = np.abs(p - params.rho)
+        mean_dist = float(d.mean())
+        total = sum(float(np.abs(p[lo:lo + rows, None] - p).sum())
+                    for lo in range(0, n, rows))
+    if not np.isfinite([mean_dist, total]).all():
+        raise ValueError(f"distances overflow: mean distance to rho "
+                         f"{mean_dist}, sum of pairwise distances {total}")
     return Metrics(
         t=state.t,
-        mean_dist_to_rho=float(d.mean()),
+        mean_dist_to_rho=mean_dist,
         frac_within_eps=float((d <= eps).mean()),
         mean_pairwise_dist=total / max(n * (n - 1), 1),
         cluster_count=graph.component_count(),
     )
 
 
-def _at_step(t: int, step_fn, *args):
+def at_step(t: int, step_fn, *args):
     """``step_fn(*args)``, raising its ValueError again with step t prefixed,
     e.g. positions that diverged too far for the neighbor search give
     ``step 400: node 17: ...``."""
@@ -216,16 +224,16 @@ def run(params: SwarmParams, master_seed: int, region: Box, n_steps: int,
     a state, so each recorded one is a resumable snapshot.
 
     A ValueError from a step or its metrics names the step (see
-    ``_at_step``), the initial placement's metrics as step 0."""
+    ``at_step``), the initial placement's metrics as step 0."""
     check_run_args(n_steps, snapshot_stride, eps)
     state = init_swarm(params, master_seed, region)
     params = resolve_sigma_const(params, state.positions)
-    records = [(state, _at_step(0, compute_metrics, state, params, eps))]
+    records = [(state, at_step(0, compute_metrics, state, params, eps))]
     for t in range(1, n_steps + 1):
-        state = _at_step(t, advance_swarm, state, params)
+        state = at_step(t, advance_swarm, state, params)
         if t % snapshot_stride == 0 or t == n_steps:
-            records.append((state, _at_step(t, compute_metrics, state, params,
-                                            eps)))
+            records.append((state, at_step(t, compute_metrics, state, params,
+                                           eps)))
     return records
 
 
@@ -241,7 +249,7 @@ def first_passage(params: SwarmParams, master_seed: int, region: Box,
     state = init_swarm(params, master_seed, region)
     params = resolve_sigma_const(params, state.positions)
     for t in range(1, max_steps + 1):
-        state = _at_step(t, advance_swarm, state, params)
+        state = at_step(t, advance_swarm, state, params)
         if (np.abs(state.positions - params.rho) <= eps).mean() >= frac:
             return t
     return None

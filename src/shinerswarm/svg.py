@@ -6,6 +6,8 @@ can be golden-tested byte for byte.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 VIEW = 800
@@ -19,6 +21,9 @@ MARGIN = 60
 
 
 def _px(v: float) -> str:
+    """A view coordinate to 2 decimals; ValueError unless it is finite."""
+    if not math.isfinite(v):
+        raise ValueError(f"cannot draw view coordinate {v}")
     return format(v, ".2f")
 
 

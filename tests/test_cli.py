@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import re
+import tempfile
 import warnings
 
 import numpy as np
@@ -149,6 +150,16 @@ def test_simulate_missing_config_exits_3(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.cfg")]) == 3
 
 
+def test_simulate_config_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    cfg = tmp_path / "random.cfg"
+    cfg.write_bytes(bytes.fromhex("5f9a3c0e7bd1ff20a4886d13c2e9047bb5e1f30a"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: not UTF-8 text: ")
+    assert not out.exists()
+
+
 def test_simulate_unwritable_out_exits_3(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("")
@@ -268,10 +279,9 @@ def test_density_grid_too_coarse_for_the_kernel_exits_4(tmp_path, capsys, x0,
        points=st.integers(1, 1000))
 def test_density_exits_with_a_documented_code_and_never_gains_mass(
         x0, c1, c2, span, points):
-    # flag=value: argparse reads a separate "-1e-05" as a flag, not a value
-    argv = ["density", f"--x0={x0!r}", "--t", "3", f"--c1={c1!r}",
-            f"--c2={c2!r}", f"--grid-min={-span!r}", f"--grid-max={span!r}",
-            "--grid-points", str(points), "--out", os.devnull]
+    argv = ["density", "--x0", repr(x0), "--t", "3", "--c1", repr(c1),
+            "--c2", repr(c2), "--grid-min", repr(-span), "--grid-max",
+            repr(span), "--grid-points", str(points), "--out", os.devnull]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -291,6 +301,50 @@ def test_density_bad_params_exit_2(tmp_path):
     assert main(["density", "--x0", "5", "--t", "0", "--out", out]) == 2
     assert main(["density", "--x0", "5", "--t", "1", "--c1", "-1",
                  "--out", out]) == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--x0=nan", "--t", "2"], "--x0: x0 must be finite, got nan"),
+    (["--x0", "5", "--t", "1", "--grid-points", "2"],
+     "--grid-points: n_points must be >= 3, got 2"),
+    (["--x0", "5", "--t", "1", "--grid-min=-inf"],
+     "--grid-min: z_min must be finite, got -inf"),
+    (["--x0", "5", "--t", "1", "--grid-min", "-inf"],
+     "--grid-min: z_min must be finite, got -inf"),
+    (["--x0", "5", "--t", "1", "--grid-max=inf", "--grid-points=3"],
+     "--grid-max: z_max must be finite and greater than z_min = -1000.0, "
+     "got inf"),
+    (["--x0", "5", "--t", "1", "--grid-min", "4", "--grid-max", "3"],
+     "--grid-max: z_max must be finite and greater than z_min = 4.0, got 3.0"),
+])
+def test_density_grid_and_start_errors_exit_2_naming_the_flag(
+        tmp_path, capsys, args, message):
+    out = tmp_path / "d.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["density", *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--x0", "-1e-05"),
+                                         ("--grid-min", "-1e3"),
+                                         ("--grid-min", "-2.5E+2")])
+def test_density_reads_a_negative_exponent_form_as_a_value(tmp_path, capsys,
+                                                           flag, value):
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    argv = ["density", "--x0", "5", "--t", "1", "--grid-points", "1001"]
+    assert main(argv + [flag, value, "--out", str(spaced)]) == 0
+    assert main(argv + [f"{flag}={value}", "--out", str(joined)]) == 0
+    assert read(spaced) == read(joined)
+
+
+def test_density_unwritable_out_exits_3_naming_the_path(tmp_path, capsys):
+    out = tmp_path / "missing" / "d.csv"
+    assert main(["density", "--x0", "5", "--t", "1", "--grid-points", "1001",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
 
 
 def test_simulate_diverging_run_exits_4_naming_the_step(tmp_path, capsys):
@@ -388,6 +442,22 @@ def test_metrics_flag_errors_name_the_flag(one_row, capsys, flag, value,
     assert err.err == f"error: {flag}: {message}\n" and err.out == ""
 
 
+def test_metrics_repeated_node_id_exits_2_naming_step_and_node(tmp_path,
+                                                                capsys):
+    csv = tmp_path / "dup.csv"
+    csv.write_text("step,node_id,x,y\n0,1,0.1,0.2\n0,1,0.3,0.4\n")
+    assert main(["metrics", "--in", str(csv), "--eps", "0.1"]) == 2
+    err = capsys.readouterr()
+    assert err.err == "error: step 0: node 1 appears twice\n"
+    assert err.out == ""
+
+
+def test_metrics_reads_a_negative_exponent_form_as_a_value(one_row, capsys):
+    assert main(["metrics", "--in", str(one_row), "--eps", "0.1",
+                 "--rho-x", "-5e-01"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "1,1,0,0,1"
+
+
 def test_metrics_non_finite_position_exits_4(tmp_path, capsys):
     csv = tmp_path / "nan.csv"
     csv.write_text("step,node_id,x,y\n2,0,0.5,0\n2,1,nan,0\n")
@@ -467,6 +537,48 @@ def test_render_header_without_rows_exits_5(tmp_path, header):
     assert main(["render", "--in", str(bare), "--out", str(tmp_path / "x.svg")]) == 5
 
 
+@pytest.mark.parametrize("body, step", [
+    ("step,node_id,x,y\n4,0,0.1,0.2\n4,1,nan,0.2\n", 4),
+    ("step,node_id,x,y\n4,0,0.1,-inf\n", 4),
+    ("t,z,pdf\n1,0,0.5\n2,-1,0.1\n2,0,nan\n2,1,0.1\n", 2),
+    ("t,z,pdf\n3,inf,0.5\n3,1,0.1\n", 3),
+])
+def test_render_non_finite_value_exits_5_naming_the_step(tmp_path, capsys,
+                                                         body, step):
+    csv = tmp_path / "in.csv"
+    csv.write_text(body)
+    out = tmp_path / "x.svg"
+    assert main(["render", "--in", str(csv), "--out", str(out)]) == 5
+    assert capsys.readouterr().err.startswith(f"error: step {step}: row ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("body, flags", [
+    ("step,node_id,x,y\n0,0,1e308,0\n", []),
+    ("t,z,pdf\n1,-1e308,0.5\n1,1e308,0.5\n", []),
+    ("step,node_id,x,y\n0,0,0.1,0\n", ["--rho-x", "nan"]),
+])
+def test_render_value_it_cannot_draw_exits_5(tmp_path, capsys, body, flags):
+    csv = tmp_path / "in.csv"
+    csv.write_text(body)
+    out = tmp_path / "x.svg"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["render", "--in", str(csv), "--out", str(out),
+                     *flags]) == 5
+    assert capsys.readouterr().err.startswith("error: cannot draw ")
+    assert not out.exists()
+
+
+def test_render_unwritable_out_exits_3_naming_the_path(tmp_path, capsys):
+    csv = tmp_path / "one.csv"
+    csv.write_text("step,node_id,x,y\n3,0,0.1,0.2\n")
+    out = tmp_path / "missing" / "x.svg"
+    assert main(["render", "--in", str(csv), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
+
 def test_render_missing_input_exits_3(tmp_path):
     assert main(["render", "--in", str(tmp_path / "none.csv"), "--step", "0",
                  "--out", str(tmp_path / "x.svg")]) == 3
@@ -478,3 +590,85 @@ def test_nine_significant_digit_floats(sim_out):
         for v in (x, y):
             digits = re.sub(r"[-.e+]", "", v).lstrip("0")
             assert len(digits) <= 9
+
+
+# ---------------------------------------------------------------------------
+# no input escapes: every run ends in a documented exit code
+
+
+def quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def holds_nan_or_inf(text):
+    return re.search(r"nan|inf", text, re.IGNORECASE) is not None
+
+
+INTS = st.sampled_from(["0", "1", "2"])
+# ordinary values first, so that whole files are often valid, then the
+# values a hand-made file can hold that no run produces
+FLOATS = st.sampled_from(["0.25", "-0.1", "3e-5", "0.45", "0", "1e308",
+                          "-1e308", "nan", "inf", "-inf"])
+JUNK = st.one_of(st.text(max_size=12),
+                st.sampled_from(["x", "", " 1", "1,2", "steps = 2", "k = 1"]))
+CONFIG_VALUES = {"seed": INTS, "stride": INTS, "out_dir": st.just("x"),
+                 "mode": st.sampled_from(["env", "social", "none", "x"])}
+CONFIG_LINES = st.sampled_from([
+    "c1", "c2", "r", "w", "s", "rho_x", "rho_y", "sigma_const", "eps",
+    "region_min_x", "region_min_y", "region_max_x", "region_max_y",
+    *CONFIG_VALUES]).flatmap(
+        lambda key: CONFIG_VALUES.get(key, FLOATS).map(f"{key} = {{}}".format))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lines=st.lists(CONFIG_LINES, max_size=4,
+                     unique_by=lambda line: line.split(" = ")[0]),
+       junk=st.lists(JUNK, max_size=1),
+       tail=st.one_of(st.just(b""), st.binary(max_size=8)))
+def test_no_config_escapes_simulate(lines, junk, tail):
+    # the fixed head keeps each run small: 4 nodes, at most 3 steps
+    body = "\n".join(["n_nodes = 4", "steps = 3", *lines, *junk]).encode() + tail
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        with open(cfg, "wb") as fh:
+            fh.write(body)
+        out = os.path.join(tmp, "out")
+        code = quiet_main(["simulate", "--config", cfg, "--out", out])
+        assert code in (0, 2, 3, 4, 5)
+        assert (code == 0) == os.path.exists(out)
+        if code == 0:
+            for name in ("snapshots.csv", "metrics.csv"):
+                with open(os.path.join(out, name)) as fh:
+                    assert not holds_nan_or_inf(fh.read())
+
+
+@st.composite
+def csv_bodies(draw):
+    """A header, then rows typed for it, then at most one junk row."""
+    header = draw(st.sampled_from(list(cli.COLUMN_TYPES) + ["step,x", ""]))
+    fields = [{int: INTS, float: FLOATS}[kind]
+              for kind in cli.COLUMN_TYPES.get(header, (int, float))]
+    rows = draw(st.lists(st.tuples(*fields).map(",".join), max_size=8))
+    junk = draw(st.lists(JUNK, max_size=1))
+    return "\n".join([header, *rows, *junk]) + "\n"
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(body=csv_bodies(), step=st.sampled_from([None, "0", "1", "2"]))
+def test_no_csv_escapes_metrics_or_render(body, step):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = os.path.join(tmp, "in.csv")
+        with open(csv, "w") as fh:
+            fh.write(body)
+        assert quiet_main(["metrics", "--in", csv, "--eps", "0.15"]) in (
+            0, 2, 3, 4, 5)
+        svg = os.path.join(tmp, "out.svg")
+        code = quiet_main(["render", "--in", csv, "--out", svg]
+                          + ([] if step is None else ["--step", step]))
+        assert code in (0, 2, 3, 4, 5)
+        assert (code == 0) == os.path.exists(svg)
+        if code == 0:
+            with open(svg) as fh:
+                assert not holds_nan_or_inf(fh.read())

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,16 @@ def test_neighborhood_at_the_cell_limit():
     edge = 1.07e9
     p = [complex(-edge, -edge), complex(edge, edge), complex(edge, edge + 0.5)]
     assert as_lists(build_neighborhood(p, 1.0)) == [[], [2], [1]]
+
+
+def test_neighborhood_radius_so_large_that_squares_overflow():
+    # squared distances near 1e600 overflow; the pair 1.6e300 apart is out
+    p = [0j, 1e300 + 0j, 2.6e300 + 0j]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert as_lists(build_neighborhood(p, 1.5e300)) == [[1], [0], []]
+        assert as_lists(build_neighborhood(p, np.inf)) == [[1, 2], [0, 2],
+                                                            [0, 1]]
 
 
 def test_neighborhood_rejects_bad_input():

@@ -302,6 +302,18 @@ def test_metrics_reject_non_finite_positions_before_arithmetic():
             compute_metrics(state, SwarmParams(n_nodes=3), eps=0.15)
 
 
+@pytest.mark.parametrize("positions, rho, r", [
+    ([0j, 0j, 0j], complex(1e308, 1e308), 0.2),  # each |p - rho| is 1.4e308
+    ([-7.5e307, 7.5e307, 7.5e307 + 1j], 0j, np.inf),  # pairs 1.5e308 apart
+])
+def test_metrics_report_distance_sums_that_overflow(positions, rho, r):
+    state = SwarmState(0, np.array(positions, dtype=complex), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^distances overflow: "):
+            compute_metrics(state, SwarmParams(n_nodes=3, r=r, rho=rho), 0.15)
+
+
 def _reference_density_state(n, seed=0):
     """n nodes placed at the reference node density (box side sqrt(n / 100))."""
     half = 0.5 * math.sqrt(n / 100)
