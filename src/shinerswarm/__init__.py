@@ -1,7 +1,7 @@
 """Golden-shiner-style swarm navigation: 2D agent simulation plus the 1D
 location-density propagator that cross-checks the model's behavior."""
 
-from .config import ConfigError, RunConfig, format_config, parse_config
+from .config import ConfigError, RunConfig, parse_config
 from .core import (
     NeighborGraph,
     SwarmParams,
@@ -49,7 +49,6 @@ __all__ = [
     "compute_metrics",
     "env_speed",
     "first_passage",
-    "format_config",
     "grid_stats",
     "hammer",
     "init_swarm",

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .config import MODES, ConfigError, apply_overrides, config_key, parse_config
+from .config import MODES, ConfigError, config_key, parse_config
 from .core import ParamError, SwarmParams, require
 from .density import (
     DEFAULT_N_POINTS,
@@ -64,6 +64,18 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _read_text(path: str) -> str:
+    """The text of an input file, decoded as strict UTF-8; OSError if it
+    cannot be read, ConfigError naming it if it is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} "
+                          f"at byte {exc.start}") from None
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(text)
@@ -71,18 +83,9 @@ def _write_text(path: str, text: str) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     require(args.workers >= 1, "workers", "must be >= 1", args.workers)
-    text = ""
-    if args.config is not None:
-        with open(args.config, "rb") as fh:
-            data = fh.read()
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{args.config}: not UTF-8 text: {exc.reason} "
-                              f"at byte {exc.start}") from None
-    cfg = apply_overrides(parse_config(text), seed=args.seed, steps=args.steps,
-                          stride=args.stride, mode=args.mode,
-                          out_dir=args.out)
+    text = "" if args.config is None else _read_text(args.config)
+    cfg = parse_config(text, seed=args.seed, steps=args.steps,
+                       stride=args.stride, mode=args.mode, out_dir=args.out)
     records = run(cfg.swarm_params(), cfg.seed, cfg.region(), cfg.steps,
                   cfg.stride, eps=cfg.eps)
 
@@ -123,38 +126,34 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 def _load_csv(path: str, headers) -> tuple[str, list[tuple]]:
     """Header and typed rows of a CSV file whose header is in ``headers``;
-    OSError if it cannot be read, ValueError if its content is wrong."""
-    with open(path) as fh:
-        lines = [line for line in fh.read().splitlines() if line]
+    OSError if it cannot be read, ConfigError if its content is wrong."""
+    lines = [line for line in _read_text(path).splitlines() if line]
     if not lines:
-        raise ValueError(f"{path}: empty file")
+        raise ConfigError(f"{path}: empty file")
     header, *rows = lines
     if header not in headers:
-        raise ValueError(f"expected header {' or '.join(map(repr, headers))}"
-                         f", got {header!r}")
+        raise ConfigError(f"expected header {' or '.join(map(repr, headers))}"
+                          f", got {header!r}")
     table = []
     for row in rows:
         try:
             table.append(tuple(kind(field) for kind, field in zip(
                 COLUMN_TYPES[header], row.split(","), strict=True)))
         except ValueError as exc:
-            raise ValueError(f"malformed row {row!r} under {header!r}: "
-                             f"{exc}") from None
+            raise ConfigError(f"malformed row {row!r} under {header!r}: "
+                              f"{exc}") from None
     return header, table
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
     check_run_args(eps=args.eps)
     params = SwarmParams(r=args.r, rho=complex(args.rho_x, args.rho_y))
-    try:
-        _, table = _load_csv(args.infile, (SNAPSHOT_HEADER,))
-    except ValueError as exc:
-        return _fail(EXIT_CONFIG, str(exc))
+    _, table = _load_csv(args.infile, (SNAPSHOT_HEADER,))
     by_step: dict[int, dict[int, complex]] = {}
     for step, node, x, y in table:
         nodes = by_step.setdefault(step, {})
         if node in nodes:
-            return _fail(EXIT_CONFIG, f"step {step}: node {node} appears twice")
+            raise ConfigError(f"step {step}: node {node} appears twice")
         nodes[node] = complex(x, y)
 
     print(METRICS_HEADER)
@@ -258,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and return its exit code. Commands raise and this
     maps their errors: a flag's ParamError and a ConfigError to 2, an
-    OSError to 3, any other ValueError to 4. Only ``metrics`` (2 on a
-    malformed CSV) and ``render`` (5 on a bad request) exit by themselves."""
+    OSError to 3, any other ValueError to 4. Only ``render`` maps its own
+    code: 5 on a bad request."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

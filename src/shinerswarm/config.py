@@ -8,7 +8,7 @@ Command-line flags override file values, which override defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .core import ParamError, SwarmParams, require
 from .engine import DEFAULT_EPS, Box, check_run_args, check_seed
@@ -17,7 +17,9 @@ MODES = ("none", "env", "social", "both")
 
 
 class ConfigError(ValueError):
-    """Invalid run configuration; the message names the key and line."""
+    """Invalid user input: a run configuration (the message names the key,
+    and its line when the file set it) or an input file, such as one that is
+    not UTF-8 or a CSV without the expected header."""
 
 
 @dataclass(frozen=True)
@@ -102,9 +104,10 @@ def validate(cfg: RunConfig, lines: dict[str, int] | None = None) -> RunConfig:
     return cfg
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse key=value text into a validated RunConfig; absent keys take
-    the documented defaults."""
+def parse_config(text: str, **overrides) -> RunConfig:
+    """Parse key=value text into a RunConfig whose absent keys take the
+    documented defaults. Non-None overrides (the command-line flags) replace
+    file values that parse, in range or not, before the one validation."""
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -122,33 +125,10 @@ def parse_config(text: str) -> RunConfig:
                               f"(first set on line {lines[key]})")
         values[key] = _parse_value(key, raw, line_no)
         lines[key] = line_no
-    cfg = RunConfig(**values)
-    return validate(cfg, lines)
-
-
-def format_config(cfg: RunConfig) -> str:
-    """Serialize to the config format; parse_config(format_config(c)) == c.
-
-    Raises ConfigError naming the key when a string value holds ``#``, a
-    line break or outer whitespace, which the format cannot carry."""
-    out = []
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        if isinstance(value, str) and ("#" in value or value != value.strip()
-                                       or len(value.splitlines()) > 1):
-            raise ConfigError(f"key '{f.name}' cannot be written: {value!r} "
-                              f"holds '#', a line break or outer whitespace")
-        out.append(f"{f.name} = {value}")
-    return "\n".join(out) + "\n"
-
-
-def apply_overrides(cfg: RunConfig, **overrides) -> RunConfig:
-    """Apply non-None overrides (e.g. from command-line flags) and
-    revalidate."""
     changes = {k: v for k, v in overrides.items() if v is not None}
     unknown = changes.keys() - _PARSERS.keys()
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
-    return validate(replace(cfg, **changes))
+    for key in changes:
+        lines.pop(key, None)
+    return validate(RunConfig(**{**values, **changes}), lines)

@@ -84,6 +84,43 @@ def test_simulate_flag_overrides_file(tmp_path):
     assert read(out / "snapshots.csv") != read(out2 / "snapshots.csv")
 
 
+def test_simulate_flag_replaces_an_out_of_range_file_value(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps = -1\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--steps", "2",
+                 "--out", str(out)]) == 0
+    steps = {int(r.split(",")[0]) for r in lines(out / "snapshots.csv")[1:]}
+    assert steps == {0, 2}
+
+
+@pytest.mark.parametrize("text, flags, message", [
+    ("steps = -1\n", [], "line 1: key 'steps' must be >= 0, got -1"),
+    ("steps = abc\n", ["--steps", "5"],
+     "line 1: cannot parse value 'abc' for key 'steps'"),
+])
+def test_simulate_file_value_a_flag_cannot_mend_exits_2(tmp_path, capsys, text,
+                                                       flags, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), *flags,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_simulate_infinite_w_writes_finite_values(tmp_path):
+    # w = inf makes the social term infinite; its angle is still finite,
+    # while a heading computed as arg / |arg| would be inf / inf = nan
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("w = inf\nsteps = 20\nstride = 20\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ("snapshots.csv", "metrics.csv"):
+        assert not holds_nan_or_inf(read(out / name))
+
+
 def test_simulate_social_mode(tmp_path):
     out = tmp_path / "out"
     assert main(["simulate", "--mode", "social", "--steps", "4",
@@ -458,6 +495,21 @@ def test_metrics_reads_a_negative_exponent_form_as_a_value(one_row, capsys):
     assert capsys.readouterr().out.splitlines()[1] == "1,1,0,0,1"
 
 
+def test_csv_not_utf8_exits_2_from_metrics_and_5_from_render_naming_it(
+        tmp_path, capsys):
+    body = b"step,node_id,x,y\n0,0,0.1,0.2\n0,1,\xff,0\n"
+    csv = tmp_path / "snap.csv"
+    csv.write_bytes(body)
+    message = (f"error: {csv}: not UTF-8 text: invalid start byte "
+               f"at byte {body.index(0xff)}\n")
+    assert main(["metrics", "--in", str(csv), "--eps", "0.1"]) == 2
+    assert capsys.readouterr() == ("", message)
+    out = tmp_path / "x.svg"
+    assert main(["render", "--in", str(csv), "--out", str(out)]) == 5
+    assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
 def test_metrics_non_finite_position_exits_4(tmp_path, capsys):
     csv = tmp_path / "nan.csv"
     csv.write_text("step,node_id,x,y\n2,0,0.5,0\n2,1,nan,0\n")
@@ -597,9 +649,20 @@ def test_nine_significant_digit_floats(sim_out):
 
 
 def quiet_main(argv):
+    """The exit code and the stderr text of main, with stdout dropped."""
+    err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        return main(argv)
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def is_utf8(data):
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 def holds_nan_or_inf(text):
@@ -622,37 +685,71 @@ CONFIG_LINES = st.sampled_from([
         lambda key: CONFIG_VALUES.get(key, FLOATS).map(f"{key} = {{}}".format))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(lines=st.lists(CONFIG_LINES, max_size=4,
-                     unique_by=lambda line: line.split(" = ")[0]),
-       junk=st.lists(JUNK, max_size=1),
-       tail=st.one_of(st.just(b""), st.binary(max_size=8)))
-def test_no_config_escapes_simulate(lines, junk, tail):
-    # the fixed head keeps each run small: 4 nodes, at most 3 steps
-    body = "\n".join(["n_nodes = 4", "steps = 3", *lines, *junk]).encode() + tail
+def simulate_bytes(body, flags):
+    """The exit code of simulate on a config file holding body; a run that
+    exits 0 must have written CSVs free of nan and inf, any other none."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "run.cfg")
         with open(cfg, "wb") as fh:
             fh.write(body)
         out = os.path.join(tmp, "out")
-        code = quiet_main(["simulate", "--config", cfg, "--out", out])
+        code, _ = quiet_main(["simulate", "--config", cfg, *flags,
+                              "--out", out])
         assert code in (0, 2, 3, 4, 5)
         assert (code == 0) == os.path.exists(out)
         if code == 0:
             for name in ("snapshots.csv", "metrics.csv"):
                 with open(os.path.join(out, name)) as fh:
                     assert not holds_nan_or_inf(fh.read())
+    return code
+
+
+NON_UTF8_TAIL = st.one_of(st.just(b""), st.binary(max_size=8))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lines=st.lists(CONFIG_LINES, max_size=4,
+                     unique_by=lambda line: line.split(" = ")[0]),
+       junk=st.lists(JUNK, max_size=1), tail=NON_UTF8_TAIL,
+       flag=st.none() | st.tuples(st.sampled_from(["steps", "stride", "seed"]),
+                                  INTS, st.sampled_from(["-1", "0", "2"])))
+def test_no_config_escapes_simulate(lines, junk, tail, flag):
+    # the fixed head keeps each run small: 4 nodes, at most 3 steps
+    lines = ["n_nodes = 4", "steps = 3", *lines]
+    flags = []
+    if flag is not None:
+        # the flag's key gets a file value of its own that parses and is
+        # often out of range (one that does not parse is refused even under
+        # a flag)
+        key, value, file_value = flag
+        lines = [line for line in lines if line.split(" = ")[0] != key]
+        lines.append(f"{key} = {file_value}")
+        flags = [f"--{key}", value]
+
+    def body(lines):
+        # the tail goes on a line of its own, so that deleting a line cannot
+        # join it to another key's value
+        return ("\n".join(lines + junk) + "\n").encode() + tail
+
+    code = simulate_bytes(body(lines), flags)
+    # the flag replaces its key's file value before the one check, so the
+    # file runs as if that key's line were not there (unless junk sets the
+    # key too, which makes a duplicate only while the line is there)
+    if flag is not None and not any(key in line for line in junk):
+        assert code == simulate_bytes(body(lines[:-1]), flags)
 
 
 @st.composite
 def csv_bodies(draw):
-    """A header, then rows typed for it, then at most one junk row."""
+    """A header, then rows typed for it, then at most one junk row, then
+    bytes that may not be UTF-8."""
     header = draw(st.sampled_from(list(cli.COLUMN_TYPES) + ["step,x", ""]))
     fields = [{int: INTS, float: FLOATS}[kind]
               for kind in cli.COLUMN_TYPES.get(header, (int, float))]
     rows = draw(st.lists(st.tuples(*fields).map(",".join), max_size=8))
     junk = draw(st.lists(JUNK, max_size=1))
-    return "\n".join([header, *rows, *junk]) + "\n"
+    text = "\n".join([header, *rows, *junk]) + "\n"
+    return text.encode() + draw(NON_UTF8_TAIL)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
@@ -660,14 +757,18 @@ def csv_bodies(draw):
 def test_no_csv_escapes_metrics_or_render(body, step):
     with tempfile.TemporaryDirectory() as tmp:
         csv = os.path.join(tmp, "in.csv")
-        with open(csv, "w") as fh:
+        with open(csv, "wb") as fh:
             fh.write(body)
-        assert quiet_main(["metrics", "--in", csv, "--eps", "0.15"]) in (
-            0, 2, 3, 4, 5)
-        svg = os.path.join(tmp, "out.svg")
-        code = quiet_main(["render", "--in", csv, "--out", svg]
-                          + ([] if step is None else ["--step", step]))
+        # a file that is not UTF-8 is refused by name, before its content
+        not_utf8 = f"error: {csv}: not UTF-8 text: "
+        code, err = quiet_main(["metrics", "--in", csv, "--eps", "0.15"])
         assert code in (0, 2, 3, 4, 5)
+        assert is_utf8(body) or (code == 2 and err.startswith(not_utf8))
+        svg = os.path.join(tmp, "out.svg")
+        code, err = quiet_main(["render", "--in", csv, "--out", svg]
+                               + ([] if step is None else ["--step", step]))
+        assert code in (0, 2, 3, 4, 5)
+        assert is_utf8(body) or (code == 5 and err.startswith(not_utf8))
         assert (code == 0) == os.path.exists(svg)
         if code == 0:
             with open(svg) as fh:

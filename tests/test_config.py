@@ -1,18 +1,8 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from shinerswarm.config import (
-    MODES,
-    ConfigError,
-    RunConfig,
-    apply_overrides,
-    format_config,
-    parse_config,
-    validate,
-)
+from shinerswarm.config import ConfigError, RunConfig, parse_config
 
 
 def test_empty_text_gives_full_defaults():
@@ -62,7 +52,7 @@ def test_seed_outside_uint64_rejected(seed):
                        match=r"line 2: key 'seed' must be in \[0, 2\*\*64\)"):
         parse_config(f"steps = 3\nseed = {seed}\n")
     with pytest.raises(ConfigError, match="key 'seed'"):
-        apply_overrides(RunConfig(), seed=int(seed))
+        parse_config("", seed=int(seed))
 
 
 def test_largest_seed_accepted():
@@ -107,69 +97,36 @@ def test_nan_and_out_of_range_model_keys_cite_key_and_line(text, cited):
 
 def test_apply_overrides_rejects_nan_model_key():
     with pytest.raises(ConfigError, match=r"^key 'r' must be >= 0, got nan"):
-        apply_overrides(RunConfig(), r=float("nan"))
+        parse_config("", r=float("nan"))
 
 
-def test_round_trip_defaults():
-    cfg = RunConfig()
-    assert parse_config(format_config(cfg)) == cfg
-
-
-def test_round_trip_custom_values():
-    cfg = RunConfig(n_nodes=12, steps=5, stride=2, c1=0.3, c2=0.4, r=0.5,
-                    w=1.5, s=0.01, rho_x=0.2, rho_y=-0.3, seed=99,
-                    mode="social", sigma_const=0.07, eps=0.2,
-                    region_min_x=-1.0, region_min_y=-2.0, region_max_x=1.0,
-                    region_max_y=2.0, out_dir="results/run1")
-    assert parse_config(format_config(cfg)) == cfg
-
-
-@pytest.mark.parametrize("out_dir", ["a#b", " pad", "pad ", "x\ny", "x\ry",
-                                     "x\u2028y", "\n"])
-def test_format_config_refuses_values_it_cannot_carry(out_dir):
-    with pytest.raises(ConfigError, match="key 'out_dir' cannot be written"):
-        format_config(RunConfig(out_dir=out_dir))
-
-
-nonneg = st.floats(min_value=0.0)
-finite = st.floats(allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def configs(draw):
-    """Mostly valid configs, with floats anywhere in their valid ranges
-    (inf included where a rule allows it) and arbitrary out_dir text."""
-    region = {}
-    for axis in "xy":
-        lo = draw(finite)
-        region[f"region_min_{axis}"] = lo
-        region[f"region_max_{axis}"] = lo + draw(nonneg)
-    return RunConfig(
-        n_nodes=draw(st.integers(1, 10 ** 6)),
-        steps=draw(st.integers(0, 10 ** 6)),
-        stride=draw(st.integers(1, 10 ** 6)),
-        c1=draw(nonneg), c2=draw(nonneg), r=draw(nonneg), w=draw(nonneg),
-        s=draw(nonneg), rho_x=draw(finite), rho_y=draw(finite),
-        seed=draw(st.integers(0, 2 ** 64 - 1)),
-        mode=draw(st.sampled_from(MODES)),
-        sigma_const=draw(st.none() | nonneg), eps=draw(nonneg),
-        out_dir=draw(st.text() | st.sampled_from(["a#b", " pad", "x\ny"])),
-        **region)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(configs())
-def test_format_config_round_trips_or_refuses(cfg):
-    try:
-        validate(cfg)
-    except ConfigError:
-        return
-    try:
-        text = format_config(cfg)
-    except ConfigError as exc:
-        assert str(exc).startswith("key 'out_dir' cannot be written")
-        return
-    assert parse_config(text) == cfg
+def test_every_key_parses_to_the_config_it_spells():
+    text = """
+n_nodes = 12
+steps = 5
+stride = 2
+c1 = 0.3
+c2 = 0.4
+r = 0.5
+w = 1.5
+s = 0.01
+rho_x = 0.2
+rho_y = -0.3
+seed = 99
+mode = social
+sigma_const = 0.07
+eps = 0.2
+region_min_x = -1
+region_min_y = -2
+region_max_x = 1
+region_max_y = 2
+out_dir = results/run1
+"""
+    assert parse_config(text) == RunConfig(
+        n_nodes=12, steps=5, stride=2, c1=0.3, c2=0.4, r=0.5, w=1.5, s=0.01,
+        rho_x=0.2, rho_y=-0.3, seed=99, mode="social", sigma_const=0.07,
+        eps=0.2, region_min_x=-1.0, region_min_y=-2.0, region_max_x=1.0,
+        region_max_y=2.0, out_dir="results/run1")
 
 
 def test_mode_maps_to_factor_switches():
@@ -191,18 +148,41 @@ def test_swarm_params_carries_values():
 
 
 def test_apply_overrides_precedence():
-    cfg = parse_config("seed = 5\nsteps = 10\n")
-    out = apply_overrides(cfg, seed=8, mode="env")
+    text = "seed = 5\nsteps = 10\n"
+    cfg = parse_config(text)
+    out = parse_config(text, seed=8, mode="env")
     assert out.seed == 8          # flag beats file
     assert out.steps == 10        # file kept where no flag
     assert out.mode == "env"      # flag beats default
     assert out.stride == RunConfig().stride  # default kept
-    assert apply_overrides(cfg) == cfg
+    assert parse_config(text, seed=None, mode=None) == cfg
 
 
 def test_apply_overrides_validates():
     with pytest.raises(ConfigError, match="'steps'"):
-        apply_overrides(RunConfig(), steps=-1)
+        parse_config("", steps=-1)
+
+
+def test_override_replaces_an_out_of_range_file_value():
+    assert parse_config("steps = -1\nseed = 3\n", steps=5).steps == 5
+    with pytest.raises(ConfigError, match=r"^line 2: key 'seed' must be in"):
+        parse_config("steps = -1\nseed = -1\n", steps=5)
+
+
+def test_override_drops_the_line_of_the_key_it_replaces():
+    with pytest.raises(ConfigError, match=r"^key 'steps' must be >= 0, got -2$"):
+        parse_config("seed = 1\nsteps = 4\n", steps=-2)
+
+
+def test_override_cannot_mend_a_value_the_file_cannot_parse():
+    with pytest.raises(ConfigError,
+                       match=r"^line 1: cannot parse value 'abc' for key 'steps'"):
+        parse_config("steps = abc\n", steps=5)
+
+
+def test_unknown_override_rejected():
+    with pytest.raises(ConfigError, match=r"unknown keys: \['stpes'\]"):
+        parse_config("", stpes=5)
 
 
 def test_run_config_is_frozen():
