@@ -126,22 +126,29 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 def _load_csv(path: str, headers) -> tuple[str, list[tuple]]:
     """Header and typed rows of a CSV file whose header is in ``headers``;
-    OSError if it cannot be read, ConfigError if its content is wrong."""
+    OSError if it cannot be read, ConfigError if its content is wrong,
+    including a snapshot that lists a node twice in one step."""
     lines = [line for line in _read_text(path).splitlines() if line]
     if not lines:
         raise ConfigError(f"{path}: empty file")
     header, *rows = lines
     if header not in headers:
-        raise ConfigError(f"expected header {' or '.join(map(repr, headers))}"
-                          f", got {header!r}")
+        raise ConfigError(f"{path}: expected header "
+                          f"{' or '.join(map(repr, headers))}, got {header!r}")
     table = []
     for row in rows:
         try:
             table.append(tuple(kind(field) for kind, field in zip(
                 COLUMN_TYPES[header], row.split(","), strict=True)))
         except ValueError as exc:
-            raise ConfigError(f"malformed row {row!r} under {header!r}: "
-                              f"{exc}") from None
+            raise ConfigError(f"{path}: malformed row {row!r} under "
+                              f"{header!r}: {exc}") from None
+    if header == SNAPSHOT_HEADER:
+        seen = set()
+        for step, node, _, _ in table:
+            if (step, node) in seen:
+                raise ConfigError(f"step {step}: node {node} appears twice")
+            seen.add((step, node))
     return header, table
 
 
@@ -151,10 +158,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     _, table = _load_csv(args.infile, (SNAPSHOT_HEADER,))
     by_step: dict[int, dict[int, complex]] = {}
     for step, node, x, y in table:
-        nodes = by_step.setdefault(step, {})
-        if node in nodes:
-            raise ConfigError(f"step {step}: node {node} appears twice")
-        nodes[node] = complex(x, y)
+        by_step.setdefault(step, {})[node] = complex(x, y)
 
     print(METRICS_HEADER)
     for step in sorted(by_step):

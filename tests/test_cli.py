@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from shinerswarm import cli
 from shinerswarm.cli import main
+from shinerswarm.density import DEFAULT_N_POINTS
 
 
 def read(path):
@@ -214,7 +215,7 @@ def test_density_writes_three_curves(tmp_path, capsys):
     assert main(["density", "--x0", "5", "--t", "3", "--out", str(out)]) == 0
     rows = lines(out)
     assert rows[0] == "t,z,pdf"
-    assert len(rows) == 1 + 3 * 6001
+    assert len(rows) == 1 + 3 * DEFAULT_N_POINTS
     ts = {int(r.split(",")[0]) for r in rows[1:]}
     assert ts == {1, 2, 3}
     stats = capsys.readouterr().out.splitlines()
@@ -222,6 +223,18 @@ def test_density_writes_three_curves(tmp_path, capsys):
     assert stats[0].startswith("t=1 mass=")
     assert "mass_near(1)=" in stats[0]
     assert "deficit=" in stats[0]
+
+
+def test_density_mass_near_never_exceeds_mass(tmp_path, capsys):
+    # the whole axis holds at most the mass the weights give
+    assert main(["density", "--x0", "5", "--t", "3", "--near-eps", "1e9",
+                 "--out", str(tmp_path / "d.csv")]) == 0
+    stats = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in stats] == ["t=1", "t=2", "t=3"]
+    for line in stats:
+        mass = float(re.search(r" mass=(\S+)", line).group(1))
+        near = float(re.search(r"mass_near\(1e\+09\)=(\S+)", line).group(1))
+        assert near <= mass
 
 
 def test_density_first_step_peak_value(tmp_path, capsys):
@@ -487,6 +500,49 @@ def test_metrics_repeated_node_id_exits_2_naming_step_and_node(tmp_path,
     err = capsys.readouterr()
     assert err.err == "error: step 0: node 1 appears twice\n"
     assert err.out == ""
+
+
+def test_render_repeated_node_id_exits_5_naming_step_and_node(tmp_path,
+                                                              capsys):
+    csv = tmp_path / "dup.csv"
+    csv.write_text("step,node_id,x,y\n0,1,0.1,0.2\n0,1,0.3,0.4\n")
+    out = tmp_path / "x.svg"
+    assert main(["render", "--in", str(csv), "--out", str(out)]) == 5
+    assert capsys.readouterr().err == "error: step 0: node 1 appears twice\n"
+    assert not out.exists()
+
+
+def test_node_id_repeated_across_steps_is_read_by_metrics_and_render(
+        tmp_path, capsys):
+    csv = tmp_path / "two.csv"
+    csv.write_text("step,node_id,x,y\n0,1,0.1,0.2\n1,1,0.3,0.4\n")
+    assert main(["metrics", "--in", str(csv), "--eps", "0.1"]) == 0
+    assert main(["render", "--in", str(csv), "--step", "1",
+                 "--out", str(tmp_path / "x.svg")]) == 0
+
+
+READ_CSV = pytest.mark.parametrize("argv, code", [
+    (["metrics", "--eps", "0.1"], 2), (["render", "--out", os.devnull], 5)])
+
+
+@READ_CSV
+def test_csv_wrong_header_error_starts_with_the_path(tmp_path, capsys, argv,
+                                                     code):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a,b\n1,2\n")
+    assert main([*argv, "--in", str(bad)]) == code
+    assert capsys.readouterr().err.startswith(
+        f"error: {bad}: expected header 'step,node_id,x,y'")
+
+
+@READ_CSV
+def test_csv_malformed_row_error_starts_with_the_path(tmp_path, capsys, argv,
+                                                      code):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("step,node_id,x,y\n1,1,0,0\n1,0,abc,0\n")
+    assert main([*argv, "--in", str(bad)]) == code
+    assert capsys.readouterr().err.startswith(
+        f"error: {bad}: malformed row '1,0,abc,0' under 'step,node_id,x,y': ")
 
 
 def test_metrics_reads_a_negative_exponent_form_as_a_value(one_row, capsys):

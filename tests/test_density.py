@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
 from conftest import REF_KERNEL, REF_X0, trapezoid_weights, tv_distance_to_samples
 from shinerswarm.density import (
+    DEFAULT_N_POINTS,
     GridPdf,
     GridSpanError,
     KernelParams,
@@ -346,6 +347,75 @@ def test_mass_near_on_graded_grids_matches_closed_form(n_points):
     f = initial_pdf(0.0, REF_KERNEL, n_points=n_points)
     assert grid_stats(f, eps=0.1).mass_near == pytest.approx(
         math.erf(2 ** -0.5), abs=1e-5)
+
+
+@pytest.mark.parametrize("n_points", [1501, DEFAULT_N_POINTS, 6001])
+def test_mass_near_of_a_peak_at_the_origin_stays_below_mass(n_points):
+    # N(0, 0.1^2), as sharp as the reference kernel gets: integrated by the
+    # trapezoid rule in z, mass_near exceeded the mass here by 5.5e-5 at
+    # 1501 points and 3.4e-6 at 6001
+    stats = grid_stats(initial_pdf(0.0, KernelParams(), n_points=n_points),
+                       eps=1.0)
+    assert stats.mass_near <= stats.mass + 1e-12
+
+
+@st.composite
+def graded_pdfs(draw) -> GridPdf:
+    """A pdf at t = 1 or 2 on a random graded grid that initial_pdf accepts:
+    the span holds x0 +/- 8 sd, and nodes are at most about a fifth of the
+    kernel's width apart in u."""
+    params = KernelParams(draw(st.floats(0.2, 3.0)), draw(st.floats(0.01, 2.0)))
+    x0 = draw(st.floats(-10.0, 10.0))
+    sd = float(params.sd(x0))
+    z_min = x0 - 8 * sd - draw(st.floats(0.0, 50.0))
+    z_max = x0 + 8 * sd + draw(st.floats(0.0, 50.0))
+
+    def u(x):
+        return math.copysign(math.log1p(abs(x) / params.c2), x)
+
+    width = params.c1 / (1 + params.c1)
+    n = (3 + math.ceil((u(z_max) - u(z_min)) / (0.2 * width))
+         + draw(st.integers(0, 200)))
+    try:
+        f = initial_pdf(x0, params, z_min, z_max, n)
+    except GridSpanError:  # a one-cell side of the origin can be too wide
+        assume(False)
+    return propagate(f, params) if draw(st.booleans()) else f
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(f=graded_pdfs(), eps=st.lists(st.floats(0.0, 100.0), min_size=2,
+                                     max_size=2).map(sorted))
+def test_mass_near_is_at_most_mass_and_grows_with_eps(f, eps):
+    small, large, whole = (grid_stats(f, e) for e in (*eps, 1e9))
+    assert small.mass_near <= large.mass_near + 1e-12
+    assert large.mass_near <= large.mass + 1e-12
+    assert whole.mass_near == pytest.approx(whole.mass, rel=0, abs=1e-12)
+
+
+def test_default_grid_meets_its_accuracy_target(ref_chain):
+    # the target the default point count was chosen by, on the t = 3 chain:
+    # a deficit of at most 1e-5 and mass_near(1) within 1e-6 of 12001 points,
+    # on a grid that nests into 6001 points
+    assert 6000 % (DEFAULT_N_POINTS - 1) == 0
+    assert ref_chain[3].z.size == DEFAULT_N_POINTS
+    stats = grid_stats(ref_chain[3], eps=1.0)
+    fine = grid_stats(pdf_at_time(REF_X0, 3, REF_KERNEL, n_points=12001),
+                      eps=1.0)
+    assert 1.0 - stats.mass <= 1e-5
+    assert abs(stats.mass_near - fine.mass_near) <= 1e-6
+
+
+def test_pdfs_on_one_grid_share_its_read_only_arrays(ref_chain):
+    f1, f3 = ref_chain[1], ref_chain[3]
+    assert f1.z is f3.z and f1.u is f3.u and f1.w is f3.w
+    assert not (f3.z.flags.writeable or f3.u.flags.writeable
+                or f3.w.flags.writeable)
+    # across calls too, and each pdf still owns its values
+    g1, g3 = initial_pdf(REF_X0, REF_KERNEL), pdf_at_time(REF_X0, 3, REF_KERNEL)
+    assert g1.z is g3.z and g1.w is g3.w
+    np.testing.assert_array_equal(g3.values, f3.values)
+    assert g3.values is not f3.values
 
 
 def test_grid_stats_rejects_zero_mass():
