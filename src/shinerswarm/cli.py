@@ -147,7 +147,8 @@ def _load_csv(path: str, headers) -> tuple[str, list[tuple]]:
         seen = set()
         for step, node, _, _ in table:
             if (step, node) in seen:
-                raise ConfigError(f"step {step}: node {node} appears twice")
+                raise ConfigError(f"{path}: step {step}: node {node} "
+                                  f"appears twice")
             seen.add((step, node))
     return header, table
 

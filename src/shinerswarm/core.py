@@ -12,15 +12,18 @@ neighbor is closer than ``s``, which folds attraction and collision
 avoidance into a single complex-valued function.
 
 Neighbors are the nodes within the sensing radius r. ``build_neighborhood``
-finds them with a sorted cell list and returns one CSR array pair
-(``NeighborGraph``), which the engine's vectorised step (``engine.move``)
-reads as flat (i, j) edge arrays. Nothing here keeps mutable state.
+finds them with a sorted cell list and returns them as an unsorted pair list
+(``NeighborGraph``): two index arrays holding each unordered pair once. The
+engine's vectorised step (``engine.move``) takes one hammer per pair and
+adds it to one node and its negation to the other, so the step sorts no
+edges. Nothing here keeps mutable state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -108,27 +111,42 @@ _HALF_OFFSETS = ((0, 0), (1, -1), (1, 0), (1, 1), (0, 1))
 @dataclass(frozen=True, eq=False)
 class NeighborGraph:
     """Symmetric, loop-free neighbor graph under the sensing-radius relation,
-    in compressed sparse row form.
+    as an unsorted pair list.
 
-    The neighbors of node i are ``indices[indptr[i]:indptr[i + 1]]``, in
-    ascending order; an edge (i, j) exists exactly when ``|p_i - p_j| <= r``.
+    Each unordered pair of distinct nodes with ``|p_i - p_j| <= r`` appears
+    exactly once, as ``(u[k], v[k])`` for one k, in no particular order and
+    orientation. The compressed sparse row form, neighbors ascending, is
+    built from the pairs on first read of ``indptr`` or ``indices``; the
+    simulation step never reads it.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
-
-    @property
-    def n_nodes(self) -> int:
-        return self.indptr.size - 1
+    n_nodes: int
+    u: np.ndarray
+    v: np.ndarray
 
     def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
+        return np.bincount(np.concatenate([self.u, self.v]),
+                           minlength=self.n_nodes)
 
     def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both orientations of every edge as flat (i, j) index arrays,
-        grouped by i with j ascending."""
-        i_idx = np.repeat(np.arange(self.n_nodes, dtype=np.int64), self.degrees())
-        return i_idx, self.indices
+        """Both orientations of every edge as flat (i, j) index arrays, in
+        no particular order."""
+        return (np.concatenate([self.u, self.v]),
+                np.concatenate([self.v, self.u]))
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        """CSR row offsets: node i's neighbors are
+        ``indices[indptr[i]:indptr[i + 1]]``."""
+        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
+        np.cumsum(self.degrees(), out=indptr[1:])
+        return indptr
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """CSR column indices: each node's neighbors, ascending."""
+        i_idx, j_idx = self.directed_edges()
+        return j_idx[np.lexsort((j_idx, i_idx))]
 
     def component_count(self) -> int:
         """Number of connected components (isolated nodes count as one each).
@@ -166,7 +184,9 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
     Nodes are sorted once by an int64 cell key with a one-cell margin, so no
     offset wraps and every cell is a run of the sorted order. A node's
     candidates are the later members of its own run and the runs of four
-    half-offset cells. Points at distance exactly r are neighbors: the test
+    half-offset cells, so each unordered pair is a candidate once, and the
+    candidates that pass the distance test are the returned pair list as
+    they stand. Points at distance exactly r are neighbors: the test
     compares squared magnitudes, so exactly-representable boundary pairs
     are classified without a sqrt round trip.
 
@@ -178,7 +198,7 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
     require(r >= 0, "r", "must be >= 0", r, "sensing radius ")
     check_finite(p)
     if n == 0:
-        return NeighborGraph(np.zeros(1, dtype=np.int64),
+        return NeighborGraph(0, np.empty(0, dtype=np.int64),
                              np.empty(0, dtype=np.int64))
 
     cell = (max(r, _MIN_CELL) if r > 0 else 1.0) * _CELL_SLACK
@@ -207,19 +227,19 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
     a = np.repeat(np.tile(np.arange(n), len(_HALF_OFFSETS)), counts)
     b = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts),
                                             counts)
-    u, v = order[a], order[b]
-    # candidates are under 2.9 r apart: no square overflows for r < 2**510
+    # the distance test gathers the positions in sorted order, which a and
+    # b index and where a candidate pair sits close together; only the
+    # accepted pairs are mapped back to node ids. Candidates are under
+    # 2.9 r apart: no square overflows for r < 2**510
     with np.errstate(over="ignore"):
-        d = p[u] - p[v]
-        close = ((d.real * d.real + d.imag * d.imag) <= r * r
-                 if r < 2.0 ** 510 else np.abs(d) <= r)
-    u, v = u[close], v[close]
-
-    rows = np.concatenate([u, v])
-    cols = np.concatenate([v, u])
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return NeighborGraph(indptr, np.sort(rows * n + cols) % n)
+        if r < 2.0 ** 510:
+            x, y = p.real[order], p.imag[order]
+            dx, dy = x[a] - x[b], y[a] - y[b]
+            close = dx * dx + dy * dy <= r * r
+        else:
+            ps = p[order]
+            close = np.abs(ps[a] - ps[b]) <= r
+    return NeighborGraph(n, order[a[close]], order[b[close]])
 
 def env_speed(p, params: SwarmParams):
     """Speed scale at location(s) p: ``c1 * (c2 + |p - rho|)`` when the
@@ -241,12 +261,18 @@ def hammer(z, s):
 
     Accepts scalars or arrays (broadcast together). The direction is taken
     from ``z / |z|`` rather than a trig round trip, so the output magnitude
-    is ``||z| - s|`` to within a few ulp.
+    is ``||z| - s|`` to within a few ulp. Each part is
+    ``part(z) * (1 / |z|) * (|z| - s)`` in real arithmetic, the value
+    numpy's complex ``(|z| - s) * (z / |z|)`` gives, and negating z negates
+    every part exactly: ``hammer(-z, s) == -hammer(z, s)`` bit for bit.
     """
     require(np.all(np.asarray(s) >= 0), "s", "must be >= 0", s,
             "separation distance ")
     arr = np.asarray(z, dtype=np.complex128)
     mag = np.abs(arr)
-    safe = np.where(mag > 0.0, mag, 1.0)
-    return np.where(mag > 0.0, (mag - np.asarray(s)) * (arr / safe),
-                    0.0 + 0.0j)[()]
+    inv = 1.0 / np.where(mag > 0.0, mag, 1.0)
+    f = np.where(mag > 0.0, mag - np.asarray(s), 0.0)
+    out = np.empty(f.shape, dtype=np.complex128)
+    np.multiply(arr.real * inv, f, out=out.real)
+    np.multiply(arr.imag * inv, f, out=out.imag)
+    return out[()]

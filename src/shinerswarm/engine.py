@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (BLOCK_BYTES, SwarmParams, build_neighborhood, check_finite,
-                   env_speed, hammer, require)
+from .core import (BLOCK_BYTES, NeighborGraph, SwarmParams, build_neighborhood,
+                   check_finite, env_speed, hammer, require)
 
 # Master seeds are the first Philox key word, an unsigned 64-bit integer.
 SEED_LIMIT = 2 ** 64
@@ -132,24 +132,31 @@ def resolve_sigma_const(params: SwarmParams, positions) -> SwarmParams:
     return replace(params, sigma_const=float(params.c1 * (params.c2 + mean)))
 
 
-def move(positions: np.ndarray, params: SwarmParams,
-         g: np.ndarray) -> np.ndarray:
+def move(positions: np.ndarray, params: SwarmParams, g: np.ndarray,
+         graph: NeighborGraph | None = None) -> np.ndarray:
     """Positions after one synchronous step in which node i uses the normals
     ``g[i]``: the step length is ``sigma * hypot(g[i, 0], g[i, 1])`` and the
     heading is the angle of the social term plus the noise
-    ``g[i, 2] + 1j * g[i, 3]``. Pure: reads the time-t positions only."""
+    ``g[i, 2] + 1j * g[i, 3]``. Pure: reads the time-t positions only.
+
+    The social term of node i sums ``hammer(p_j - p_i, s)`` over its
+    neighbors j. Each pair (u, v) of ``graph``, the neighbor graph of
+    ``positions`` (built here when None), takes one hammer h, adds h to u's
+    sum and -h to v's; hammer is odd bit for bit, so -h is v's own term."""
     p = positions
     n = p.size
     u_raw = np.hypot(g[:, 0], g[:, 1])
     z = g[:, 2] + 1j * g[:, 3]
 
     if params.social_enabled:
-        graph = build_neighborhood(p, params.r)
-        i_idx, j_idx = graph.directed_edges()
-        hs = hammer(p[j_idx] - p[i_idx], params.s)
-        acc = (np.bincount(i_idx, weights=hs.real, minlength=n)
-               + 1j * np.bincount(i_idx, weights=hs.imag, minlength=n))
-        deg = graph.degrees()
+        if graph is None:
+            graph = build_neighborhood(p, params.r)
+        h = hammer(p[graph.v] - p[graph.u], params.s)
+        nodes = np.concatenate([graph.u, graph.v])
+        hs = np.concatenate([h, -h])
+        acc = (np.bincount(nodes, weights=hs.real, minlength=n)
+               + 1j * np.bincount(nodes, weights=hs.imag, minlength=n))
+        deg = np.bincount(nodes, minlength=n)
         arg = np.where(deg > 0,
                        (params.w / np.maximum(deg, 1)) * acc + z,
                        z)
@@ -161,24 +168,29 @@ def move(positions: np.ndarray, params: SwarmParams,
     return p + env_speed(p, params) * u_raw * np.exp(1j * v)
 
 
-def advance_swarm(state: SwarmState, params: SwarmParams) -> SwarmState:
+def advance_swarm(state: SwarmState, params: SwarmParams,
+                  graph: NeighborGraph | None = None) -> SwarmState:
     """One synchronous step: all nodes read the time-t snapshot, draw their
-    step-t normals, and move together; returns the t+1 state.
+    step-t normals, and move together; returns the t+1 state. ``graph``, if
+    given, is the neighbor graph of the time-t positions (see ``move``).
 
     Raises ValueError, naming the node, when a new position overflows to a
     non-finite value, so a diverging walk stops at the step it diverges."""
     p = state.positions
     g = step_normals(state.seed, state.t, p.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        p = move(p, params, g)
+        p = move(p, params, g, graph)
     check_finite(p)
     return SwarmState(t=state.t + 1, positions=p, seed=state.seed)
 
 
-def compute_metrics(state: SwarmState, params: SwarmParams, eps: float) -> Metrics:
+def compute_metrics(state: SwarmState, params: SwarmParams, eps: float,
+                    graph: NeighborGraph | None = None) -> Metrics:
     """Convergence and cohesion summary of one frame.
 
-    Clusters are the connected components of the sensing-radius graph. The
+    Clusters are the connected components of the sensing-radius graph:
+    ``graph`` if given, which must be the neighbor graph of
+    ``state.positions`` under ``params.r``, else one built here. The
     pairwise mean is over unordered pairs and is 0 for a single node: the
     sum of ``|p_i - p_j|`` over full rows, which counts each pair twice, over
     ``n (n - 1)``. Rows go in blocks of ``core.BLOCK_BYTES``, so memory is
@@ -186,7 +198,8 @@ def compute_metrics(state: SwarmState, params: SwarmParams, eps: float) -> Metri
     for distance sums that overflow.
     """
     p = state.positions
-    graph = build_neighborhood(p, params.r)
+    if graph is None:
+        graph = build_neighborhood(p, params.r)
     n = p.size
     rows = max(1, BLOCK_BYTES // (n * p.itemsize))
     with np.errstate(over="ignore"):
@@ -223,17 +236,25 @@ def run(params: SwarmParams, master_seed: int, region: Box, n_steps: int,
     every ``snapshot_stride`` steps, and the final step. Steps never modify
     a state, so each recorded one is a resumable snapshot.
 
+    A recorded state's neighbor graph is built once, for its metrics, and
+    handed on to the next step; any other state's is built by the step that
+    reads it, if the social factor is on. So no graph is built twice.
+
     A ValueError from a step or its metrics names the step (see
     ``at_step``), the initial placement's metrics as step 0."""
     check_run_args(n_steps, snapshot_stride, eps)
     state = init_swarm(params, master_seed, region)
     params = resolve_sigma_const(params, state.positions)
-    records = [(state, at_step(0, compute_metrics, state, params, eps))]
-    for t in range(1, n_steps + 1):
-        state = at_step(t, advance_swarm, state, params)
+    records = []
+    graph = None
+    for t in range(n_steps + 1):
+        if t > 0:
+            state = at_step(t, advance_swarm, state, params, graph)
+            graph = None
         if t % snapshot_stride == 0 or t == n_steps:
+            graph = at_step(t, build_neighborhood, state.positions, params.r)
             records.append((state, at_step(t, compute_metrics, state, params,
-                                           eps)))
+                                           eps, graph)))
     return records
 
 

@@ -5,7 +5,9 @@ node's neighbors from the CSR graph one slice at a time and take its four
 normals from an explicit stream argument (anything with a
 ``standard_normal`` method, such as ``conftest.FakeStream`` or a
 ``numpy.random.Generator``). The tests compare ``engine.move``, which does
-the same for all nodes at once, against them.
+the same for all nodes at once, against them. ``dense_move`` does so for
+every node with no graph at all, and ``hammer_reference`` keeps the hammer
+map's complex formula.
 """
 
 from __future__ import annotations
@@ -62,6 +64,42 @@ def social_direction(i: int, positions, graph: NeighborGraph,
     if v == -math.pi:  # atan2(-0.0, x<0); fold onto the (-pi, pi] convention
         return math.pi
     return v
+
+
+def hammer_reference(z, s):
+    """The hammer map in complex arithmetic, ``(|z| - s) * (z / |z|)`` with
+    0 mapped to 0: the formula that ``core.hammer`` evaluates part by part
+    in real arithmetic."""
+    arr = np.asarray(z, dtype=np.complex128)
+    mag = np.abs(arr)
+    safe = np.where(mag > 0.0, mag, 1.0)
+    return np.where(mag > 0.0, (mag - np.asarray(s)) * (arr / safe),
+                    0.0 + 0.0j)[()]
+
+
+def dense_move(positions, params: SwarmParams, g: np.ndarray) -> np.ndarray:
+    """``engine.move`` without a neighbor graph: node i's neighbors are read
+    from the full squared-distance matrix, its social term sums
+    ``hammer_reference(p_j - p_i, s)`` over them in ascending j, and it
+    steps with the normals ``g[i]`` as in ``node_step``."""
+    p = np.asarray(positions, dtype=np.complex128)
+    d = p[None, :] - p[:, None]
+    close = d.real * d.real + d.imag * d.imag <= params.r * params.r
+    np.fill_diagonal(close, False)
+    out = np.empty_like(p)
+    for i in range(p.size):
+        nbrs = np.flatnonzero(close[i])
+        z = complex(g[i, 2], g[i, 3])
+        arg = z
+        if params.social_enabled and nbrs.size > 0:
+            total = complex(np.sum(hammer_reference(d[i, nbrs], params.s)))
+            arg = (params.w / nbrs.size) * total + z
+        v = math.atan2(arg.imag, arg.real)
+        if v == -math.pi:
+            v = math.pi
+        out[i] = p[i] + step_displacement(env_speed(p[i], params), v,
+                                          math.hypot(g[i, 0], g[i, 1]))
+    return out
 
 
 def step_displacement(sigma, v, u_raw):

@@ -498,7 +498,7 @@ def test_metrics_repeated_node_id_exits_2_naming_step_and_node(tmp_path,
     csv.write_text("step,node_id,x,y\n0,1,0.1,0.2\n0,1,0.3,0.4\n")
     assert main(["metrics", "--in", str(csv), "--eps", "0.1"]) == 2
     err = capsys.readouterr()
-    assert err.err == "error: step 0: node 1 appears twice\n"
+    assert err.err == f"error: {csv}: step 0: node 1 appears twice\n"
     assert err.out == ""
 
 
@@ -508,7 +508,8 @@ def test_render_repeated_node_id_exits_5_naming_step_and_node(tmp_path,
     csv.write_text("step,node_id,x,y\n0,1,0.1,0.2\n0,1,0.3,0.4\n")
     out = tmp_path / "x.svg"
     assert main(["render", "--in", str(csv), "--out", str(out)]) == 5
-    assert capsys.readouterr().err == "error: step 0: node 1 appears twice\n"
+    assert (capsys.readouterr().err
+            == f"error: {csv}: step 0: node 1 appears twice\n")
     assert not out.exists()
 
 

@@ -3,10 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FakeStream
 from oracle import (
     StepDraw,
+    hammer_reference,
     neighbors,
     node_step,
     sample_u,
@@ -246,6 +249,33 @@ def test_hammer_magnitude_and_direction_properties():
     np.testing.assert_allclose(unit_out[outside], unit_z[outside], atol=1e-12)
     np.testing.assert_allclose(unit_out[inside & nonzero],
                                -unit_z[inside & nonzero], atol=1e-12)
+
+
+# parts of z: 0 of either sign, dyadic values (|z| = s exactly for 3-4-5
+# triples), and magnitudes from 1e-300 to 1e150, where 1 / |z| and |z| are
+# finite
+_z_parts = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.integers(-40, 40).map(lambda k: k / 32),
+    st.floats(1e-300, 1e150).flatmap(lambda x: st.sampled_from([x, -x])))
+_separations = st.one_of(st.integers(0, 12).map(lambda m: m / 32),
+                         st.floats(0.0, 10.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_z_parts, _z_parts), min_size=1, max_size=40),
+       _separations)
+def test_hammer_is_the_complex_formula_and_exactly_odd(parts, s):
+    z = np.array([complex(x, y) for x, y in parts])
+    out = hammer(z, s)
+    # equal in value on both parts, hence bit for bit except that a zero
+    # part may differ in sign
+    np.testing.assert_array_equal(out.view(np.float64),
+                                  hammer_reference(z, s).view(np.float64))
+    # odd bit for bit, signed zeros included: the pair-once social sum
+    # gives a pair's second node exactly the negation of the first's hammer
+    np.testing.assert_array_equal(hammer(-z, s).view(np.uint64),
+                                  (-out).view(np.uint64))
 
 
 def test_hammer_rejects_negative_separation():

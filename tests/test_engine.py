@@ -12,6 +12,7 @@ from scipy.spatial.distance import pdist
 
 from conftest import FakeStream
 from oracle import node_step
+from shinerswarm import engine
 from shinerswarm.core import (
     BLOCK_BYTES,
     ParamError,
@@ -397,6 +398,38 @@ def test_run_snapshots_are_resumable():
     for _ in range(5):
         state = advance_swarm(state, params)
     assert np.array_equal(state.positions, records[2][0].positions)
+
+
+@pytest.mark.parametrize("mode, n_steps, stride, builds", [
+    ("both", 70, 35, 71), ("social", 10, 4, 11),
+    ("env", 70, 35, 3), ("env", 10, 4, 4)])
+def test_run_builds_each_state_graph_once(monkeypatch, mode, n_steps, stride,
+                                          builds):
+    # a social run needs every state's graph but the last's for its step,
+    # and the last state is recorded: n_steps + 1 builds; an env-only run
+    # builds at recorded states only (t = 0, 35, 70 and t = 0, 4, 8, 10)
+    built = []
+
+    def counted(positions, r):
+        built.append(positions)
+        return build_neighborhood(positions, r)
+
+    monkeypatch.setattr(engine, "build_neighborhood", counted)
+    params = SwarmParams(n_nodes=30, env_enabled=mode != "social",
+                         social_enabled=mode != "env")
+    run(params, 3, UNIT_BOX, n_steps=n_steps, snapshot_stride=stride)
+    assert len(built) == builds
+    assert len({id(p) for p in built}) == builds
+
+
+def test_a_passed_graph_gives_the_step_and_metrics_of_a_built_one():
+    params = SwarmParams(n_nodes=40)
+    state = init_swarm(params, 8, UNIT_BOX)
+    graph = build_neighborhood(state.positions, params.r)
+    assert np.array_equal(advance_swarm(state, params, graph).positions,
+                          advance_swarm(state, params).positions)
+    assert (compute_metrics(state, params, 0.15, graph)
+            == compute_metrics(state, params, 0.15))
 
 
 def test_snapshot_resumes_bit_for_bit_from_plain_data():

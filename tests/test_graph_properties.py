@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from oracle import neighbors
-from shinerswarm.core import NeighborGraph, build_neighborhood
+from oracle import dense_move, neighbors
+from shinerswarm.core import NeighborGraph, SwarmParams, build_neighborhood
+from shinerswarm.engine import move, step_normals
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
                              derandomize=True, database=None)
@@ -121,12 +122,15 @@ def edge_lists(draw):
 
 
 def graph_from_edges(n, edges):
-    """CSR graph of the undirected simple graph on n nodes with these edges."""
-    pairs = {(i, j) for i, j in edges if i != j}
-    pairs |= {(j, i) for i, j in pairs}
-    rows = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows[:, 0], minlength=n))])
-    return NeighborGraph(indptr.astype(np.int64), rows[:, 1])
+    """Pair-list graph of the undirected simple graph on n nodes with these
+    edges: each unordered pair once, in the order and orientation first
+    listed."""
+    pairs = {}
+    for i, j in edges:
+        if i != j:
+            pairs.setdefault(frozenset((i, j)), (i, j))
+    uv = np.array(list(pairs.values()), dtype=np.int64).reshape(-1, 2)
+    return NeighborGraph(n, uv[:, 0], uv[:, 1])
 
 
 @PROPERTY_SETTINGS
@@ -144,3 +148,28 @@ def test_component_count_on_shuffled_long_path():
     for path in (order, np.arange(n)[::-1]):
         graph = graph_from_edges(n, zip(path[:-1].tolist(), path[1:].tolist()))
         assert graph.component_count() == 1
+
+
+@PROPERTY_SETTINGS
+@given(point_sets)
+def test_pair_list_holds_each_neighbor_pair_once(case):
+    p, r = case
+    graph = build_neighborhood(p, r)
+    indptr, _ = brute_force_csr(p, r)
+    np.testing.assert_array_equal(graph.degrees(), np.diff(indptr))
+    assert np.all(graph.u != graph.v)
+    pairs = {frozenset(e) for e in zip(graph.u.tolist(), graph.v.tolist())}
+    assert len(pairs) == graph.u.size
+
+
+@PROPERTY_SETTINGS
+@given(point_sets, st.floats(0.0, 2.0), st.floats(0.0, 50.0),
+       st.integers(0, 2 ** 64 - 1))
+def test_pair_list_social_sum_matches_dense_oracle(case, s, w, seed):
+    # one hammer per pair, added to one node and negated for the other,
+    # against every node summing its own hammers over ascending j
+    p, r = case
+    params = SwarmParams(r=r, s=s, w=w)
+    g = step_normals(seed, 0, p.size)
+    np.testing.assert_allclose(move(p, params, g), dense_move(p, params, g),
+                               rtol=0, atol=1e-12)
