@@ -107,6 +107,9 @@ _MAX_CELL = 2.0 ** 30
 # cells once.
 _HALF_OFFSETS = ((0, 0), (1, -1), (1, 0), (1, 1), (0, 1))
 
+# The smallest normal double; ``hammer`` rescales magnitudes below it.
+_MIN_NORMAL = 2.0 ** -1022
+
 
 @dataclass(frozen=True, eq=False)
 class NeighborGraph:
@@ -264,15 +267,22 @@ def hammer(z, s):
     is ``||z| - s|`` to within a few ulp. Each part is
     ``part(z) * (1 / |z|) * (|z| - s)`` in real arithmetic, the value
     numpy's complex ``(|z| - s) * (z / |z|)`` gives, and negating z negates
-    every part exactly: ``hammer(-z, s) == -hammer(z, s)`` bit for bit.
+    every part exactly: ``hammer(-z, s) == -hammer(z, s)`` bit for bit. A z
+    with subnormal ``|z|``, where ``1 / |z|`` may overflow, takes its
+    direction from z scaled by ``2**1022``, which is exact.
     """
     require(np.all(np.asarray(s) >= 0), "s", "must be >= 0", s,
             "separation distance ")
     arr = np.asarray(z, dtype=np.complex128)
     mag = np.abs(arr)
-    inv = 1.0 / np.where(mag > 0.0, mag, 1.0)
     f = np.where(mag > 0.0, mag - np.asarray(s), 0.0)
+    re, im, unit_mag = arr.real, arr.imag, mag
+    if (mag < _MIN_NORMAL).any():
+        scale = np.where((mag > 0.0) & (mag < _MIN_NORMAL), 2.0 ** 1022, 1.0)
+        re, im = re * scale, im * scale
+        unit_mag = np.where(scale > 1.0, np.hypot(re, im), mag)
+    inv = 1.0 / np.where(unit_mag > 0.0, unit_mag, 1.0)
     out = np.empty(f.shape, dtype=np.complex128)
-    np.multiply(arr.real * inv, f, out=out.real)
-    np.multiply(arr.imag * inv, f, out=out.imag)
+    np.multiply(re * inv, f, out=out.real)
+    np.multiply(im * inv, f, out=out.imag)
     return out[()]

@@ -3,13 +3,19 @@
 Each step, all nodes read the same time-t snapshot, take four standard
 normals each (two for the step length, two for the heading noise), and move
 simultaneously. The normals of node i at step t are a pure function of
-(master seed, i, t): ``step_normals`` reads them from one counter-based
-Philox stream (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC'11) keyed by the seed, where the block of node i at step t sits at
-counter (i, t, 0, 0). A state is therefore just (t, positions, seed): it
-owns no generator, advancing it mutates nothing, and any copy resumes bit
-for bit, whatever the scheduling. Initial placement uses a separate stream
-(``init_swarm``).
+(master seed, i, t): they are the Philox4x64 block (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11) with key (master seed, 0) at
+counter (i, t, 0, 0). A walk reads them a block of consecutive steps at a
+time from one generator, which jumps from the end of step t's row to
+counter (0, t + 1, 0, 0), so a block row equals ``step_normals`` of its
+step bit for bit. Blocks hold at most 64 KiB of normals, so they span
+many steps of a small swarm and one step of a large one. The factors
+that depend on the draws alone (the step length factor, the heading noise
+and, with the social factor off, the heading) are computed once per block;
+only the position-dependent part of a step runs per step. A state is
+therefore just (t, positions, seed): it owns no generator, advancing it
+mutates nothing, and any copy resumes bit for bit, whatever the
+scheduling. Initial placement uses a separate stream (``init_swarm``).
 """
 
 from __future__ import annotations
@@ -27,6 +33,11 @@ SEED_LIMIT = 2 ** 64
 
 # Radius around the darkest spot within which a node counts as arrived.
 DEFAULT_EPS = 0.15
+
+# Most normals a walk draws at once: 64 KiB is about 20 steps at N = 100,
+# where a block saves the generator set-up and numpy calls of 19 steps, and
+# one step from N = 2048 on, where more steps would only add memory.
+_DRAW_BYTES = 2 ** 16
 
 
 def check_seed(seed) -> int:
@@ -106,18 +117,66 @@ def step_normals(master_seed: int, t: int, n: int) -> np.ndarray:
 
     Row i comes from the four 64-bit words of the Philox4x64 block with key
     (master_seed, 0) and counter (i, t, 0, 0), so it depends on neither n nor
-    the order of evaluation. Box-Muller maps each pair of words (a, b) to
+    the order of evaluation; the step is the counter's second word. Box-Muller
+    maps each pair of words (a, b) to
     ``sqrt(-2 log(1 - u_a)) * (cos, sin)(2 pi u_b)`` with the 53-bit uniforms
-    ``u = (word >> 11) * 2**-53`` in [0, 1), so every value is finite.
+    ``u = (word >> 11) * 2**-53`` in [0, 1), so every value is finite. A walk
+    reads the same rows a block of steps at a time (``_block_normals``).
     """
+    return _block_normals(master_seed, t, n, 1)[0]
+
+
+def _block_normals(master_seed: int, t: int, n: int, k: int) -> np.ndarray:
+    """The (k, n, 4) normals of steps t..t+k-1: row j is
+    ``step_normals(master_seed, t + j, n)``, read from one generator."""
     # uint64 arrays: numpy converts a key or counter given as a list of
     # Python ints through float64, which rounds words above 2**53
     key = np.array([check_seed(master_seed), 0], dtype=np.uint64)
     counter = np.array([0, t, 0, 0], dtype=np.uint64)
-    raw = np.random.Philox(key=key, counter=counter).random_raw(4 * n)
-    u = (raw >> 11).reshape(n, 2, 2) * 2.0 ** -53
+    bitgen = np.random.Philox(key=key, counter=counter)
+    rows = []
+    for _ in range(k):
+        rows.append(bitgen.random_raw(4 * n))
+        # the n blocks read took the counter to (n, t, 0, 0); wrapping the
+        # first word carries into the second: (0, t + 1, 0, 0)
+        bitgen.advance(2 ** 64 - n)
+    # one step's words, the usual case at large n, need no copy
+    raw = rows[0] if k == 1 else np.concatenate(rows)
+    u = (raw >> 11).reshape(k, n, 2, 2) * 2.0 ** -53
     g = np.sqrt(-2.0 * np.log1p(-u[..., 0])) * np.exp(2j * np.pi * u[..., 1])
     return g.view(np.float64)
+
+
+def _heading(arg: np.ndarray) -> np.ndarray:
+    """``exp(1j * angle(arg))``, with the angle -pi folded onto pi."""
+    v = np.angle(arg)
+    v = np.where(v == -np.pi, np.pi, v)
+    return np.exp(1j * v)
+
+
+def _draw_factors(g: np.ndarray, social: bool):
+    """The factors of a step that depend on its normals ``g[..., :4]``
+    alone: the step length factor ``hypot(g0, g1)``, and the heading noise
+    ``g2 + 1j * g3`` when the social factor is on, else the heading itself
+    (the noise's unit vector)."""
+    u_raw = np.hypot(g[..., 0], g[..., 1])
+    z = g[..., 2] + 1j * g[..., 3]
+    return u_raw, (z if social else _heading(z))
+
+
+def _draws(master_seed: int, t: int, n: int, n_steps: int, social: bool):
+    """The draw factors (see ``_draw_factors``) of n nodes at steps
+    t..t+n_steps-1, one step at a time, computed a block of at most
+    ``_DRAW_BYTES`` of normals at a time. It takes no state, which would
+    keep the walk's first positions alive."""
+    k_max = max(1, _DRAW_BYTES // (32 * n))
+    end = t + n_steps
+    for t0 in range(t, end, k_max):
+        # the normals are dropped once their factors are made; a caller that
+        # passes each step's factors on without keeping them holds no more
+        # than one block at a time
+        yield from zip(*_draw_factors(
+            _block_normals(master_seed, t0, n, min(k_max, end - t0)), social))
 
 
 def resolve_sigma_const(params: SwarmParams, positions) -> SwarmParams:
@@ -143,12 +202,15 @@ def move(positions: np.ndarray, params: SwarmParams, g: np.ndarray,
     neighbors j. Each pair (u, v) of ``graph``, the neighbor graph of
     ``positions`` (built here when None), takes one hammer h, adds h to u's
     sum and -h to v's; hammer is odd bit for bit, so -h is v's own term."""
-    p = positions
-    n = p.size
-    u_raw = np.hypot(g[:, 0], g[:, 1])
-    z = g[:, 2] + 1j * g[:, 3]
+    return _move(positions, params, *_draw_factors(g, params.social_enabled),
+                 graph)
 
+
+def _move(p: np.ndarray, params: SwarmParams, u_raw: np.ndarray,
+          heading: np.ndarray, graph: NeighborGraph | None) -> np.ndarray:
+    """``move`` from the step's draw factors (see ``_draw_factors``)."""
     if params.social_enabled:
+        n = p.size
         if graph is None:
             graph = build_neighborhood(p, params.r)
         h = hammer(p[graph.v] - p[graph.u], params.s)
@@ -157,15 +219,11 @@ def move(positions: np.ndarray, params: SwarmParams, g: np.ndarray,
         acc = (np.bincount(nodes, weights=hs.real, minlength=n)
                + 1j * np.bincount(nodes, weights=hs.imag, minlength=n))
         deg = np.bincount(nodes, minlength=n)
-        arg = np.where(deg > 0,
-                       (params.w / np.maximum(deg, 1)) * acc + z,
-                       z)
-    else:
-        arg = z
-
-    v = np.angle(arg)
-    v = np.where(v == -np.pi, np.pi, v)
-    return p + env_speed(p, params) * u_raw * np.exp(1j * v)
+        heading = _heading(np.where(deg > 0,
+                                    (params.w / np.maximum(deg, 1)) * acc
+                                    + heading,
+                                    heading))
+    return p + env_speed(p, params) * u_raw * heading
 
 
 def advance_swarm(state: SwarmState, params: SwarmParams,
@@ -176,10 +234,17 @@ def advance_swarm(state: SwarmState, params: SwarmParams,
 
     Raises ValueError, naming the node, when a new position overflows to a
     non-finite value, so a diverging walk stops at the step it diverges."""
-    p = state.positions
-    g = step_normals(state.seed, state.t, p.size)
+    draw = next(_draws(state.seed, state.t, state.positions.size, 1,
+                       params.social_enabled))
+    return _advance(state, params, draw, graph)
+
+
+def _advance(state: SwarmState, params: SwarmParams, draw,
+             graph: NeighborGraph | None = None) -> SwarmState:
+    """``advance_swarm`` with the step's draw factors given; ``run`` and
+    ``first_passage`` step through here with their walk's block draws."""
     with np.errstate(over="ignore", invalid="ignore"):
-        p = move(p, params, g, graph)
+        p = _move(state.positions, params, *draw, graph)
     check_finite(p)
     return SwarmState(t=state.t + 1, positions=p, seed=state.seed)
 
@@ -245,11 +310,13 @@ def run(params: SwarmParams, master_seed: int, region: Box, n_steps: int,
     check_run_args(n_steps, snapshot_stride, eps)
     state = init_swarm(params, master_seed, region)
     params = resolve_sigma_const(params, state.positions)
+    draws = _draws(master_seed, 0, params.n_nodes, n_steps,
+                   params.social_enabled)
     records = []
     graph = None
     for t in range(n_steps + 1):
         if t > 0:
-            state = at_step(t, advance_swarm, state, params, graph)
+            state = at_step(t, _advance, state, params, next(draws), graph)
             graph = None
         if t % snapshot_stride == 0 or t == n_steps:
             graph = at_step(t, build_neighborhood, state.positions, params.r)
@@ -269,8 +336,10 @@ def first_passage(params: SwarmParams, master_seed: int, region: Box,
     require(max_steps >= 0, "max_steps", "must be >= 0", max_steps)
     state = init_swarm(params, master_seed, region)
     params = resolve_sigma_const(params, state.positions)
+    draws = _draws(master_seed, 0, params.n_nodes, max_steps,
+                   params.social_enabled)
     for t in range(1, max_steps + 1):
-        state = at_step(t, advance_swarm, state, params)
+        state = at_step(t, _advance, state, params, next(draws))
         if (np.abs(state.positions - params.rho) <= eps).mean() >= frac:
             return t
     return None

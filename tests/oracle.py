@@ -7,7 +7,10 @@ normals from an explicit stream argument (anything with a
 ``numpy.random.Generator``). The tests compare ``engine.move``, which does
 the same for all nodes at once, against them. ``dense_move`` does so for
 every node with no graph at all, and ``hammer_reference`` keeps the hammer
-map's complex formula.
+map's complex formula. ``fresh_step_normals`` draws a step's normals from a
+Philox generator of its own, and ``stepped_walk`` steps a walk one
+``step_normals`` and ``move`` at a time: the references for the engine's
+block draws.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from shinerswarm.core import NeighborGraph, SwarmParams, env_speed, hammer
+from shinerswarm.core import (NeighborGraph, SwarmParams, check_finite,
+                              env_speed, hammer)
+from shinerswarm.engine import (SwarmState, init_swarm, move,
+                                resolve_sigma_const, step_normals)
 
 
 def neighbors(graph: NeighborGraph, i: int) -> np.ndarray:
@@ -153,3 +159,28 @@ def node_step(i: int, positions, graph: NeighborGraph, params: SwarmParams,
     sigma = env_speed(positions[i], params)
     v = social_direction(i, positions, graph, params, z)
     return step_displacement(sigma, v, u_raw), StepDraw(u_raw, z, v, sigma)
+
+
+def fresh_step_normals(seed: int, t: int, n: int) -> np.ndarray:
+    """The (n, 4) normals of step t, from a Philox generator made for this
+    step alone at counter (0, t, 0, 0), by vectorised Box-Muller."""
+    key = np.array([seed, 0], dtype=np.uint64)
+    counter = np.array([0, t, 0, 0], dtype=np.uint64)
+    raw = np.random.Philox(key=key, counter=counter).random_raw(4 * n)
+    u = (raw >> 11).reshape(n, 2, 2) * 2.0 ** -53
+    g = np.sqrt(-2.0 * np.log1p(-u[..., 0])) * np.exp(2j * np.pi * u[..., 1])
+    return g.view(np.float64)
+
+
+def stepped_walk(params: SwarmParams, seed: int, region, n_steps: int):
+    """The states of ``engine.run``'s walk at t = 0, 1, ..., n_steps, each
+    step a plain ``step_normals``, ``move`` and ``check_finite``."""
+    state = init_swarm(params, seed, region)
+    params = resolve_sigma_const(params, state.positions)
+    yield state
+    p = state.positions
+    for t in range(n_steps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = move(p, params, step_normals(seed, t, p.size))
+        check_finite(p)
+        yield SwarmState(t=t + 1, positions=p, seed=seed)

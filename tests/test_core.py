@@ -278,6 +278,26 @@ def test_hammer_is_the_complex_formula_and_exactly_odd(parts, s):
                                   (-out).view(np.uint64))
 
 
+@pytest.mark.parametrize("z", [5e-324 + 0j, 3e-309 + 1e-309j, -1e-320j,
+                               2.2e-308 - 5e-324j])
+def test_hammer_of_a_subnormal_displacement_is_finite(z):
+    # 1 / |z| overflows below |z| ~ 5.6e-309; RuntimeWarnings are errors here
+    z = np.array([z, -z, 0.3 + 0.4j])
+    for s in (0.08, 1.0):
+        out = hammer(z, s)
+        assert np.all(np.isfinite(out))
+        np.testing.assert_allclose(np.abs(out), np.abs(np.abs(z) - s),
+                                   rtol=4 * np.finfo(float).eps, atol=0)
+        # reversed inside s; 2**1022 z is normal, so its unit vector is exact
+        # to an ulp
+        w = z[:2] * 2.0 ** 1022
+        np.testing.assert_allclose(out[:2] / np.abs(out[:2]), -w / np.abs(w),
+                                   rtol=0, atol=4 * np.finfo(float).eps)
+        assert out[2] == hammer(0.3 + 0.4j, s)
+        np.testing.assert_array_equal(hammer(-z, s).view(np.uint64),
+                                      (-out).view(np.uint64))
+
+
 def test_hammer_rejects_negative_separation():
     with pytest.raises(ValueError):
         hammer(1 + 0j, -0.1)

@@ -11,15 +11,17 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from conftest import FakeStream
-from oracle import node_step
+from oracle import fresh_step_normals, node_step, stepped_walk
 from shinerswarm import engine
 from shinerswarm.core import (
     BLOCK_BYTES,
     ParamError,
     SwarmParams,
     build_neighborhood,
+    env_speed,
 )
 from shinerswarm.engine import (
+    DEFAULT_EPS,
     Box,
     SwarmState,
     advance_swarm,
@@ -144,6 +146,30 @@ def test_step_normals_moments():
     assert u_raw.mean() == pytest.approx(math.sqrt(math.pi / 2), abs=0.01)
 
 
+def _block_steps(n: int) -> int:
+    """Steps in one of a walk's block draws of n nodes: 32 bytes of normals
+    per node-step, at most ``engine._DRAW_BYTES`` per block."""
+    return max(1, engine._DRAW_BYTES // (32 * n))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), t0=st.integers(0, 10 ** 6),
+       n=st.integers(1, 300), extra=st.integers(1, 12), social=st.booleans())
+def test_block_draws_are_the_step_draws(seed, t0, n, extra, social):
+    # more steps than one block holds: the walk's draws cross the byte cap
+    n_steps = _block_steps(n) + extra
+    block = engine._block_normals(seed, t0, n, n_steps)
+    walk = list(engine._draws(seed, t0, n, n_steps, social))
+    assert block.shape == (n_steps, n, 4) and len(walk) == n_steps
+    for j in range(n_steps):
+        g = step_normals(seed, t0 + j, n)
+        # one Philox generator per step gives the same bits
+        assert g.tobytes() == fresh_step_normals(seed, t0 + j, n).tobytes()
+        assert block[j].tobytes() == g.tobytes()
+        for got, want in zip(walk[j], engine._draw_factors(g, social)):
+            assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # advance_swarm
 
@@ -245,6 +271,35 @@ def test_translation_equivariance(points, shift, social, seed):
     np.testing.assert_allclose(
         move(p + c, replace(params, rho=params.rho + c), g),
         move(p, params, g) + c, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("env", [True, False])
+def test_move_without_social_term_is_the_step_formula(env):
+    # the step is (sigma * u_raw) * exp(1j * v), multiplied in that order;
+    # sigma * (u_raw * exp(1j * v)) differs in the last bits
+    params = replace(SwarmParams(n_nodes=500, social_enabled=False,
+                                 env_enabled=env), sigma_const=0.07)
+    p = init_swarm(params, 4, UNIT_BOX).positions
+    g = step_normals(4, 9, p.size)
+    v = np.angle(g[:, 2] + 1j * g[:, 3])
+    v = np.where(v == -np.pi, np.pi, v)
+    step = (env_speed(p, params) * np.hypot(g[:, 0], g[:, 1])) * np.exp(1j * v)
+    assert move(p, params, g).tobytes() == (p + step).tobytes()
+
+
+def test_move_nodes_a_subnormal_distance_apart():
+    # hammer(5e-324) is -0.08, as for any distance well inside s, so the
+    # step is the one from a pair 1e-300 apart; positions differ by less
+    # than an ulp of the step
+    params = SwarmParams(n_nodes=2)
+    g = step_normals(3, 0, 2)
+    for offset in (5e-324, 3e-309 + 1e-309j):
+        moved = move(np.array([0j, offset]), params, g)
+        assert np.all(np.isfinite(moved))
+        np.testing.assert_allclose(
+            moved, move(np.array([0j, 1e-300 * (offset / abs(offset))]),
+                        params, g),
+            rtol=1e-15, atol=0)
 
 
 def test_advance_env_off_requires_sigma_const():
@@ -517,3 +572,105 @@ def test_env_only_divergence_is_named_at_the_step_it_happens():
         first_passage(params, 0, UNIT_BOX, 0.15, 0.9, 2000)
     with pytest.raises(ValueError, match=message):
         run(params, 0, UNIT_BOX, n_steps=1000, snapshot_stride=1000)
+
+
+# ---------------------------------------------------------------------------
+# run and first_passage against a walk stepped one draw at a time
+
+_MODES = [(env, social) for env in (True, False) for social in (True, False)]
+_K = _block_steps(100)  # steps 1.._K of a 100-node walk take its first block
+
+
+@pytest.mark.parametrize("env, social", _MODES)
+@pytest.mark.parametrize("n_steps, stride", [(0, 5), (2 * _K + 7, 10),
+                                             (2 * _K, _K)])
+def test_run_is_the_per_step_walk(env, social, n_steps, stride):
+    params = SwarmParams(env_enabled=env, social_enabled=social)
+    walk = list(stepped_walk(params, 5, UNIT_BOX, n_steps))
+    resolved = resolve_sigma_const(params, walk[0].positions)
+    records = run(params, 5, UNIT_BOX, n_steps, stride)
+    assert [s.t for s, _ in records] == [
+        t for t in range(n_steps + 1) if t % stride == 0 or t == n_steps]
+    for state, metrics in records:
+        want = walk[state.t]
+        assert state.positions.tobytes() == want.positions.tobytes()
+        assert metrics == compute_metrics(want, resolved, DEFAULT_EPS)
+
+
+def _passage_inputs(walk, target: int, rho: complex):
+    """(eps, frac) at which the walk's first passage, from step 1 on, is
+    step ``target``, or None: eps is the m-th smallest distance to rho at
+    ``target`` and frac = m / N, for an m at which that distance is below
+    the m-th smallest at every earlier step."""
+    q = np.sort([np.abs(s.positions - rho) for s in walk[1:target + 1]],
+                axis=1)
+    n = q.shape[1]
+    for m in range(n, 0, -1):
+        if target == 1 or q[-1, m - 1] < q[:-1, m - 1].min():
+            return float(q[-1, m - 1]), m / n
+    return None
+
+
+def _record_steps(monkeypatch) -> list:
+    """The positions of every step, as ``engine.check_finite`` sees them."""
+    seen = []
+    check_finite = engine.check_finite
+
+    def recorded(p):
+        seen.append(p)
+        check_finite(p)
+
+    monkeypatch.setattr(engine, "check_finite", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("env, social", _MODES)
+@pytest.mark.parametrize("target", [_K // 2, _K, 2 * _K])
+def test_first_passage_is_the_per_step_walk(monkeypatch, env, social, target):
+    # a passage mid-block, on the first block's last step and on the
+    # second's, reached by the walk of the first seed that has one there
+    params = SwarmParams(env_enabled=env, social_enabled=social)
+    for seed in range(20):
+        walk = list(stepped_walk(params, seed, UNIT_BOX, target))
+        inputs = _passage_inputs(walk, target, params.rho)
+        if inputs is not None:
+            break
+    assert inputs is not None
+    seen = _record_steps(monkeypatch)
+    assert first_passage(params, seed, UNIT_BOX, *inputs, 3 * _K) == target
+    assert ([p.tobytes() for p in seen]
+            == [s.positions.tobytes() for s in walk[1:]])
+
+
+@pytest.mark.parametrize("env, social", _MODES)
+@pytest.mark.parametrize("max_steps", [0, 2 * _K + 7])
+def test_first_passage_without_passage_is_the_per_step_walk(
+        monkeypatch, env, social, max_steps):
+    params = SwarmParams(env_enabled=env, social_enabled=social)
+    walk = list(stepped_walk(params, 2, UNIT_BOX, max_steps))
+    seen = _record_steps(monkeypatch)
+    # no node lands exactly on rho
+    assert first_passage(params, 2, UNIT_BOX, 0.0, 1.0, max_steps) is None
+    assert ([p.tobytes() for p in seen]
+            == [s.positions.tobytes() for s in walk[1:]])
+
+
+def test_walk_draws_one_step_at_a_time_at_large_n():
+    # Gate, set before this code was measured: a 2-step environment-only
+    # first_passage at N = 1e5 peaks at no more than 10.5 * 16 N bytes
+    # (16.8 MB). Drawing each step from a Philox generator of its own peaked
+    # at 10.0 * 16 N (16.0 MB); a block of two steps would add 2 * 32 N
+    # bytes of normals alone.
+    n = 100_000
+    half = 0.5 * math.sqrt(n / 100)
+    box = Box(-half, -half, half, half)
+    params = SwarmParams(n_nodes=n, social_enabled=False)
+    # untraced warm-up: numpy's lazy set-up is not the walk's
+    first_passage(replace(params, n_nodes=10), 0, box, 0.15, 1.0, 2)
+    tracemalloc.start()
+    try:
+        first_passage(params, 5, box, 0.15, 1.0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.5 * 16 * n
