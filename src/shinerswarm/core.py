@@ -175,7 +175,10 @@ class NeighborGraph:
 def check_finite(p: np.ndarray) -> None:
     """ValueError naming the first node whose position is not finite."""
     finite = np.isfinite(p)
-    if not finite.all():
+    # every step of a walk calls this: at N = 100, count_nonzero, which has
+    # no reduction set-up, takes a third of the time of all(); at N = 1e5 it
+    # takes 6 us more, against a step of about 30 ms
+    if np.count_nonzero(finite) < finite.size:
         i = int(np.argmin(finite))
         raise ValueError(f"node {i}: position {p[i]} is not finite")
 
@@ -244,18 +247,35 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
             close = np.abs(ps[a] - ps[b]) <= r
     return NeighborGraph(n, order[a[close]], order[b[close]])
 
-def env_speed(p, params: SwarmParams):
-    """Speed scale at location(s) p: ``c1 * (c2 + |p - rho|)`` when the
-    environmental factor is on, else the constant ``sigma_const``.
+def distance_speed(d, params: SwarmParams, out: np.ndarray | None = None):
+    """Speed scale at distance(s) d from the darkest spot: the speed law
+    ``c1 * (c2 + d)`` when the environmental factor is on, else the
+    constant ``sigma_const``, for which only d's shape is read.
 
-    Accepts a scalar or an array of positions and returns the same shape.
+    Accepts a scalar or an array and returns the same shape. ``out``, an
+    array of d's shape such as d itself, receives the speed in place.
     """
     if params.env_enabled:
-        return (params.c1 * (params.c2 + np.abs(np.asarray(p) - params.rho)))[()]
+        if out is None:
+            return (params.c1 * (params.c2 + np.asarray(d)))[()]
+        np.add(params.c2, d, out=out)
+        return np.multiply(params.c1, out, out=out)
     if params.sigma_const is None:
         raise ValueError("sigma_const must be set when the environmental "
                          "factor is disabled")
-    return np.full(np.shape(p), float(params.sigma_const))[()]
+    if out is None:
+        return np.full(np.shape(d), float(params.sigma_const))[()]
+    out.fill(params.sigma_const)
+    return out
+
+
+def env_speed(p, params: SwarmParams):
+    """Speed scale at location(s) p: ``distance_speed`` at ``|p - rho|``.
+
+    Accepts a scalar or an array of positions and returns the same shape.
+    """
+    d = np.abs(np.asarray(p) - params.rho) if params.env_enabled else p
+    return distance_speed(d, params)
 
 
 def hammer(z, s):

@@ -16,6 +16,14 @@ only the position-dependent part of a step runs per step. A state is
 therefore just (t, positions, seed): it owns no generator, advancing it
 mutates nothing, and any copy resumes bit for bit, whatever the
 scheduling. Initial placement uses a separate stream (``init_swarm``).
+
+``run`` and ``first_passage`` step a plain position array through one step
+helper (``_step``), which ``advance_swarm`` shares, with numpy's overflow
+and invalid warnings suppressed once per walk: each step checks its
+positions itself. A ``SwarmState`` is built only for a recorded step.
+``first_passage`` takes the distances ``|p - rho|`` once per step; its
+passage test reads them, and the next step's speed law
+(``core.distance_speed``) overwrites them in place.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (BLOCK_BYTES, NeighborGraph, SwarmParams, build_neighborhood,
-                   check_finite, env_speed, hammer, require)
+                   check_finite, distance_speed, env_speed, hammer, require)
 
 # Master seeds are the first Philox key word, an unsigned 64-bit integer.
 SEED_LIMIT = 2 ** 64
@@ -140,9 +148,14 @@ def _block_normals(master_seed: int, t: int, n: int, k: int) -> np.ndarray:
         # the n blocks read took the counter to (n, t, 0, 0); wrapping the
         # first word carries into the second: (0, t + 1, 0, 0)
         bitgen.advance(2 ** 64 - n)
-    # one step's words, the usual case at large n, need no copy
+    # one step's words, the usual case at large n, need no copy; they are
+    # dropped once their uniforms are made, which takes a fifth off the
+    # peak memory of a step at large n
     raw = rows[0] if k == 1 else np.concatenate(rows)
-    u = (raw >> 11).reshape(k, n, 2, 2) * 2.0 ** -53
+    del rows
+    raw >>= 11
+    u = raw.reshape(k, n, 2, 2) * 2.0 ** -53
+    del raw
     g = np.sqrt(-2.0 * np.log1p(-u[..., 0])) * np.exp(2j * np.pi * u[..., 1])
     return g.view(np.float64)
 
@@ -202,13 +215,14 @@ def move(positions: np.ndarray, params: SwarmParams, g: np.ndarray,
     neighbors j. Each pair (u, v) of ``graph``, the neighbor graph of
     ``positions`` (built here when None), takes one hammer h, adds h to u's
     sum and -h to v's; hammer is odd bit for bit, so -h is v's own term."""
-    return _move(positions, params, *_draw_factors(g, params.social_enabled),
-                 graph)
+    return _move(positions, params, env_speed(positions, params),
+                 *_draw_factors(g, params.social_enabled), graph)
 
 
-def _move(p: np.ndarray, params: SwarmParams, u_raw: np.ndarray,
+def _move(p: np.ndarray, params: SwarmParams, sigma, u_raw: np.ndarray,
           heading: np.ndarray, graph: NeighborGraph | None) -> np.ndarray:
-    """``move`` from the step's draw factors (see ``_draw_factors``)."""
+    """``move`` from the speed ``sigma`` at p and the step's draw factors
+    (see ``_draw_factors``)."""
     if params.social_enabled:
         n = p.size
         if graph is None:
@@ -223,7 +237,20 @@ def _move(p: np.ndarray, params: SwarmParams, u_raw: np.ndarray,
                                     (params.w / np.maximum(deg, 1)) * acc
                                     + heading,
                                     heading))
-    return p + env_speed(p, params) * u_raw * heading
+    return p + sigma * u_raw * heading
+
+
+def _step(p: np.ndarray, params: SwarmParams, sigma, draw,
+          graph: NeighborGraph | None = None) -> np.ndarray:
+    """The positions after one step from p at speed ``sigma`` with the
+    step's draw factors ``draw``: the one step of ``advance_swarm``,
+    ``run`` and ``first_passage``. The caller suppresses numpy's overflow
+    and invalid warnings; a position that overflows raises ValueError
+    here, naming the node, so a diverging walk stops at the step it
+    diverges."""
+    p = _move(p, params, sigma, *draw, graph)
+    check_finite(p)
+    return p
 
 
 def advance_swarm(state: SwarmState, params: SwarmParams,
@@ -234,18 +261,10 @@ def advance_swarm(state: SwarmState, params: SwarmParams,
 
     Raises ValueError, naming the node, when a new position overflows to a
     non-finite value, so a diverging walk stops at the step it diverges."""
-    draw = next(_draws(state.seed, state.t, state.positions.size, 1,
-                       params.social_enabled))
-    return _advance(state, params, draw, graph)
-
-
-def _advance(state: SwarmState, params: SwarmParams, draw,
-             graph: NeighborGraph | None = None) -> SwarmState:
-    """``advance_swarm`` with the step's draw factors given; ``run`` and
-    ``first_passage`` step through here with their walk's block draws."""
+    p = state.positions
+    draw = next(_draws(state.seed, state.t, p.size, 1, params.social_enabled))
     with np.errstate(over="ignore", invalid="ignore"):
-        p = _move(state.positions, params, *draw, graph)
-    check_finite(p)
+        p = _step(p, params, env_speed(p, params), draw, graph)
     return SwarmState(t=state.t + 1, positions=p, seed=state.seed)
 
 
@@ -284,6 +303,11 @@ def compute_metrics(state: SwarmState, params: SwarmParams, eps: float,
     )
 
 
+def _step_error(t: int, exc: ValueError) -> ValueError:
+    """``exc`` with step t prefixed, e.g. ``step 400: node 17: ...``."""
+    return ValueError(f"step {t}: {exc}")
+
+
 def at_step(t: int, step_fn, *args):
     """``step_fn(*args)``, raising its ValueError again with step t prefixed,
     e.g. positions that diverged too far for the neighbor search give
@@ -291,7 +315,7 @@ def at_step(t: int, step_fn, *args):
     try:
         return step_fn(*args)
     except ValueError as exc:
-        raise ValueError(f"step {t}: {exc}") from exc
+        raise _step_error(t, exc) from exc
 
 
 def run(params: SwarmParams, master_seed: int, region: Box, n_steps: int,
@@ -299,7 +323,8 @@ def run(params: SwarmParams, master_seed: int, region: Box, n_steps: int,
         eps: float = DEFAULT_EPS) -> list[tuple[SwarmState, Metrics]]:
     """Simulate ``n_steps`` steps, recording (state, metrics) at t = 0,
     every ``snapshot_stride`` steps, and the final step. Steps never modify
-    a state, so each recorded one is a resumable snapshot.
+    a state, so each recorded one is a resumable snapshot; between records
+    the walk holds its positions as a plain array.
 
     A recorded state's neighbor graph is built once, for its metrics, and
     handed on to the next step; any other state's is built by the step that
@@ -308,20 +333,26 @@ def run(params: SwarmParams, master_seed: int, region: Box, n_steps: int,
     A ValueError from a step or its metrics names the step (see
     ``at_step``), the initial placement's metrics as step 0."""
     check_run_args(n_steps, snapshot_stride, eps)
-    state = init_swarm(params, master_seed, region)
-    params = resolve_sigma_const(params, state.positions)
-    draws = _draws(master_seed, 0, params.n_nodes, n_steps,
-                   params.social_enabled)
+    p = init_swarm(params, master_seed, region).positions
+    params = resolve_sigma_const(params, p)
+    draws = _draws(master_seed, 0, p.size, n_steps, params.social_enabled)
     records = []
     graph = None
-    for t in range(n_steps + 1):
-        if t > 0:
-            state = at_step(t, _advance, state, params, next(draws), graph)
-            graph = None
-        if t % snapshot_stride == 0 or t == n_steps:
-            graph = at_step(t, build_neighborhood, state.positions, params.r)
-            records.append((state, at_step(t, compute_metrics, state, params,
-                                           eps, graph)))
+    t = 0
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(n_steps + 1):
+                if t > 0:
+                    p = _step(p, params, env_speed(p, params), next(draws),
+                              graph)
+                    graph = None
+                if t % snapshot_stride == 0 or t == n_steps:
+                    state = SwarmState(t=t, positions=p, seed=master_seed)
+                    graph = build_neighborhood(p, params.r)
+                    records.append((state, compute_metrics(state, params, eps,
+                                                           graph)))
+    except ValueError as exc:
+        raise _step_error(t, exc) from exc
     return records
 
 
@@ -330,16 +361,28 @@ def first_passage(params: SwarmParams, master_seed: int, region: Box,
     """First step at which the fraction of nodes within ``eps`` of the
     darkest spot reaches ``frac``; None if it never does within
     ``max_steps``. A ValueError from a step names the step, as in ``run``;
-    a ParamError names the argument out of range."""
+    a ParamError names the argument out of range.
+
+    Each step takes the distances ``|p - rho|`` once: the passage test reads
+    them, and then the next step's speed overwrites them in place."""
     check_run_args(eps=eps)
     require(0 < frac <= 1, "frac", "must be in (0, 1]", frac)
     require(max_steps >= 0, "max_steps", "must be >= 0", max_steps)
-    state = init_swarm(params, master_seed, region)
-    params = resolve_sigma_const(params, state.positions)
-    draws = _draws(master_seed, 0, params.n_nodes, max_steps,
-                   params.social_enabled)
-    for t in range(1, max_steps + 1):
-        state = at_step(t, _advance, state, params, next(draws))
-        if (np.abs(state.positions - params.rho) <= eps).mean() >= frac:
-            return t
+    p = init_swarm(params, master_seed, region).positions
+    params = resolve_sigma_const(params, p)
+    draws = _draws(master_seed, 0, p.size, max_steps, params.social_enabled)
+    t = 0
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = np.abs(p - params.rho)
+            for t in range(1, max_steps + 1):
+                p = _step(p, params, distance_speed(d, params, out=d),
+                          next(draws))
+                d = np.abs(p - params.rho)
+                # count / n is the fraction that mean() of d <= eps gives,
+                # bit for bit, without a reduction's set-up
+                if np.count_nonzero(d <= eps) / d.size >= frac:
+                    return t
+    except ValueError as exc:
+        raise _step_error(t, exc) from exc
     return None

@@ -2,6 +2,8 @@ import contextlib
 import io
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -65,6 +67,22 @@ def test_simulate_reruns_byte_identical(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(b)]) == 0
     assert read(a / "snapshots.csv") == read(b / "snapshots.csv")
     assert read(a / "metrics.csv") == read(b / "metrics.csv")
+
+
+def test_a_second_main_call_writes_what_a_first_call_writes(tmp_path):
+    # the parser is built once per process; a flag of the first call must
+    # not reach the second, which writes what a fresh process writes
+    assert cli.build_parser() is cli.build_parser()
+    env_only, plain, fresh = (tmp_path / name for name in ("a", "b", "c"))
+    assert main(["simulate", "--mode", "env", "--out", str(env_only)]) == 0
+    assert main(["simulate", "--out", str(plain)]) == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    subprocess.run([sys.executable, "-m", "shinerswarm.cli", "simulate",
+                    "--out", str(fresh)], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+    for name in ("snapshots.csv", "metrics.csv"):
+        assert (plain / name).read_bytes() == (fresh / name).read_bytes()
+        assert (plain / name).read_bytes() != (env_only / name).read_bytes()
 
 
 def test_simulate_flag_overrides_file(tmp_path):

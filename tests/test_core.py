@@ -21,6 +21,7 @@ from shinerswarm.core import (
     NeighborGraph,
     SwarmParams,
     build_neighborhood,
+    distance_speed,
     env_speed,
     hammer,
 )
@@ -200,6 +201,39 @@ def test_env_speed_requires_sigma_const_when_env_off():
     params = SwarmParams(env_enabled=False, sigma_const=None)
     with pytest.raises(ValueError, match="sigma_const"):
         env_speed(0j, params)
+
+
+_coordinates = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(points=st.lists(st.tuples(_coordinates, _coordinates), min_size=1,
+                       max_size=20),
+       scalar=st.booleans(), c1=st.floats(1e-3, 1e3), c2=st.floats(1e-3, 1e3),
+       rho=st.tuples(_coordinates, _coordinates), env=st.booleans(),
+       sigma_const=st.none() | st.floats(0.0, 1e3))
+def test_distance_speed_is_env_speed_bit_for_bit(points, scalar, c1, c2, rho,
+                                                 env, sigma_const):
+    params = SwarmParams(c1=c1, c2=c2, rho=complex(*rho), env_enabled=env,
+                         sigma_const=sigma_const)
+    p = complex(*points[0]) if scalar else np.array([complex(*z)
+                                                     for z in points])
+    d = np.abs(p - params.rho)
+    buf = np.array(d, ndmin=1)
+    if not env and sigma_const is None:
+        for speed in (lambda: env_speed(p, params),
+                      lambda: distance_speed(d, params),
+                      lambda: distance_speed(buf, params, out=buf)):
+            with pytest.raises(ValueError, match="sigma_const"):
+                speed()
+        return
+    want = env_speed(p, params)
+    got = distance_speed(d, params)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # in place: the distances' own buffer becomes the speed
+    assert distance_speed(buf, params, out=buf) is buf
+    assert buf.tobytes() == np.array(want, ndmin=1).tobytes()
 
 
 def test_env_speed_positive_and_lipschitz():

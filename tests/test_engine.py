@@ -674,3 +674,42 @@ def test_walk_draws_one_step_at_a_time_at_large_n():
     finally:
         tracemalloc.stop()
     assert peak <= 10.5 * 16 * n
+
+
+def _stepped_passage(walk, rho: complex, eps: float, frac: float):
+    """The first step from 1 on at which the fraction of the walk's nodes
+    within eps of rho reaches frac, or None."""
+    for state in walk[1:]:
+        if (np.abs(state.positions - rho) <= eps).mean() >= frac:
+            return state.t
+    return None
+
+
+@pytest.mark.parametrize("env, social", _MODES)
+@pytest.mark.parametrize("n, max_steps", [
+    (100, 0), (100, _K - 1), (100, _K), (100, _K + 1),
+    # from N = 2049 on, each block is a single step
+    (2100, 3)])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), data=st.data())
+def test_first_passage_is_the_stepped_walk_passage(env, social, n, max_steps,
+                                                   seed, data):
+    # (eps, frac) give the first passage at step t where the walk has one
+    # there; otherwise eps is the m-th smallest distance to rho at step t,
+    # or a part of it, and frac = m / n: a passage at or before step t, at
+    # a later one, or none
+    half = 0.5 * math.sqrt(n / 100)
+    box = Box(-half, -half, half, half)
+    params = SwarmParams(n_nodes=n, env_enabled=env, social_enabled=social)
+    walk = list(stepped_walk(params, seed, box, max_steps))
+    t = data.draw(st.integers(0, max_steps), label="t")
+    inputs = None
+    if t > 0 and data.draw(st.booleans(), label="exact"):
+        inputs = _passage_inputs(walk, t, params.rho)
+    if inputs is None:
+        m = data.draw(st.integers(1, n), label="m")
+        scale = data.draw(st.sampled_from([1.0, 0.5, 0.0]), label="scale")
+        distances = np.sort(np.abs(walk[t].positions - params.rho))
+        inputs = scale * float(distances[m - 1]), m / n
+    assert (first_passage(params, seed, box, *inputs, max_steps)
+            == _stepped_passage(walk, params.rho, *inputs))
