@@ -29,8 +29,8 @@ from .density import (
     initial_pdf,
     propagate,
 )
-from .engine import (Metrics, SwarmState, at_step, check_run_args,
-                     compute_metrics, run)
+from .engine import (Metrics, SwarmState, check_run_args, compute_metrics,
+                     run, step_error)
 from .svg import density_svg, snapshot_svg
 
 EXIT_OK = 0
@@ -166,8 +166,11 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     for step in sorted(by_step):
         positions = np.array([p for _, p in sorted(by_step[step].items())])
         state = SwarmState(t=step, positions=positions, seed=0)
-        print(_metrics_row(at_step(step, compute_metrics, state, params,
-                                   args.eps)))
+        try:
+            metrics = compute_metrics(state, params, args.eps)
+        except ValueError as exc:
+            raise step_error(step, exc) from exc
+        print(_metrics_row(metrics))
     return EXIT_OK
 
 

@@ -22,6 +22,7 @@ edges. Nothing here keeps mutable state.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,6 +44,15 @@ def require(ok: bool, key: str, rule: str, value, name: str = "") -> None:
     condition that holds, so a NaN, which fails every comparison, fails."""
     if not ok:
         raise ParamError(key, f"{rule}, got {value}", name)
+
+
+def require_int(key: str, value) -> int:
+    """``value`` as an int (``operator.index``, so a numpy integer passes);
+    ParamError for ``key`` if it is not an integer, such as 2.5."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParamError(key, f"must be an integer, got {value}") from None
 
 
 def check_speed_law(c1: float, c2: float) -> None:
@@ -73,7 +83,8 @@ class SwarmParams:
     sigma_const: float | None = None
 
     def __post_init__(self) -> None:
-        require(self.n_nodes >= 1, "n_nodes", "must be >= 1", self.n_nodes)
+        require(require_int("n_nodes", self.n_nodes) >= 1, "n_nodes",
+                "must be >= 1", self.n_nodes)
         check_speed_law(self.c1, self.c2)
         require(self.r >= 0, "r", "must be >= 0", self.r, "sensing radius ")
         require(self.w >= 0, "w", "must be >= 0", self.w, "social weight ")

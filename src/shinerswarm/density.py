@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BLOCK_BYTES, check_speed_law, require
+from .core import BLOCK_BYTES, check_speed_law, require, require_int
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _SQRT_HALF = np.sqrt(0.5)
@@ -161,7 +161,8 @@ def _graded_grid(z_min: float, z_max: float, n_points: int, c2: float
     Each grid is built once: the arrays are read-only and shared by every
     pdf on it. ParamError unless n_points >= 3 and z_min < z_max are finite.
     """
-    require(n_points >= 3, "n_points", "must be >= 3", n_points)
+    require(require_int("n_points", n_points) >= 3, "n_points",
+            "must be >= 3", n_points)
     require(np.isfinite(z_min), "z_min", "must be finite", z_min)
     require(z_min < z_max < np.inf, "z_max",
             f"must be finite and greater than z_min = {z_min}", z_max)
@@ -254,7 +255,7 @@ def pdf_at_time(x0: float, t: int, params: KernelParams,
                 n_points: int = DEFAULT_N_POINTS) -> GridPdf:
     """Location pdf after t >= 1 steps from x0 (initial pdf plus t-1
     propagations)."""
-    require(t >= 1, "t", "must be >= 1", t)
+    require(require_int("t", t) >= 1, "t", "must be >= 1", t)
     f = initial_pdf(x0, params, z_min, z_max, n_points)
     for _ in range(t - 1):
         f = propagate(f, params)
@@ -265,8 +266,9 @@ def mc_sample(x0: float, t: int, n_paths: int, params: KernelParams,
               stream: np.random.Generator) -> np.ndarray:
     """Final positions of n_paths independent walkers after t steps of the
     exact chain; the grid-free cross-check for the propagated pdf."""
-    require(n_paths >= 1, "n_paths", "must be >= 1", n_paths)
-    require(t >= 0, "t", "must be >= 0", t)
+    require(require_int("n_paths", n_paths) >= 1, "n_paths", "must be >= 1",
+            n_paths)
+    require(require_int("t", t) >= 0, "t", "must be >= 0", t)
     x = np.full(n_paths, float(x0))
     for _ in range(t):
         x = x + params.sd(x) * stream.standard_normal(n_paths)

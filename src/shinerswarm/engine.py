@@ -17,10 +17,10 @@ therefore just (t, positions, seed): it owns no generator, advancing it
 mutates nothing, and any copy resumes bit for bit, whatever the
 scheduling. Initial placement uses a separate stream (``init_swarm``).
 
-``run`` and ``first_passage`` step a plain position array through one step
-helper (``_step``), which ``advance_swarm`` shares, with numpy's overflow
-and invalid warnings suppressed once per walk: each step checks its
-positions itself. A ``SwarmState`` is built only for a recorded step.
+Every step goes through ``_step``, which moves the positions and reports
+one that is not finite: ``move`` and ``advance_swarm`` take one step, and
+``run`` and ``first_passage`` step a plain array (numpy's overflow warnings
+suppressed once per walk). A ``SwarmState`` is built only for a record.
 ``first_passage`` takes the distances ``|p - rho|`` once per step; its
 passage test reads them, and the next step's speed law
 (``core.distance_speed``) overwrites them in place.
@@ -28,15 +28,15 @@ passage test reads them, and the next step's speed law
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (BLOCK_BYTES, NeighborGraph, SwarmParams, build_neighborhood,
-                   check_finite, distance_speed, env_speed, hammer, require)
+                   check_finite, distance_speed, env_speed, hammer, require,
+                   require_int)
 
-# Master seeds are the first Philox key word, an unsigned 64-bit integer.
+# Seeds and steps are Philox words (key and counter), unsigned 64-bit.
 SEED_LIMIT = 2 ** 64
 
 # Radius around the darkest spot within which a node counts as arrived.
@@ -50,17 +50,19 @@ _DRAW_BYTES = 2 ** 16
 
 def check_seed(seed) -> int:
     """The seed as an int; ValueError unless it is in [0, 2**64)."""
-    seed = operator.index(seed)
+    seed = require_int("seed", seed)
     require(0 <= seed < SEED_LIMIT, "seed", "must be in [0, 2**64)", seed)
     return seed
 
 
 def check_run_args(n_steps: int = 0, snapshot_stride: int = 1,
                    eps: float = DEFAULT_EPS) -> None:
-    """ParamError unless n_steps >= 0, snapshot_stride >= 1 and eps >= 0."""
-    require(n_steps >= 0, "n_steps", "must be >= 0", n_steps)
-    require(snapshot_stride >= 1, "snapshot_stride", "must be >= 1",
-            snapshot_stride)
+    """ParamError unless n_steps >= 0 and snapshot_stride >= 1 are integers
+    and eps >= 0."""
+    require(require_int("n_steps", n_steps) >= 0, "n_steps", "must be >= 0",
+            n_steps)
+    require(require_int("snapshot_stride", snapshot_stride) >= 1,
+            "snapshot_stride", "must be >= 1", snapshot_stride)
     require(eps >= 0, "eps", "must be >= 0", eps)
 
 
@@ -130,7 +132,10 @@ def step_normals(master_seed: int, t: int, n: int) -> np.ndarray:
     ``sqrt(-2 log(1 - u_a)) * (cos, sin)(2 pi u_b)`` with the 53-bit uniforms
     ``u = (word >> 11) * 2**-53`` in [0, 1), so every value is finite. A walk
     reads the same rows a block of steps at a time (``_block_normals``).
+    ParamError unless t is an integer in [0, 2**64).
     """
+    t = require_int("t", t)
+    require(0 <= t < SEED_LIMIT, "t", "must be in [0, 2**64)", t)
     return _block_normals(master_seed, t, n, 1)[0]
 
 
@@ -214,15 +219,23 @@ def move(positions: np.ndarray, params: SwarmParams, g: np.ndarray,
     The social term of node i sums ``hammer(p_j - p_i, s)`` over its
     neighbors j. Each pair (u, v) of ``graph``, the neighbor graph of
     ``positions`` (built here when None), takes one hammer h, adds h to u's
-    sum and -h to v's; hammer is odd bit for bit, so -h is v's own term."""
-    return _move(positions, params, env_speed(positions, params),
-                 *_draw_factors(g, params.social_enabled), graph)
+    sum and -h to v's; hammer is odd bit for bit, so -h is v's own term.
+
+    Raises ValueError, naming the node, if a new position is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _step(positions, params, env_speed(positions, params),
+                     _draw_factors(g, params.social_enabled), graph)
 
 
-def _move(p: np.ndarray, params: SwarmParams, sigma, u_raw: np.ndarray,
-          heading: np.ndarray, graph: NeighborGraph | None) -> np.ndarray:
-    """``move`` from the speed ``sigma`` at p and the step's draw factors
-    (see ``_draw_factors``)."""
+def _step(p: np.ndarray, params: SwarmParams, sigma, draw,
+          graph: NeighborGraph | None = None) -> np.ndarray:
+    """``move`` from p at speed ``sigma`` with the step's draw factors
+    ``draw`` (see ``_draw_factors``): the one function that moves
+    positions, for ``move``, ``advance_swarm``, ``run`` and
+    ``first_passage``. The caller suppresses numpy's overflow and invalid
+    warnings; a position that overflows raises ValueError here, naming the
+    node, so a diverging walk stops at the step it diverges."""
+    u_raw, heading = draw
     if params.social_enabled:
         n = p.size
         if graph is None:
@@ -237,18 +250,7 @@ def _move(p: np.ndarray, params: SwarmParams, sigma, u_raw: np.ndarray,
                                     (params.w / np.maximum(deg, 1)) * acc
                                     + heading,
                                     heading))
-    return p + sigma * u_raw * heading
-
-
-def _step(p: np.ndarray, params: SwarmParams, sigma, draw,
-          graph: NeighborGraph | None = None) -> np.ndarray:
-    """The positions after one step from p at speed ``sigma`` with the
-    step's draw factors ``draw``: the one step of ``advance_swarm``,
-    ``run`` and ``first_passage``. The caller suppresses numpy's overflow
-    and invalid warnings; a position that overflows raises ValueError
-    here, naming the node, so a diverging walk stops at the step it
-    diverges."""
-    p = _move(p, params, sigma, *draw, graph)
+    p = p + sigma * u_raw * heading
     check_finite(p)
     return p
 
@@ -256,15 +258,13 @@ def _step(p: np.ndarray, params: SwarmParams, sigma, draw,
 def advance_swarm(state: SwarmState, params: SwarmParams,
                   graph: NeighborGraph | None = None) -> SwarmState:
     """One synchronous step: all nodes read the time-t snapshot, draw their
-    step-t normals, and move together; returns the t+1 state. ``graph``, if
-    given, is the neighbor graph of the time-t positions (see ``move``).
+    step-t normals, and move together (``move``); returns the t+1 state.
+    ``graph``, if given, is the neighbor graph of the time-t positions.
 
     Raises ValueError, naming the node, when a new position overflows to a
     non-finite value, so a diverging walk stops at the step it diverges."""
     p = state.positions
-    draw = next(_draws(state.seed, state.t, p.size, 1, params.social_enabled))
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = _step(p, params, env_speed(p, params), draw, graph)
+    p = move(p, params, step_normals(state.seed, state.t, p.size), graph)
     return SwarmState(t=state.t + 1, positions=p, seed=state.seed)
 
 
@@ -279,8 +279,9 @@ def compute_metrics(state: SwarmState, params: SwarmParams, eps: float,
     sum of ``|p_i - p_j|`` over full rows, which counts each pair twice, over
     ``n (n - 1)``. Rows go in blocks of ``core.BLOCK_BYTES``, so memory is
     O(N). ValueError for positions the graph, built first, cannot place, and
-    for distance sums that overflow.
+    for distance sums that overflow; ParamError unless eps >= 0.
     """
+    check_run_args(eps=eps)
     p = state.positions
     if graph is None:
         graph = build_neighborhood(p, params.r)
@@ -303,19 +304,10 @@ def compute_metrics(state: SwarmState, params: SwarmParams, eps: float,
     )
 
 
-def _step_error(t: int, exc: ValueError) -> ValueError:
-    """``exc`` with step t prefixed, e.g. ``step 400: node 17: ...``."""
+def step_error(t: int, exc: ValueError) -> ValueError:
+    """``exc`` with step t prefixed, e.g. positions that diverged too far
+    for the neighbor search give ``step 400: node 17: ...``."""
     return ValueError(f"step {t}: {exc}")
-
-
-def at_step(t: int, step_fn, *args):
-    """``step_fn(*args)``, raising its ValueError again with step t prefixed,
-    e.g. positions that diverged too far for the neighbor search give
-    ``step 400: node 17: ...``."""
-    try:
-        return step_fn(*args)
-    except ValueError as exc:
-        raise _step_error(t, exc) from exc
 
 
 def run(params: SwarmParams, master_seed: int, region: Box, n_steps: int,
@@ -331,7 +323,7 @@ def run(params: SwarmParams, master_seed: int, region: Box, n_steps: int,
     reads it, if the social factor is on. So no graph is built twice.
 
     A ValueError from a step or its metrics names the step (see
-    ``at_step``), the initial placement's metrics as step 0."""
+    ``step_error``), the initial placement's metrics as step 0."""
     check_run_args(n_steps, snapshot_stride, eps)
     p = init_swarm(params, master_seed, region).positions
     params = resolve_sigma_const(params, p)
@@ -352,7 +344,7 @@ def run(params: SwarmParams, master_seed: int, region: Box, n_steps: int,
                     records.append((state, compute_metrics(state, params, eps,
                                                            graph)))
     except ValueError as exc:
-        raise _step_error(t, exc) from exc
+        raise step_error(t, exc) from exc
     return records
 
 
@@ -367,7 +359,8 @@ def first_passage(params: SwarmParams, master_seed: int, region: Box,
     them, and then the next step's speed overwrites them in place."""
     check_run_args(eps=eps)
     require(0 < frac <= 1, "frac", "must be in (0, 1]", frac)
-    require(max_steps >= 0, "max_steps", "must be >= 0", max_steps)
+    require(require_int("max_steps", max_steps) >= 0, "max_steps",
+            "must be >= 0", max_steps)
     p = init_swarm(params, master_seed, region).positions
     params = resolve_sigma_const(params, p)
     draws = _draws(master_seed, 0, p.size, max_steps, params.social_enabled)
@@ -384,5 +377,5 @@ def first_passage(params: SwarmParams, master_seed: int, region: Box,
                 if np.count_nonzero(d <= eps) / d.size >= frac:
                     return t
     except ValueError as exc:
-        raise _step_error(t, exc) from exc
+        raise step_error(t, exc) from exc
     return None

@@ -20,6 +20,8 @@ from shinerswarm.core import (
     build_neighborhood,
     env_speed,
 )
+from shinerswarm.density import (KernelParams, initial_pdf, mc_sample,
+                                 pdf_at_time)
 from shinerswarm.engine import (
     DEFAULT_EPS,
     Box,
@@ -89,6 +91,12 @@ def test_seed_outside_uint64_rejected(seed):
         init_swarm(params, seed, UNIT_BOX)
     with pytest.raises(ValueError, match="seed"):
         SwarmState(0, np.zeros(3, dtype=complex), seed)
+
+
+@pytest.mark.parametrize("t", [-1, 2 ** 64])
+def test_step_outside_uint64_rejected(t):
+    with pytest.raises(ParamError, match=r"^t must be in \[0, 2\*\*64\), got"):
+        step_normals(0, t, 3)
 
 
 def test_largest_seed_accepted():
@@ -368,6 +376,15 @@ def test_metrics_report_distance_sums_that_overflow(positions, rho, r):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^distances overflow: "):
             compute_metrics(state, SwarmParams(n_nodes=3, r=r, rho=rho), 0.15)
+
+
+@pytest.mark.parametrize("eps", [-0.1, math.nan])
+def test_metrics_reject_negative_or_nan_eps(eps):
+    params = SwarmParams()
+    state = init_swarm(params, 0, UNIT_BOX)
+    with pytest.raises(ParamError, match="eps must be >= 0") as info:
+        compute_metrics(state, params, eps)
+    assert info.value.key == "eps"
 
 
 def _reference_density_state(n, seed=0):
@@ -713,3 +730,107 @@ def test_first_passage_is_the_stepped_walk_passage(env, social, n, max_steps,
         inputs = scale * float(distances[m - 1]), m / n
     assert (first_passage(params, seed, box, *inputs, max_steps)
             == _stepped_passage(walk, params.rho, *inputs))
+
+
+# ---------------------------------------------------------------------------
+# every step through engine._step
+
+
+def test_move_reports_a_position_that_overflows():
+    # the speed at |p| = 1e300 overflows to inf; move names the node, as
+    # every step does, instead of warning and returning inf
+    params = SwarmParams(n_nodes=2, c1=1e10, social_enabled=False)
+    p = np.array([0.1j, 1e300 + 0j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match=r"^node 1: position .* is not finite"):
+            move(p, params, step_normals(0, 0, 2))
+
+
+@pytest.mark.parametrize("env, social", _MODES)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), t=st.integers(0, 10 ** 6),
+       n=st.integers(1, 300), pass_graph=st.booleans())
+def test_advance_swarm_is_move_on_the_step_normals(env, social, seed, t, n,
+                                                   pass_graph):
+    p = init_swarm(SwarmParams(n_nodes=n), seed, UNIT_BOX).positions
+    params = resolve_sigma_const(
+        SwarmParams(n_nodes=n, env_enabled=env, social_enabled=social), p)
+    graph = build_neighborhood(p, params.r) if pass_graph else None
+    after = advance_swarm(SwarmState(t, p, seed), params, graph)
+    assert (after.t, after.seed) == (t + 1, seed)
+    assert (after.positions.tobytes()
+            == move(p, params, step_normals(seed, t, n), graph).tobytes())
+
+
+@pytest.mark.parametrize("env, social", _MODES)
+def test_every_step_goes_through_one_function(monkeypatch, env, social):
+    calls = []
+    step = engine._step
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(engine, "_step", counted)
+    params = SwarmParams(n_nodes=30, env_enabled=env, social_enabled=social)
+    state = init_swarm(params, 1, UNIT_BOX)
+    params = resolve_sigma_const(params, state.positions)
+    move(state.positions, params, step_normals(1, 0, 30))
+    assert len(calls) == 1
+    advance_swarm(state, params)
+    assert len(calls) == 2
+    run(params, 1, UNIT_BOX, n_steps=9, snapshot_stride=4)
+    assert len(calls) == 2 + 9
+    # eps = 0: no node lands on rho, so the walk takes all 7 steps
+    assert first_passage(params, 1, UNIT_BOX, 0.0, 1.0, 7) is None
+    assert len(calls) == 2 + 9 + 7
+
+
+# ---------------------------------------------------------------------------
+# integer arguments
+
+_KERNEL = KernelParams(c1=1.0, c2=0.1)
+
+# (key, call of one integer argument, a valid value of it), one per home of
+# an integer rule
+_INTEGER_ARGUMENTS = [
+    pytest.param("seed", lambda v: init_swarm(SwarmParams(n_nodes=3), v,
+                                              UNIT_BOX), 3, id="init_swarm"),
+    pytest.param("seed", lambda v: SwarmState(0, np.zeros(3, dtype=complex),
+                                              v), 3, id="SwarmState"),
+    pytest.param("n_steps", lambda v: run(SwarmParams(n_nodes=3), 0, UNIT_BOX,
+                                          v, 1), 2, id="run-n_steps"),
+    pytest.param("snapshot_stride", lambda v: run(SwarmParams(n_nodes=3), 0,
+                                                  UNIT_BOX, 7, v), 3,
+                 id="run-snapshot_stride"),
+    pytest.param("max_steps", lambda v: first_passage(
+        SwarmParams(n_nodes=3), 0, UNIT_BOX, 0.15, 0.9, v), 2,
+                 id="first_passage"),
+    pytest.param("t", lambda v: step_normals(0, v, 3), 2, id="step_normals"),
+    pytest.param("n_nodes", lambda v: SwarmParams(n_nodes=v), 3,
+                 id="SwarmParams"),
+    pytest.param("n_points", lambda v: initial_pdf(5.0, _KERNEL, n_points=v),
+                 2001, id="initial_pdf"),
+    pytest.param("t", lambda v: pdf_at_time(5.0, v, _KERNEL), 2,
+                 id="pdf_at_time"),
+    pytest.param("t", lambda v: mc_sample(5.0, v, 10, _KERNEL,
+                                          np.random.default_rng(0)), 2,
+                 id="mc_sample-t"),
+    pytest.param("n_paths", lambda v: mc_sample(5.0, 2, v, _KERNEL,
+                                                np.random.default_rng(0)), 10,
+                 id="mc_sample-n_paths"),
+]
+
+
+@pytest.mark.parametrize("key, call, valid", _INTEGER_ARGUMENTS)
+@pytest.mark.parametrize("value", [2.5, np.float64(3.0), "3"],
+                         ids=["float", "numpy-float", "str"])
+def test_integer_arguments_refuse_other_values(key, call, valid, value):
+    message = rf"^{key} must be an integer, got {value}$"
+    with pytest.raises(ParamError, match=message) as info:
+        call(value)
+    assert info.value.key == key
+    # a numpy integer is an integer
+    call(np.int64(valid))
