@@ -12,11 +12,13 @@ neighbor is closer than ``s``, which folds attraction and collision
 avoidance into a single complex-valued function.
 
 Neighbors are the nodes within the sensing radius r. ``build_neighborhood``
-finds them with a sorted cell list and returns them as an unsorted pair list
-(``NeighborGraph``): two index arrays holding each unordered pair once. The
-engine's vectorised step (``engine.move``) takes one hammer per pair and
-adds it to one node and its negation to the other, so the step sorts no
-edges. Nothing here keeps mutable state.
+finds them with a sorted cell list and returns them in that sorted order
+(``NeighborGraph``): the node order and two index arrays into it holding
+each unordered pair once. The engine's vectorised step (``engine.move``)
+gathers the positions in that order once, takes one hammer per pair, adds
+it to one node and its negation to the other, and puts the summed social
+term back in node order, so the step sorts no edges and maps no pair back
+to node ids. Nothing here keeps mutable state.
 """
 
 from __future__ import annotations
@@ -104,19 +106,21 @@ class SwarmParams:
 # 2 MiB of L2 per core, 2 MiB blocks made a density step about 8% slower.
 BLOCK_BYTES = 2 ** 20
 
-# Cells are 2**-20 wider than r. p / cell is rounded, so on cells of side
-# exactly r a pair that passes the distance test can land two cells apart
-# (x = 1 - 2**-53 and 2 with r = 1). Within 2**30 cells of the origin the
-# slack outweighs the rounding, and int64 cell keys cannot overflow. Below
-# 2**-511, r * r is subnormal and the test passes pairs up to 1e-4 beyond r,
-# so cells are never narrower than that.
+# Cells are 2**-20 wider than the larger of r and the swarm's extent times
+# 2**-30. The cell index of a coordinate x is floor((x - mid) * (1 / cell)),
+# counted from the index of the swarm's minimum, mid being the middle of the
+# swarm's span on that axis. x - mid cannot overflow for any finite swarm and
+# is at most the span, so (x - mid) / cell is under 2**30 in magnitude and
+# the indices of a swarm span under 2**30 cells: int64 cell keys cannot
+# overflow. The difference, the reciprocal and the product each round by at
+# most 2**-53 relative, which moves an index by under 3 * 2**-53 * 2**30 <
+# 2**-21 cells, and two indices apart by under 2**-20 cells. The slack
+# outweighs that, so a pair that passes the distance test never lands two
+# cells apart, as it can on cells of side exactly r (x = 1 - 2**-53 and 2
+# with r = 1). Below 2**-511, r * r is subnormal and the test passes pairs up
+# to 1e-4 beyond r, so cells are never narrower than that.
 _CELL_SLACK = 1.0 + 2.0 ** -20
 _MIN_CELL = 2.0 ** -511
-_MAX_CELL = 2.0 ** 30
-
-# Cell offsets (dx, dy) that visit every unordered pair of equal or adjacent
-# cells once.
-_HALF_OFFSETS = ((0, 0), (1, -1), (1, 0), (1, 1), (0, 1))
 
 # The smallest normal double; ``hammer`` rescales magnitudes below it.
 _MIN_NORMAL = 2.0 ** -1022
@@ -125,42 +129,34 @@ _MIN_NORMAL = 2.0 ** -1022
 @dataclass(frozen=True, eq=False)
 class NeighborGraph:
     """Symmetric, loop-free neighbor graph under the sensing-radius relation,
-    as an unsorted pair list.
+    as a pair list in the sorted order of its build.
 
-    Each unordered pair of distinct nodes with ``|p_i - p_j| <= r`` appears
-    exactly once, as ``(u[k], v[k])`` for one k, in no particular order and
-    orientation. The compressed sparse row form, neighbors ascending, is
-    built from the pairs on first read of ``indptr`` or ``indices``; the
-    simulation step never reads it.
+    Sorted position k holds node ``order[k]``. Each unordered pair of
+    distinct nodes with ``|p_i - p_j| <= r`` appears exactly once, as the
+    sorted positions ``(a[k], b[k])`` for one k, in no particular order.
+    ``u`` and ``v``, the same pairs as node ids, are taken on first read;
+    the simulation step works on sorted positions.
     """
 
     n_nodes: int
-    u: np.ndarray
-    v: np.ndarray
+    order: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        return self.order[self.a]
+
+    @cached_property
+    def v(self) -> np.ndarray:
+        return self.order[self.b]
 
     def degrees(self) -> np.ndarray:
-        return np.bincount(np.concatenate([self.u, self.v]),
-                           minlength=self.n_nodes)
-
-    def directed_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Both orientations of every edge as flat (i, j) index arrays, in
-        no particular order."""
-        return (np.concatenate([self.u, self.v]),
-                np.concatenate([self.v, self.u]))
-
-    @cached_property
-    def indptr(self) -> np.ndarray:
-        """CSR row offsets: node i's neighbors are
-        ``indices[indptr[i]:indptr[i + 1]]``."""
-        indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-        np.cumsum(self.degrees(), out=indptr[1:])
-        return indptr
-
-    @cached_property
-    def indices(self) -> np.ndarray:
-        """CSR column indices: each node's neighbors, ascending."""
-        i_idx, j_idx = self.directed_edges()
-        return j_idx[np.lexsort((j_idx, i_idx))]
+        """Node i's neighbor count at index i."""
+        deg = np.empty(self.n_nodes, dtype=np.int64)
+        deg[self.order] = (np.bincount(self.a, minlength=self.n_nodes)
+                           + np.bincount(self.b, minlength=self.n_nodes))
+        return deg
 
     def component_count(self) -> int:
         """Number of connected components (isolated nodes count as one each).
@@ -169,9 +165,11 @@ class NeighborGraph:
         that i points at takes the smallest label of i's neighbors, then
         every node jumps one pointer further. At the fixed point each
         component is labelled by its smallest node, the only node that
-        labels itself.
+        labels itself. It runs on node ids: sorted positions, being
+        spatially local labels, took 10 rounds instead of 8 at N = 1e5.
         """
-        i_idx, j_idx = self.directed_edges()
+        i_idx = np.concatenate([self.u, self.v])
+        j_idx = np.concatenate([self.v, self.u])
         nodes = np.arange(self.n_nodes, dtype=np.int64)
         label = nodes
         while True:
@@ -196,67 +194,80 @@ def check_finite(p: np.ndarray) -> None:
 
 def build_neighborhood(positions, r: float) -> NeighborGraph:
     """Fixed-radius neighbor search with a sorted cell list (Allen &
-    Tildesley, *Computer Simulation of Liquids*) on cells of side just over r.
+    Tildesley, *Computer Simulation of Liquids*) on cells of side just over
+    r, or over the swarm's extent times 2**-30 if that is larger.
 
-    Nodes are sorted once by an int64 cell key with a one-cell margin, so no
-    offset wraps and every cell is a run of the sorted order. A node's
-    candidates are the later members of its own run and the runs of four
-    half-offset cells, so each unordered pair is a candidate once, and the
-    candidates that pass the distance test are the returned pair list as
-    they stand. Points at distance exactly r are neighbors: the test
-    compares squared magnitudes, so exactly-representable boundary pairs
-    are classified without a sqrt round trip.
+    Nodes are sorted once by an int64 cell key, counted from the swarm's
+    minimum corner with a one-cell margin, so every cell is a run of the
+    sorted order and no neighbor key wraps into another column. A node's
+    candidates are two runs: the later members of its own cell with the
+    cell above it (keys k and k + 1), and the three cells of the next
+    column (keys k + H - 1 to k + H + 1, H the column height). So each
+    unordered pair is a candidate once, and the candidates that pass the
+    distance test are the returned pairs as they stand. Points at distance
+    exactly r are neighbors: the test compares squared magnitudes, so
+    exactly-representable boundary pairs are classified without a sqrt
+    round trip.
 
-    Raises ValueError, naming the node, when a position is not finite or
-    lies 2**30 or more cells from the origin.
+    Raises ValueError, naming the node, when a position is not finite.
     """
     p = np.asarray(positions, dtype=np.complex128).ravel()
     n = p.size
     require(r >= 0, "r", "must be >= 0", r, "sensing radius ")
     check_finite(p)
     if n == 0:
-        return NeighborGraph(0, np.empty(0, dtype=np.int64),
-                             np.empty(0, dtype=np.int64))
+        empty = np.empty(0, dtype=np.int64)
+        return NeighborGraph(0, empty, empty, empty)
 
-    cell = (max(r, _MIN_CELL) if r > 0 else 1.0) * _CELL_SLACK
-    with np.errstate(over="ignore"):  # an infinite cell index is refused below
-        fx = np.floor(p.real / cell)
-        fy = np.floor(p.imag / cell)
-    far = np.maximum(np.abs(fx), np.abs(fy))
-    i = int(np.argmax(far))
-    if far[i] >= _MAX_CELL:
-        raise ValueError(f"node {i}: position {p[i]} is {far[i]:.3g} cells of "
-                         f"side {cell:g} from the origin; the neighbor search "
-                         f"is exact only below 2**30")
-    kx = (fx - fx.min() + 1).astype(np.int64)
-    ky = (fy - fy.min() + 1).astype(np.int64)
-    height = int(ky.max()) + 2
-    key = kx * height + ky
+    x, y = p.real, p.imag
+    x_lo, x_hi, y_lo, y_hi = (float(x.min()), float(x.max()),
+                              float(y.min()), float(y.max()))
+    # halved first: the span of a finite swarm can overflow, its half cannot
+    half = max(0.5 * x_hi - 0.5 * x_lo, 0.5 * y_hi - 0.5 * y_lo)
+    inv = 1.0 / (max(r, _MIN_CELL, half * 2.0 ** -29) * _CELL_SLACK)
+    mid = complex(0.5 * x_lo + 0.5 * x_hi, 0.5 * y_lo + 0.5 * y_hi)
+    # these scalar ops round as the array ops below do, so the minimum and
+    # the maximum get the extreme cell indices
+    ix_lo = math.floor((x_lo - mid.real) * inv)
+    iy_lo = math.floor((y_lo - mid.imag) * inv)
+    iy_hi = math.floor((y_hi - mid.imag) * inv)
+    height = iy_hi - iy_lo + 3  # a margin cell below and above each column
+    # each node's (x, y) cell indices, interleaved as p's parts are
+    ixy = (p - mid).view(np.float64)
+    ixy *= inv
+    ixy = np.floor(ixy, out=ixy).astype(np.int64)
+    key = ixy[0::2] * height
+    key += ixy[1::2]
+    key -= (ix_lo - 1) * height + (iy_lo - 1)  # the minimum's cell is (1, 1)
 
     order = np.argsort(key, kind="stable")
     sorted_key = key[order]
-    offsets = np.array([dx * height + dy for dx, dy in _HALF_OFFSETS])
-    target = (offsets[:, None] + sorted_key[None, :]).ravel()
-    lo = np.searchsorted(sorted_key, target, "left")
-    hi = np.searchsorted(sorted_key, target, "right")
-    lo[:n] = np.arange(1, n + 1)  # own cell: only the later members
-    counts = hi - lo
-    a = np.repeat(np.tile(np.arange(n), len(_HALF_OFFSETS)), counts)
-    b = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts),
-                                            counts)
-    # the distance test gathers the positions in sorted order, which a and
-    # b index and where a candidate pair sits close together; only the
-    # accepted pairs are mapped back to node ids. Candidates are under
-    # 2.9 r apart: no square overflows for r < 2**510
+    start = np.empty((n, 2), dtype=np.int64)
+    end = np.empty((n, 2), dtype=np.int64)
+    start[:, 0] = np.arange(1, n + 1)
+    end[:, 0] = sorted_key.searchsorted(sorted_key + 1, "right")
+    start[:, 1] = sorted_key.searchsorted(sorted_key + (height - 1), "left")
+    end[:, 1] = sorted_key.searchsorted(sorted_key + (height + 1), "right")
+    counts = (end - start).ravel()
+    a = np.arange(n).repeat(counts[0::2] + counts[1::2])
+    b = np.arange(counts.sum()) + (
+        start.ravel() - (np.cumsum(counts) - counts)).repeat(counts)
+    # the distance test reads the positions in sorted order, where a
+    # candidate pair sits close together. A difference that overflows is
+    # beyond any finite r, and a square that does is beyond any r < 2**510,
+    # whose own square is finite, so the test stays exact
+    ps = p[order]
     with np.errstate(over="ignore"):
+        d = ps[a] - ps[b]
         if r < 2.0 ** 510:
-            x, y = p.real[order], p.imag[order]
-            dx, dy = x[a] - x[b], y[a] - y[b]
-            close = dx * dx + dy * dy <= r * r
+            sq = d.view(np.float64)
+            sq *= sq
+            close = sq[0::2] + sq[1::2] <= r * r
         else:
-            ps = p[order]
-            close = np.abs(ps[a] - ps[b]) <= r
-    return NeighborGraph(n, order[a[close]], order[b[close]])
+            close = np.abs(d) <= r
+    kept = np.flatnonzero(close)
+    return NeighborGraph(n, order, a[kept], b[kept])
+
 
 def distance_speed(d, params: SwarmParams, out: np.ndarray | None = None):
     """Speed scale at distance(s) d from the darkest spot: the speed law

@@ -132,10 +132,12 @@ def step_normals(master_seed: int, t: int, n: int) -> np.ndarray:
     ``sqrt(-2 log(1 - u_a)) * (cos, sin)(2 pi u_b)`` with the 53-bit uniforms
     ``u = (word >> 11) * 2**-53`` in [0, 1), so every value is finite. A walk
     reads the same rows a block of steps at a time (``_block_normals``).
-    ParamError unless t is an integer in [0, 2**64).
+    ParamError unless t is an integer in [0, 2**64) and n an integer >= 0.
     """
     t = require_int("t", t)
     require(0 <= t < SEED_LIMIT, "t", "must be in [0, 2**64)", t)
+    n = require_int("n", n)
+    require(n >= 0, "n", "must be >= 0", n)
     return _block_normals(master_seed, t, n, 1)[0]
 
 
@@ -217,9 +219,10 @@ def move(positions: np.ndarray, params: SwarmParams, g: np.ndarray,
     ``g[i, 2] + 1j * g[i, 3]``. Pure: reads the time-t positions only.
 
     The social term of node i sums ``hammer(p_j - p_i, s)`` over its
-    neighbors j. Each pair (u, v) of ``graph``, the neighbor graph of
-    ``positions`` (built here when None), takes one hammer h, adds h to u's
-    sum and -h to v's; hammer is odd bit for bit, so -h is v's own term.
+    neighbors j. ``graph`` is the neighbor graph of ``positions`` (built
+    here when None). Each of its pairs (a, b) of sorted positions takes one
+    hammer h of ``p[order[b]] - p[order[a]]``, adds h to a's sum and -h to
+    b's; hammer is odd bit for bit, so -h is b's own term.
 
     Raises ValueError, naming the node, if a new position is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -240,12 +243,16 @@ def _step(p: np.ndarray, params: SwarmParams, sigma, draw,
         n = p.size
         if graph is None:
             graph = build_neighborhood(p, params.r)
-        h = hammer(p[graph.v] - p[graph.u], params.s)
-        nodes = np.concatenate([graph.u, graph.v])
-        hs = np.concatenate([h, -h])
-        acc = (np.bincount(nodes, weights=hs.real, minlength=n)
-               + 1j * np.bincount(nodes, weights=hs.imag, minlength=n))
-        deg = np.bincount(nodes, minlength=n)
+        a, b, order = graph.a, graph.b, graph.order
+        ps = p[order]
+        h = hammer(ps[b] - ps[a], params.s)
+        # the sums run over sorted positions and go back to node order once
+        acc_sorted = np.zeros(n, dtype=np.complex128)
+        np.add.at(acc_sorted, a, h)
+        np.subtract.at(acc_sorted, b, h)
+        acc = np.empty_like(acc_sorted)
+        acc[order] = acc_sorted
+        deg = graph.degrees()
         heading = _heading(np.where(deg > 0,
                                     (params.w / np.maximum(deg, 1)) * acc
                                     + heading,
@@ -278,8 +285,9 @@ def compute_metrics(state: SwarmState, params: SwarmParams, eps: float,
     pairwise mean is over unordered pairs and is 0 for a single node: the
     sum of ``|p_i - p_j|`` over full rows, which counts each pair twice, over
     ``n (n - 1)``. Rows go in blocks of ``core.BLOCK_BYTES``, so memory is
-    O(N). ValueError for positions the graph, built first, cannot place, and
-    for distance sums that overflow; ParamError unless eps >= 0.
+    O(N). ValueError for positions that are not finite, named by the graph
+    built first, and for distance sums that overflow; ParamError unless
+    eps >= 0.
     """
     check_run_args(eps=eps)
     p = state.positions
@@ -305,8 +313,8 @@ def compute_metrics(state: SwarmState, params: SwarmParams, eps: float,
 
 
 def step_error(t: int, exc: ValueError) -> ValueError:
-    """``exc`` with step t prefixed, e.g. positions that diverged too far
-    for the neighbor search give ``step 400: node 17: ...``."""
+    """``exc`` with step t prefixed, e.g. a position that overflowed gives
+    ``step 558: node 88: position (inf-infj) is not finite``."""
     return ValueError(f"step {t}: {exc}")
 
 

@@ -1,8 +1,9 @@
 """Scalar reference path of one node-step, kept as a test oracle.
 
 These functions compute one node's step from first principles: they read the
-node's neighbors from the CSR graph one slice at a time and take its four
-normals from an explicit stream argument (anything with a
+node's neighbors one slice at a time from the graph's compressed sparse row
+(CSR) form, which ``indptr`` and ``indices`` build here from its pairs, and
+take its four normals from an explicit stream argument (anything with a
 ``standard_normal`` method, such as ``conftest.FakeStream`` or a
 ``numpy.random.Generator``). The tests compare ``engine.move``, which does
 the same for all nodes at once, against them. ``dense_move`` does so for
@@ -15,6 +16,7 @@ block draws.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,9 +28,40 @@ from shinerswarm.engine import (SwarmState, init_swarm, move,
                                 resolve_sigma_const, step_normals)
 
 
+def directed_edges(graph: NeighborGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Both orientations of every edge as flat (i, j) node-id arrays, in no
+    particular order."""
+    return (np.concatenate([graph.u, graph.v]),
+            np.concatenate([graph.v, graph.u]))
+
+
+def indptr(graph: NeighborGraph) -> np.ndarray:
+    """CSR row offsets: node i's neighbors are
+    ``indices(graph)[indptr(graph)[i]:indptr(graph)[i + 1]]``."""
+    return _csr(graph)[0]
+
+
+def indices(graph: NeighborGraph) -> np.ndarray:
+    """CSR column indices: each node's neighbors, ascending."""
+    return _csr(graph)[1]
+
+
+@functools.lru_cache(maxsize=4)
+def _csr(graph: NeighborGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only CSR arrays of the last few graphs read, so a loop over
+    a graph's rows builds them once."""
+    offsets = np.zeros(graph.n_nodes + 1, dtype=np.int64)
+    np.cumsum(graph.degrees(), out=offsets[1:])
+    i_idx, j_idx = directed_edges(graph)
+    cols = j_idx[np.lexsort((j_idx, i_idx))]
+    offsets.flags.writeable = cols.flags.writeable = False
+    return offsets, cols
+
+
 def neighbors(graph: NeighborGraph, i: int) -> np.ndarray:
     """Node i's neighbors, ascending: its row of the CSR graph."""
-    return graph.indices[graph.indptr[i]:graph.indptr[i + 1]]
+    offsets = indptr(graph)
+    return indices(graph)[offsets[i]:offsets[i + 1]]
 
 
 @dataclass(frozen=True)

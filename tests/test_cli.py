@@ -415,17 +415,32 @@ def test_density_unwritable_out_exits_3_naming_the_path(tmp_path, capsys):
     assert err.startswith("error: ") and str(out) in err
 
 
-def test_simulate_diverging_run_exits_4_naming_the_step(tmp_path, capsys):
-    # the env-only walk with c1 = 3 reaches |p| ~ 1e218 by step 400, too far
-    # out for exact cell indices, so the t = 400 metrics cannot be formed
+def test_simulate_records_a_far_but_finite_run(tmp_path):
+    # the env-only walk with c1 = 3 reaches |p| ~ 1e218 by step 400: every
+    # position is finite, so the t = 400 record is written
     cfg = tmp_path / "diverge.cfg"
     cfg.write_text("mode = env\nc1 = 3\nsteps = 400\nstride = 400\n")
     out = tmp_path / "out"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("error: step 400: node ")
-    assert "Traceback" not in err
-    assert not out.exists()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    mets = [row.split(",") for row in lines(out / "metrics.csv")[1:]]
+    snaps = [row.split(",") for row in lines(out / "snapshots.csv")[1:]]
+    assert [int(row[0]) for row in mets] == [0, 400]
+    assert len(snaps) == 2 * 100
+    assert np.isfinite([float(v) for row in mets + snaps for v in row]).all()
+    assert float(mets[1][1]) > 1e200
+
+
+def test_simulate_runs_with_a_tiny_sensing_radius(tmp_path):
+    # r = 1e-10 puts the default box 5e9 cells of side r wide; the cells
+    # widen to its extent times 2**-30 and the graph is still exact
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("r = 1e-10\nsteps = 20\nstride = 10\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    mets = lines(out / "metrics.csv")[1:]
+    assert [int(row.split(",")[4]) for row in mets] == [100, 100, 100]
 
 
 def test_simulate_env_only_overflow_exits_4_at_the_step_it_happens(tmp_path,

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import FakeStream
 from oracle import (
     StepDraw,
+    directed_edges,
     hammer_reference,
     neighbors,
     node_step,
@@ -69,7 +70,7 @@ def test_neighborhood_boundary_distance_is_inclusive():
 
 def test_neighborhood_empty_input():
     g = build_neighborhood([], r=0.5)
-    assert g.n_nodes == 0 and g.directed_edges()[0].size == 0
+    assert g.n_nodes == 0 and directed_edges(g)[0].size == 0
 
 
 def test_neighborhood_exact_boundary_constructions():
@@ -119,29 +120,35 @@ def test_neighborhood_invariants_and_order_independence():
 
 def test_neighborhood_keeps_pairs_an_ulp_below_a_cell_boundary():
     # 1 - 2**-53 and 2 pass the distance test with r = 1 (the difference
-    # rounds to 1), although on cells of side exactly r they sit two apart
+    # rounds to 1), although on cells of side exactly r they sit two apart;
+    # a third node, out of reach, centres the swarm's span on 0, so cells
+    # are counted from there
     below = float(np.nextafter(1.0, 0.0))
-    for p in ([below + 0j, 2 + 0j], [0.3 + below * 1j, 0.3 + 2j]):
+    for p in ([below + 0j, 2 + 0j, -2 + 10j],
+              [0.3 + below * 1j, 0.3 + 2j, 10 - 2j]):
         assert as_lists(build_neighborhood(p, 1.0)) == brute_force_adjacency(p, 1.0)
-        assert as_lists(build_neighborhood(p, 1.0)) == [[1], [0]]
+        assert as_lists(build_neighborhood(p, 1.0)) == [[1], [0], []]
     # with r = 1e-160, r * r is subnormal and a pair 1e-4 beyond r passes
     r = 1e-160
-    p = [r * (1 - 1e-9) + 0j, r * (2 + 1e-4 - 1e-9) + 0j]
+    far = r * (2 + 1e-4 - 1e-9)
+    p = [r * (1 - 1e-9) + 0j, far + 0j, -far + 0j]
     assert as_lists(build_neighborhood(p, r)) == brute_force_adjacency(p, r)
-    assert as_lists(build_neighborhood(p, r)) == [[1], [0]]
+    assert as_lists(build_neighborhood(p, r)) == [[1], [0], []]
 
 
 def test_neighborhood_names_the_node_it_cannot_place():
     with pytest.raises(ValueError, match=r"^node 1: position .* not finite"):
         build_neighborhood([0j, complex(np.inf, 0)], 0.1)
-    with pytest.raises(ValueError, match=r"^node 2: .* cells of side"):
-        build_neighborhood([0j, 1 + 0j, 1e12j], 0.2)
-    with pytest.raises(ValueError, match=r"^node 1: .* cells of side"):
-        build_neighborhood([0j, complex(-1.1e9, 0.0)], 1.0)
+    # far from the origin or from each other, finite nodes are placed
+    for p, r in (([0j, 1 + 0j, 1e12j, 0.1 + 1e12j], 0.2),
+                 ([0j, complex(-1.1e9, 0.0), complex(-1.1e9, 0.5)], 1.0)):
+        assert (as_lists(build_neighborhood(p, r))
+                == brute_force_adjacency(p, r))
 
 
 def test_neighborhood_at_the_cell_limit():
-    # opposite corners just inside 2**30 cells: the widest keys still fit
+    # opposite corners about 2**31 cells of side r apart: the cells widen
+    # to the extent times 2**-30, and the widest keys still fit
     edge = 1.07e9
     p = [complex(-edge, -edge), complex(edge, edge), complex(edge, edge + 0.5)]
     assert as_lists(build_neighborhood(p, 1.0)) == [[], [2], [1]]
@@ -155,6 +162,32 @@ def test_neighborhood_radius_so_large_that_squares_overflow():
         assert as_lists(build_neighborhood(p, 1.5e300)) == [[1], [0], []]
         assert as_lists(build_neighborhood(p, np.inf)) == [[1, 2], [0, 2],
                                                             [0, 1]]
+
+
+def test_neighborhood_of_a_swarm_whose_extent_overflows():
+    # nodes at +-1e308: the span 2e308 overflows a double, its half does not
+    big = 1e308
+    p = [complex(big, big), complex(-big, -big), complex(big, big),
+         complex(-big, big), 0j, 0.1 + 0j, complex(big, -big),
+         complex(np.nextafter(big, 0), -big)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (0.0, 0.2, 1e100, 1e150):
+            assert (as_lists(build_neighborhood(p, r))
+                    == brute_force_adjacency(p, r))
+
+
+def test_neighborhood_of_a_cluster_with_one_far_outlier():
+    # the outlier widens every cell to about 1e3, so the whole cluster
+    # shares a cell and every pair of it is a candidate
+    rng = np.random.default_rng(5)
+    p = np.append(3 + rng.uniform(-1, 1, 150) + 1j * rng.uniform(-1, 1, 150),
+                  complex(-2e12, 1e12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in (0.05, 0.2):
+            assert (as_lists(build_neighborhood(p, r))
+                    == brute_force_adjacency(p, r))
 
 
 def test_neighborhood_rejects_bad_input():

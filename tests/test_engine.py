@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from conftest import FakeStream
-from oracle import fresh_step_normals, node_step, stepped_walk
+from oracle import (fresh_step_normals, indices, indptr, node_step,
+                    stepped_walk)
 from shinerswarm import engine
 from shinerswarm.core import (
     BLOCK_BYTES,
@@ -97,6 +98,15 @@ def test_seed_outside_uint64_rejected(seed):
 def test_step_outside_uint64_rejected(t):
     with pytest.raises(ParamError, match=r"^t must be in \[0, 2\*\*64\), got"):
         step_normals(0, t, 3)
+
+
+def test_step_normals_node_count_is_a_whole_number():
+    with pytest.raises(ParamError, match=r"^n must be >= 0, got -1$") as info:
+        step_normals(0, 0, -1)
+    assert info.value.key == "n"
+    with pytest.raises(ParamError, match=r"^n must be an integer, got 2.5$"):
+        step_normals(0, 0, 2.5)
+    assert step_normals(0, 0, 0).shape == (0, 4)
 
 
 def test_largest_seed_accepted():
@@ -273,8 +283,8 @@ def test_translation_equivariance(points, shift, social, seed):
                          social_enabled=social)
     graph = build_neighborhood(p, params.r)
     moved = build_neighborhood(p + c, params.r)
-    assert np.array_equal(moved.indptr, graph.indptr)
-    assert np.array_equal(moved.indices, graph.indices)
+    assert np.array_equal(indptr(moved), indptr(graph))
+    assert np.array_equal(indices(moved), indices(graph))
     g = step_normals(seed, 0, p.size)
     np.testing.assert_allclose(
         move(p + c, replace(params, rho=params.rho + c), g),
@@ -446,10 +456,10 @@ def test_run_rejects_negative_or_nan_eps(eps):
 
 
 def test_run_names_step_0_when_the_placement_cannot_be_measured():
-    # a finite region so far out that its nodes lie beyond 2**30 cells
-    far = Box(1e300, 0.0, 2e300, 1.0)
-    with pytest.raises(ValueError, match=r"^step 0: node \d+: .* cells of side"):
-        run(SwarmParams(n_nodes=3), 0, far, n_steps=1, snapshot_stride=1)
+    # every distance to a darkest spot at (-1e308, -1e308) overflows
+    params = SwarmParams(n_nodes=3, rho=complex(-1e308, -1e308))
+    with pytest.raises(ValueError, match=r"^step 0: distances overflow: "):
+        run(params, 0, UNIT_BOX, n_steps=1, snapshot_stride=1)
 
 
 def test_run_is_bit_reproducible():
@@ -570,9 +580,9 @@ def test_first_passage_rejects_out_of_range_arguments(key, eps, frac,
 
 
 def test_first_passage_names_the_step_as_run_does():
-    # c1 = 3 diverges: by step 14 a node is too far out for the neighbor search
+    # c1 = 3 diverges until a position overflows at step 558
     params = SwarmParams(c1=3.0)
-    with pytest.raises(ValueError, match=r"^step 14: node \d+: ") as passage:
+    with pytest.raises(ValueError, match=r"^step 558: node \d+: ") as passage:
         first_passage(params, 0, UNIT_BOX, 0.15, 0.9, 2000)
     with pytest.raises(ValueError) as ran:
         run(params, 0, UNIT_BOX, n_steps=2000, snapshot_stride=2000)
@@ -809,6 +819,7 @@ _INTEGER_ARGUMENTS = [
         SwarmParams(n_nodes=3), 0, UNIT_BOX, 0.15, 0.9, v), 2,
                  id="first_passage"),
     pytest.param("t", lambda v: step_normals(0, v, 3), 2, id="step_normals"),
+    pytest.param("n", lambda v: step_normals(0, 2, v), 3, id="step_normals-n"),
     pytest.param("n_nodes", lambda v: SwarmParams(n_nodes=v), 3,
                  id="SwarmParams"),
     pytest.param("n_points", lambda v: initial_pdf(5.0, _KERNEL, n_points=v),

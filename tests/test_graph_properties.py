@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from oracle import dense_move, neighbors
+from oracle import dense_move, directed_edges, indices, indptr, neighbors
 from shinerswarm.core import NeighborGraph, SwarmParams, build_neighborhood
 from shinerswarm.engine import move, step_normals
 
@@ -63,8 +63,8 @@ def brute_force_csr(p, r):
     d = p[:, None] - p[None, :]
     close = (d.real * d.real + d.imag * d.imag) <= r * r
     np.fill_diagonal(close, False)
-    indptr = np.concatenate([[0], np.cumsum(close.sum(axis=1))])
-    return indptr, np.nonzero(close)[1]
+    offsets = np.concatenate([[0], np.cumsum(close.sum(axis=1))])
+    return offsets, np.nonzero(close)[1]
 
 
 @PROPERTY_SETTINGS
@@ -72,9 +72,9 @@ def brute_force_csr(p, r):
 def test_csr_graph_equals_brute_force(case):
     p, r = case
     graph = build_neighborhood(p, r)
-    indptr, indices = brute_force_csr(p, r)
-    np.testing.assert_array_equal(graph.indptr, indptr)
-    np.testing.assert_array_equal(graph.indices, indices)
+    want_indptr, want_indices = brute_force_csr(p, r)
+    np.testing.assert_array_equal(indptr(graph), want_indptr)
+    np.testing.assert_array_equal(indices(graph), want_indices)
 
 
 @PROPERTY_SETTINGS
@@ -84,8 +84,9 @@ def test_csr_invariants(case):
     graph = build_neighborhood(p, r)
     n = p.size
     assert graph.n_nodes == n
-    assert graph.indptr[0] == 0 and graph.indptr[-1] == graph.indices.size
-    assert np.all(np.diff(graph.indptr) >= 0)
+    offsets = indptr(graph)
+    assert offsets[0] == 0 and offsets[-1] == indices(graph).size
+    assert np.all(np.diff(offsets) >= 0)
     edges = set()
     for i in range(n):
         row = neighbors(graph, i)
@@ -93,14 +94,15 @@ def test_csr_invariants(case):
         assert i not in row, f"loop at node {i}"
         edges.update((i, int(j)) for j in row)
     assert edges == {(j, i) for i, j in edges}
-    i_idx, j_idx = graph.directed_edges()
+    i_idx, j_idx = directed_edges(graph)
     assert set(zip(i_idx.tolist(), j_idx.tolist())) == edges
 
 
 def scipy_components(graph: NeighborGraph) -> int:
     n = graph.n_nodes
-    matrix = csr_matrix((np.ones(graph.indices.size), graph.indices,
-                         graph.indptr), shape=(n, n))
+    cols = indices(graph)
+    matrix = csr_matrix((np.ones(cols.size), cols, indptr(graph)),
+                        shape=(n, n))
     return connected_components(matrix, directed=False)[0]
 
 
@@ -124,13 +126,13 @@ def edge_lists(draw):
 def graph_from_edges(n, edges):
     """Pair-list graph of the undirected simple graph on n nodes with these
     edges: each unordered pair once, in the order and orientation first
-    listed."""
+    listed, with the nodes in their own order."""
     pairs = {}
     for i, j in edges:
         if i != j:
             pairs.setdefault(frozenset((i, j)), (i, j))
     uv = np.array(list(pairs.values()), dtype=np.int64).reshape(-1, 2)
-    return NeighborGraph(n, uv[:, 0], uv[:, 1])
+    return NeighborGraph(n, np.arange(n), uv[:, 0], uv[:, 1])
 
 
 @PROPERTY_SETTINGS
@@ -155,8 +157,8 @@ def test_component_count_on_shuffled_long_path():
 def test_pair_list_holds_each_neighbor_pair_once(case):
     p, r = case
     graph = build_neighborhood(p, r)
-    indptr, _ = brute_force_csr(p, r)
-    np.testing.assert_array_equal(graph.degrees(), np.diff(indptr))
+    want_indptr, _ = brute_force_csr(p, r)
+    np.testing.assert_array_equal(graph.degrees(), np.diff(want_indptr))
     assert np.all(graph.u != graph.v)
     pairs = {frozenset(e) for e in zip(graph.u.tolist(), graph.v.tolist())}
     assert len(pairs) == graph.u.size
