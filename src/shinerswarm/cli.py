@@ -83,7 +83,6 @@ def _write_text(path: str, text: str) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    require(args.workers >= 1, "workers", "must be >= 1", args.workers)
     text = "" if args.config is None else _read_text(args.config)
     cfg = parse_config(text, seed=args.seed, steps=args.steps,
                        stride=args.stride, mode=args.mode, out_dir=args.out)
@@ -226,9 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int)
     p.add_argument("--mode", choices=MODES)
     p.add_argument("--out", help="output directory")
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; must be >= 1 and has "
-                        "no effect, since each step is one vectorised pass")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("density", help="propagate the 1D location pdf")

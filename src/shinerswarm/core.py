@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -122,6 +121,13 @@ BLOCK_BYTES = 2 ** 20
 _CELL_SLACK = 1.0 + 2.0 ** -20
 _MIN_CELL = 2.0 ** -511
 
+# Most candidate pairs one neighbor search tests. Each candidate takes about
+# 48 B of temporaries, so this is about 3 GiB. A uniform swarm of 100 nodes
+# per unit area makes about 18 candidates per node at r = 0.2 (1.8e6 at
+# N = 1e5), but one far outlier widens every cell to the swarm's extent
+# times 2**-30, and the candidates then grow as N**2: 5e9 at N = 1e5.
+_MAX_CANDIDATES = 2 ** 26
+
 # The smallest normal double; ``hammer`` rescales magnitudes below it.
 _MIN_NORMAL = 2.0 ** -1022
 
@@ -133,23 +139,14 @@ class NeighborGraph:
 
     Sorted position k holds node ``order[k]``. Each unordered pair of
     distinct nodes with ``|p_i - p_j| <= r`` appears exactly once, as the
-    sorted positions ``(a[k], b[k])`` for one k, in no particular order.
-    ``u`` and ``v``, the same pairs as node ids, are taken on first read;
-    the simulation step works on sorted positions.
+    sorted positions ``(a[k], b[k])`` for one k, in no particular order,
+    which are the nodes ``order[a[k]]`` and ``order[b[k]]``.
     """
 
     n_nodes: int
     order: np.ndarray
     a: np.ndarray
     b: np.ndarray
-
-    @cached_property
-    def u(self) -> np.ndarray:
-        return self.order[self.a]
-
-    @cached_property
-    def v(self) -> np.ndarray:
-        return self.order[self.b]
 
     def degrees(self) -> np.ndarray:
         """Node i's neighbor count at index i."""
@@ -168,8 +165,8 @@ class NeighborGraph:
         labels itself. It runs on node ids: sorted positions, being
         spatially local labels, took 10 rounds instead of 8 at N = 1e5.
         """
-        i_idx = np.concatenate([self.u, self.v])
-        j_idx = np.concatenate([self.v, self.u])
+        i_idx = self.order[np.concatenate([self.a, self.b])]
+        j_idx = self.order[np.concatenate([self.b, self.a])]
         nodes = np.arange(self.n_nodes, dtype=np.int64)
         label = nodes
         while True:
@@ -209,7 +206,11 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
     exactly-representable boundary pairs are classified without a sqrt
     round trip.
 
-    Raises ValueError, naming the node, when a position is not finite.
+    Raises ValueError, naming the node, when a position is not finite, and
+    before any candidate list is made when there would be more than
+    ``_MAX_CANDIDATES`` candidates, naming the node farthest from the
+    coordinate-wise median when it is the swarm's extent that widens the
+    cells.
     """
     p = np.asarray(positions, dtype=np.complex128).ravel()
     n = p.size
@@ -224,7 +225,8 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
                               float(y.min()), float(y.max()))
     # halved first: the span of a finite swarm can overflow, its half cannot
     half = max(0.5 * x_hi - 0.5 * x_lo, 0.5 * y_hi - 0.5 * y_lo)
-    inv = 1.0 / (max(r, _MIN_CELL, half * 2.0 ** -29) * _CELL_SLACK)
+    side = max(r, _MIN_CELL, half * 2.0 ** -29) * _CELL_SLACK
+    inv = 1.0 / side
     mid = complex(0.5 * x_lo + 0.5 * x_hi, 0.5 * y_lo + 0.5 * y_hi)
     # these scalar ops round as the array ops below do, so the minimum and
     # the maximum get the extreme cell indices
@@ -249,8 +251,19 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
     start[:, 1] = sorted_key.searchsorted(sorted_key + (height - 1), "left")
     end[:, 1] = sorted_key.searchsorted(sorted_key + (height + 1), "right")
     counts = (end - start).ravel()
+    total = int(counts.sum())
+    if total > _MAX_CANDIDATES:
+        why = ""
+        if side > max(r, _MIN_CELL) * _CELL_SLACK:  # the extent set the side
+            with np.errstate(over="ignore"):
+                far = np.hypot(x - np.median(x), y - np.median(y))
+            i = int(np.argmax(far))
+            why = f"node {i} at {p[i]} stretches the swarm's extent, so "
+        raise ValueError(f"{why}{total} neighbor candidates on cells of side "
+                         f"{side:.3g} for r = {r:g} exceed the budget of "
+                         f"{_MAX_CANDIDATES}")
     a = np.arange(n).repeat(counts[0::2] + counts[1::2])
-    b = np.arange(counts.sum()) + (
+    b = np.arange(total) + (
         start.ravel() - (np.cumsum(counts) - counts)).repeat(counts)
     # the distance test reads the positions in sorted order, where a
     # candidate pair sits close together. A difference that overflows is

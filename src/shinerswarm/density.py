@@ -149,6 +149,10 @@ def kernel_pdf(mu, z, params: KernelParams):
     return (norm * np.exp(-np.square(k * (np.asarray(z) - mu))))[()]
 
 
+# The cache stays because it measures: without it each initial_pdf builds
+# its grid anew, and the repeated t = 3 density chain (perfbench's
+# density-chain, 5 s runs, numpy 2.4.6 on 2 vCPUs) peaked at 47.0-47.3 MB
+# RSS instead of 43.5-43.8 MB, in 3 of 3 pairs of runs.
 @functools.lru_cache(maxsize=8)
 def _graded_grid(z_min: float, z_max: float, n_points: int, c2: float
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:

@@ -287,13 +287,14 @@ def compute_metrics(state: SwarmState, params: SwarmParams, eps: float,
     ``n (n - 1)``. Rows go in blocks of ``core.BLOCK_BYTES``, so memory is
     O(N). ValueError for positions that are not finite, named by the graph
     built first, and for distance sums that overflow; ParamError unless
-    eps >= 0.
+    eps >= 0 and the frame has a node.
     """
     check_run_args(eps=eps)
     p = state.positions
+    n = p.size
+    require(n >= 1, "n_nodes", "must be >= 1", n)
     if graph is None:
         graph = build_neighborhood(p, params.r)
-    n = p.size
     rows = max(1, BLOCK_BYTES // (n * p.itemsize))
     with np.errstate(over="ignore"):
         d = np.abs(p - params.rho)

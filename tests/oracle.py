@@ -28,11 +28,17 @@ from shinerswarm.engine import (SwarmState, init_swarm, move,
                                 resolve_sigma_const, step_normals)
 
 
+def node_pairs(graph: NeighborGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The graph's pairs as node ids ``(u, v)``: pair k joins nodes ``u[k]``
+    and ``v[k]``, in the graph's pair order."""
+    return graph.order[graph.a], graph.order[graph.b]
+
+
 def directed_edges(graph: NeighborGraph) -> tuple[np.ndarray, np.ndarray]:
     """Both orientations of every edge as flat (i, j) node-id arrays, in no
     particular order."""
-    return (np.concatenate([graph.u, graph.v]),
-            np.concatenate([graph.v, graph.u]))
+    u, v = node_pairs(graph)
+    return np.concatenate([u, v]), np.concatenate([v, u])
 
 
 def indptr(graph: NeighborGraph) -> np.ndarray:

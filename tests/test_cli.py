@@ -192,13 +192,13 @@ def test_simulate_infinite_region_width_exits_2(tmp_path, capsys, text, line):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_simulate_workers_below_1_exits_2(tmp_path, capsys, workers):
+def test_simulate_has_no_workers_option(tmp_path, capsys):
+    # each step is one vectorised pass, so there is no pool to size
     out = tmp_path / "out"
-    assert main(["simulate", "--workers", workers, "--steps", "1",
-                 "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: --workers: workers must be >= 1, got {workers}\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--workers", "2", "--steps", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -605,6 +605,24 @@ def test_metrics_non_finite_position_exits_4(tmp_path, capsys):
     csv.write_text("step,node_id,x,y\n2,0,0.5,0\n2,1,nan,0\n")
     assert main(["metrics", "--in", str(csv), "--eps", "0.1"]) == 4
     assert "step 2: node 1" in capsys.readouterr().err
+
+
+def test_metrics_of_a_swarm_with_a_far_outlier_exits_4(tmp_path, capsys):
+    # too many neighbor candidates for the budget: a numeric error naming the
+    # step and the node, not a MemoryError
+    rng = np.random.default_rng(3)
+    half = 0.5 * (100_000 / 100) ** 0.5
+    xy = rng.uniform(-half, half, (100_000, 2)).tolist() + [[1e12, 0.0]]
+    csv = tmp_path / "outlier.csv"
+    csv.write_text("step,node_id,x,y\n" + "".join(
+        f"0,{i},{x!r},{y!r}\n" for i, (x, y) in enumerate(xy)))
+    assert main(["metrics", "--in", str(csv), "--eps", "0.1"]) == 4
+    out, err = capsys.readouterr()
+    assert err.startswith("error: step 0: node 100000 at (1000000000000+0j) "
+                          "stretches the swarm's extent")
+    assert "exceed the budget of 67108864" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert out == "step,mean_dist,frac_within_eps,mean_pairwise_dist,cluster_count\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -188,6 +190,44 @@ def test_neighborhood_of_a_cluster_with_one_far_outlier():
         for r in (0.05, 0.2):
             assert (as_lists(build_neighborhood(p, r))
                     == brute_force_adjacency(p, r))
+
+
+def test_neighborhood_refuses_a_candidate_count_over_its_budget():
+    # 1e5 nodes at 100 per unit area and one at (1e12, 0), which puts nearly
+    # every pair in one cell: 5e9 candidates, about 224 GiB of temporaries,
+    # refused before any is listed
+    rng = np.random.default_rng(3)
+    p = np.append(rng.uniform(-15.8, 15.8, 100_000)
+                  + 1j * rng.uniform(-15.8, 15.8, 100_000), 1e12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            build_neighborhood(p, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    message = str(info.value)
+    assert message.startswith("node 100000 at (1000000000000+0j) stretches")
+    count = int(re.search(r"(\d+) neighbor candidates", message).group(1))
+    assert 2 ** 26 < count <= 100_001 * 100_000 // 2
+    assert message.endswith("for r = 0.2 exceed the budget of 67108864")
+
+
+def test_neighborhood_over_budget_on_cells_of_side_r_names_no_node():
+    # 12000 nodes within r of each other: 7.2e7 candidates at the cells' own
+    # side, which no node stretches
+    p = np.linspace(0, 1, 12_000) + 0j
+    with pytest.raises(ValueError, match=r"^71994000 neighbor candidates on "
+                       r"cells of side 2 for r = 2 exceed the budget"):
+        build_neighborhood(p, 2.0)
+
+
+def test_neighbor_graph_holds_only_its_four_arrays():
+    graph = build_neighborhood([0j, 0.1 + 0j, 1 + 0j], r=0.2)
+    graph.degrees()
+    graph.component_count()
+    assert set(vars(graph)) == {"n_nodes", "order", "a", "b"}
 
 
 def test_neighborhood_rejects_bad_input():

@@ -397,6 +397,13 @@ def test_metrics_reject_negative_or_nan_eps(eps):
     assert info.value.key == "eps"
 
 
+def test_metrics_reject_a_frame_without_nodes():
+    state = SwarmState(0, np.empty(0, dtype=complex), 0)
+    with pytest.raises(ParamError, match="n_nodes must be >= 1, got 0") as info:
+        compute_metrics(state, SwarmParams(), 0.15)
+    assert info.value.key == "n_nodes"
+
+
 def _reference_density_state(n, seed=0):
     """n nodes placed at the reference node density (box side sqrt(n / 100))."""
     half = 0.5 * math.sqrt(n / 100)

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from oracle import dense_move, directed_edges, indices, indptr, neighbors
+from oracle import (dense_move, directed_edges, indices, indptr, neighbors,
+                    node_pairs)
 from shinerswarm.core import NeighborGraph, SwarmParams, build_neighborhood
 from shinerswarm.engine import move, step_normals
 
@@ -159,9 +160,10 @@ def test_pair_list_holds_each_neighbor_pair_once(case):
     graph = build_neighborhood(p, r)
     want_indptr, _ = brute_force_csr(p, r)
     np.testing.assert_array_equal(graph.degrees(), np.diff(want_indptr))
-    assert np.all(graph.u != graph.v)
-    pairs = {frozenset(e) for e in zip(graph.u.tolist(), graph.v.tolist())}
-    assert len(pairs) == graph.u.size
+    u, v = node_pairs(graph)
+    assert np.all(u != v)
+    pairs = {frozenset(e) for e in zip(u.tolist(), v.tolist())}
+    assert len(pairs) == u.size
 
 
 @PROPERTY_SETTINGS
