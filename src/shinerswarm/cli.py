@@ -161,7 +161,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     for step, node, x, y in table:
         by_step.setdefault(step, {})[node] = complex(x, y)
 
-    print(METRICS_HEADER)
+    # every row is computed before any is printed, so a step that fails
+    # leaves stdout empty
+    rows = [METRICS_HEADER]
     for step in sorted(by_step):
         positions = np.array([p for _, p in sorted(by_step[step].items())])
         state = SwarmState(t=step, positions=positions, seed=0)
@@ -169,7 +171,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
             metrics = compute_metrics(state, params, args.eps)
         except ValueError as exc:
             raise step_error(step, exc) from exc
-        print(_metrics_row(metrics))
+        rows.append(_metrics_row(metrics))
+    print("\n".join(rows))
     return EXIT_OK
 
 

@@ -42,9 +42,10 @@ SEED_LIMIT = 2 ** 64
 # Radius around the darkest spot within which a node counts as arrived.
 DEFAULT_EPS = 0.15
 
-# Most normals a walk draws at once: 64 KiB is about 20 steps at N = 100,
-# where a block saves the generator set-up and numpy calls of 19 steps, and
-# one step from N = 2048 on, where more steps would only add memory.
+# Most normals a walk draws at once: 64 KiB of 32 bytes per node-step is
+# 2048 // N steps, 20 at N = 100, where a block saves the generator set-up
+# and numpy calls of 19 steps; two at N = 683-1024, and one from N = 1025
+# on, where more steps would only add memory.
 _DRAW_BYTES = 2 ** 16
 
 

@@ -11,19 +11,21 @@ every node with no graph at all, and ``hammer_reference`` keeps the hammer
 map's complex formula. ``fresh_step_normals`` draws a step's normals from a
 Philox generator of its own, and ``stepped_walk`` steps a walk one
 ``step_normals`` and ``move`` at a time: the references for the engine's
-block draws.
+block draws. ``propagate_every_entry`` is the density step that evaluates
+``exp`` on every kernel entry, the reference for ``density.propagate``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from shinerswarm.core import (NeighborGraph, SwarmParams, check_finite,
-                              env_speed, hammer)
+from shinerswarm.core import (BLOCK_BYTES, NeighborGraph, SwarmParams,
+                              check_finite, env_speed, hammer)
+from shinerswarm.density import GridPdf, KernelParams
 from shinerswarm.engine import (SwarmState, init_swarm, move,
                                 resolve_sigma_const, step_normals)
 
@@ -223,3 +225,24 @@ def stepped_walk(params: SwarmParams, seed: int, region, n_steps: int):
             p = move(p, params, step_normals(seed, t, p.size))
         check_finite(p)
         yield SwarmState(t=t + 1, positions=p, seed=seed)
+
+
+def propagate_every_entry(f: GridPdf, params: KernelParams) -> GridPdf:
+    """``density.propagate`` with ``exp`` taken on every kernel entry, in the
+    same row blocks, so its output is the reference bit for bit."""
+    z = f.z
+    n = z.size
+    k, norm = params.factors(z)
+    wf = f.w * f.values * norm
+    rows = min(n, max(1, BLOCK_BYTES // (n * z.itemsize)))
+    buf = np.empty((rows, n))
+    out = np.empty(n)
+    for lo in range(0, n, rows):
+        b = buf[:min(rows, n - lo)]
+        np.subtract(z[lo:lo + rows, None], z, out=b)
+        np.multiply(b, k, out=b)
+        np.square(b, out=b)
+        np.negative(b, out=b)
+        np.exp(b, out=b)
+        np.matmul(b, wf, out=out[lo:lo + b.shape[0]])
+    return replace(f, values=out, t=f.t + 1)

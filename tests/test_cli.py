@@ -622,7 +622,19 @@ def test_metrics_of_a_swarm_with_a_far_outlier_exits_4(tmp_path, capsys):
                           "stretches the swarm's extent")
     assert "exceed the budget of 67108864" in err
     assert "Traceback" not in err and err.count("\n") == 1
-    assert out == "step,mean_dist,frac_within_eps,mean_pairwise_dist,cluster_count\n"
+    assert out == ""
+
+
+def test_metrics_failing_at_its_second_step_prints_no_row(tmp_path, capsys):
+    # the first step's row is computed but not printed: a failed run leaves
+    # stdout empty
+    csv = tmp_path / "two_steps.csv"
+    csv.write_text("step,node_id,x,y\n0,0,0.5,0\n0,1,1,0\n"
+                   "1,0,0.5,0\n1,1,inf,0\n")
+    assert main(["metrics", "--in", str(csv), "--eps", "0.1"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: step 1: node 1")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from conftest import REF_KERNEL, REF_X0, trapezoid_weights, tv_distance_to_samples
+from oracle import propagate_every_entry
 from shinerswarm.density import (
     DEFAULT_N_POINTS,
     GridPdf,
@@ -212,6 +213,60 @@ def test_propagate_matches_oracle_and_never_gains_mass(c1, c2, x0, extra):
     np.testing.assert_allclose(out.values, _direct_quadrature(f, params),
                                rtol=ORACLE_RTOL, atol=ORACLE_ATOL)
     assert out.w @ out.values <= f.w @ f.values + 1e-9
+
+
+def _same_bits_as_oracle(f: GridPdf, params: KernelParams) -> GridPdf:
+    out = propagate(f, params)
+    assert out.t == f.t + 1
+    assert out.values.tobytes() == propagate_every_entry(f, params).values.tobytes()
+    return out
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_propagate_equals_every_entry_oracle_on_reference_chain(ref_chain, t):
+    _same_bits_as_oracle(ref_chain[t], REF_KERNEL)
+
+
+@pytest.mark.parametrize("x0, params, z_min, z_max, n_points", [
+    # the last row block is partial
+    (REF_X0, REF_KERNEL, -1000.0, 1000.0, 1237),
+    (REF_X0, REF_KERNEL, -1000.0, 1000.0, 6001),
+    (REF_X0, REF_KERNEL, -50.0, 300.0, 1501),
+    # kernels narrow enough that the blocks near x0 lose sources at both
+    # ends of the grid as well as around the origin
+    (REF_X0, KernelParams(c1=0.02, c2=0.1), -100.0, 100.0, 4001),
+])
+def test_propagate_equals_every_entry_oracle(x0, params, z_min, z_max,
+                                             n_points):
+    f = initial_pdf(x0, params, z_min, z_max, n_points)
+    for _ in range(2):
+        f = _same_bits_as_oracle(f, params)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(c1=st.integers(0, 1000).map(lambda i: 0.02 * 150.0 ** (i / 1000)),
+       c2=st.floats(0.01, 2.0), x0=st.floats(-20.0, 20.0),
+       left=st.floats(8.0, 300.0), right=st.floats(8.0, 300.0),
+       extra=st.integers(0, 200))
+def test_propagate_equals_every_entry_oracle_on_accepted_grids(
+        c1, c2, x0, left, right, extra):
+    # c1 log-uniform on [0.02, 3]; spans of 8 to 300 first-step sds either
+    # side of x0, on the fewest points initial_pdf accepts plus up to 200,
+    # and at most 1500 in all. Kernels below c1 = 0.1 leave pdf values under
+    # 1e-300 in reach of sources 30 to 40 sds away, where exp is not yet 0.
+    params = KernelParams(c1, c2)
+    sd = float(params.sd(x0))
+    z_min, z_max = x0 - left * sd, x0 + right * sd
+    u_min, u_max = (math.copysign(math.log1p(abs(x) / c2), x)
+                    for x in (z_min, z_max))
+    n = 3 + math.ceil((u_max - u_min) / (0.25 * c1 / (1.0 + c1))) + extra
+    assume(n <= 1500)
+    try:
+        f = initial_pdf(x0, params, z_min, z_max, n)
+    except GridSpanError:
+        assume(False)
+    for _ in range(2):
+        f = _same_bits_as_oracle(f, params)
 
 
 # ---------------------------------------------------------------------------
