@@ -215,7 +215,6 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
     p = np.asarray(positions, dtype=np.complex128).ravel()
     n = p.size
     require(r >= 0, "r", "must be >= 0", r, "sensing radius ")
-    check_finite(p)
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return NeighborGraph(0, empty, empty, empty)
@@ -223,6 +222,11 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
     x, y = p.real, p.imag
     x_lo, x_hi, y_lo, y_hi = (float(x.min()), float(x.max()),
                               float(y.min()), float(y.max()))
+    # min and max carry any NaN or infinity into the bounds, and so into
+    # their sum; a finite sum proves every position finite. A sum that
+    # overflows from finite bounds only costs the full check
+    if not math.isfinite(x_lo + x_hi + y_lo + y_hi):
+        check_finite(p)
     # halved first: the span of a finite swarm can overflow, its half cannot
     half = max(0.5 * x_hi - 0.5 * x_lo, 0.5 * y_hi - 0.5 * y_lo)
     side = max(r, _MIN_CELL, half * 2.0 ** -29) * _CELL_SLACK
@@ -321,22 +325,38 @@ def hammer(z, s):
     from ``z / |z|`` rather than a trig round trip, so the output magnitude
     is ``||z| - s|`` to within a few ulp. Each part is
     ``part(z) * (1 / |z|) * (|z| - s)`` in real arithmetic, the value
-    numpy's complex ``(|z| - s) * (z / |z|)`` gives, and negating z negates
-    every part exactly: ``hammer(-z, s) == -hammer(z, s)`` bit for bit. A z
-    with subnormal ``|z|``, where ``1 / |z|`` may overflow, takes its
-    direction from z scaled by ``2**1022``, which is exact.
+    numpy's complex ``(|z| - s) * (z / |z|)`` gives. Where ``|z|`` is
+    finite, negating z negates every part exactly: ``hammer(-z, s) ==
+    -hammer(z, s)`` bit for bit. Where it is infinite, the parts are NaNs
+    made by ``inf * 0``, whose sign bit does not follow z's. A z with
+    subnormal ``|z|``, where ``1 / |z|`` may overflow, takes its direction
+    from z scaled by ``2**1022``, which is exact.
+
+    When every ``|z|`` is normal or infinite, f and ``1 / |z|`` are taken
+    directly. Only a call holding a zero, subnormal or NaN magnitude takes
+    the masked path, which maps a zero to 0, rescales a subnormal, and
+    gives a NaN magnitude ``f = 0`` and ``1 / |z| = 1``; both paths give the
+    same bits. A scalar s is checked with one comparison, without a
+    reduction; an array s element by element.
     """
-    require(np.all(np.asarray(s) >= 0), "s", "must be >= 0", s,
-            "separation distance ")
+    sep = np.asarray(s)
+    # a scalar s, as the engine passes, is checked without a reduction
+    require(bool(sep >= 0) if sep.ndim == 0 else np.all(sep >= 0), "s",
+            "must be >= 0", s, "separation distance ")
     arr = np.asarray(z, dtype=np.complex128)
     mag = np.abs(arr)
-    f = np.where(mag > 0.0, mag - np.asarray(s), 0.0)
-    re, im, unit_mag = arr.real, arr.imag, mag
-    if (mag < _MIN_NORMAL).any():
+    re, im = arr.real, arr.imag
+    # routed by >= ... all(), which a NaN fails: a NaN magnitude takes the
+    # masked path as a zero one does, so hammer(1 + nan j, s) stays (0, nan)
+    if (mag >= _MIN_NORMAL).all():
+        f = mag - sep
+        inv = 1.0 / mag
+    else:
+        f = np.where(mag > 0.0, mag - sep, 0.0)
         scale = np.where((mag > 0.0) & (mag < _MIN_NORMAL), 2.0 ** 1022, 1.0)
         re, im = re * scale, im * scale
         unit_mag = np.where(scale > 1.0, np.hypot(re, im), mag)
-    inv = 1.0 / np.where(unit_mag > 0.0, unit_mag, 1.0)
+        inv = 1.0 / np.where(unit_mag > 0.0, unit_mag, 1.0)
     out = np.empty(f.shape, dtype=np.complex128)
     np.multiply(re * inv, f, out=out.real)
     np.multiply(im * inv, f, out=out.imag)

@@ -170,7 +170,7 @@ def _block_normals(master_seed: int, t: int, n: int, k: int) -> np.ndarray:
 
 def _heading(arg: np.ndarray) -> np.ndarray:
     """``exp(1j * angle(arg))``, with the angle -pi folded onto pi."""
-    v = np.angle(arg)
+    v = np.arctan2(arg.imag, arg.real)  # np.angle without its wrapper
     v = np.where(v == -np.pi, np.pi, v)
     return np.exp(1j * v)
 

@@ -7,12 +7,14 @@ take its four normals from an explicit stream argument (anything with a
 ``standard_normal`` method, such as ``conftest.FakeStream`` or a
 ``numpy.random.Generator``). The tests compare ``engine.move``, which does
 the same for all nodes at once, against them. ``dense_move`` does so for
-every node with no graph at all, and ``hammer_reference`` keeps the hammer
-map's complex formula. ``fresh_step_normals`` draws a step's normals from a
-Philox generator of its own, and ``stepped_walk`` steps a walk one
-``step_normals`` and ``move`` at a time: the references for the engine's
-block draws. ``propagate_every_entry`` is the density step that evaluates
-``exp`` on every kernel entry, the reference for ``density.propagate``.
+every node with no graph at all. ``hammer_reference`` keeps the hammer
+map's complex formula, and ``hammer_masked`` the masked real arithmetic
+that ``core.hammer`` must equal byte for byte. ``fresh_step_normals`` draws
+a step's normals from a Philox generator of its own, and ``stepped_walk``
+steps a walk one ``step_normals`` and ``move`` at a time: the references
+for the engine's block draws. ``propagate_every_entry`` is the density step
+that evaluates ``exp`` on every kernel entry, the reference for
+``density.propagate``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from shinerswarm.core import (BLOCK_BYTES, NeighborGraph, SwarmParams,
-                              check_finite, env_speed, hammer)
+                              check_finite, env_speed, hammer, require)
 from shinerswarm.density import GridPdf, KernelParams
 from shinerswarm.engine import (SwarmState, init_swarm, move,
                                 resolve_sigma_const, step_normals)
@@ -122,6 +124,31 @@ def hammer_reference(z, s):
     safe = np.where(mag > 0.0, mag, 1.0)
     return np.where(mag > 0.0, (mag - np.asarray(s)) * (arr / safe),
                     0.0 + 0.0j)[()]
+
+
+# the smallest normal double, below which ``hammer_masked`` rescales
+_MIN_NORMAL = 2.0 ** -1022
+
+
+def hammer_masked(z, s):
+    """``core.hammer`` as it was before its unmasked path for normal
+    magnitudes: every call masks zero and subnormal magnitudes and checks s
+    with a reduction. ``core.hammer`` must equal it byte for byte."""
+    require(np.all(np.asarray(s) >= 0), "s", "must be >= 0", s,
+            "separation distance ")
+    arr = np.asarray(z, dtype=np.complex128)
+    mag = np.abs(arr)
+    f = np.where(mag > 0.0, mag - np.asarray(s), 0.0)
+    re, im, unit_mag = arr.real, arr.imag, mag
+    if (mag < _MIN_NORMAL).any():
+        scale = np.where((mag > 0.0) & (mag < _MIN_NORMAL), 2.0 ** 1022, 1.0)
+        re, im = re * scale, im * scale
+        unit_mag = np.where(scale > 1.0, np.hypot(re, im), mag)
+    inv = 1.0 / np.where(unit_mag > 0.0, unit_mag, 1.0)
+    out = np.empty(f.shape, dtype=np.complex128)
+    np.multiply(re * inv, f, out=out.real)
+    np.multiply(im * inv, f, out=out.imag)
+    return out[()]
 
 
 def dense_move(positions, params: SwarmParams, g: np.ndarray) -> np.ndarray:

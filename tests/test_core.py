@@ -12,6 +12,7 @@ from conftest import FakeStream
 from oracle import (
     StepDraw,
     directed_edges,
+    hammer_masked,
     hammer_reference,
     neighbors,
     node_step,
@@ -146,6 +147,38 @@ def test_neighborhood_names_the_node_it_cannot_place():
                  ([0j, complex(-1.1e9, 0.0), complex(-1.1e9, 0.5)], 1.0)):
         assert (as_lists(build_neighborhood(p, r))
                 == brute_force_adjacency(p, r))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("axis", ["x", "y"])
+@pytest.mark.parametrize("at", [0, 3, 6])
+def test_neighborhood_names_a_non_finite_node_wherever_it_is(bad, axis, at):
+    # the bounds' sum is not finite, so the full check runs and names it
+    p = np.linspace(0.0, 0.6, 7) + 0.1j
+    p[at] = complex(bad, 0.1) if axis == "x" else complex(p[at].real, bad)
+    with pytest.raises(ValueError,
+                       match=rf"^node {at}: position .* is not finite"):
+        build_neighborhood(p, 0.2)
+
+
+def test_neighborhood_of_finite_nodes_whose_bounds_sum_overflows():
+    # the sum of the four bounds overflows to +-inf, or to nan through
+    # inf - inf, for these finite swarms: the full check finds every node
+    # finite and the graph is built as for any other swarm
+    big = 1.7e308
+    swarms = ([complex(big, big), complex(big, 0.0), complex(1.6e308, big)],
+              [complex(-big, -big), complex(-big, 1.0), complex(-big, 1.1)],
+              [complex(big, big), complex(big, -big), complex(-big, big),
+               complex(-big, -big)],
+              [complex(0.0, big), complex(1.0, big), complex(big, -big)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in swarms:
+            for r in (0.2, 1e100):
+                assert (as_lists(build_neighborhood(p, r))
+                        == brute_force_adjacency(p, r))
+    assert as_lists(build_neighborhood(swarms[2], 0.2)) == [[], [], [], []]
+    assert as_lists(build_neighborhood(swarms[1], 0.2)) == [[], [2], [1]]
 
 
 def test_neighborhood_at_the_cell_limit():
@@ -403,6 +436,60 @@ def test_hammer_of_a_subnormal_displacement_is_finite(z):
         assert out[2] == hammer(0.3 + 0.4j, s)
         np.testing.assert_array_equal(hammer(-z, s).view(np.uint64),
                                       (-out).view(np.uint64))
+
+
+# separations, and the parts of z from which the property below draws:
+# signed zeros, subnormals, the smallest normal, parts with |z| = s exactly
+# (+-s with a zero, and 3-4-5 triples at s = 5/32), normal values, 1e+-300,
+# infinities and NaN
+_SEPARATIONS = (0.0, 5 / 32, 0.08, 1.0, 2.5)
+_SPECIAL_PARTS = (0.0, 5e-324, 1e-310, 2.0 ** -1022, 3 / 32, 4 / 32,
+                  *_SEPARATIONS, 1e-300, 1e300, math.inf, math.nan)
+_exact_parts = st.one_of(
+    st.sampled_from(_SPECIAL_PARTS),
+    st.floats(1e-300, 1e300),
+    st.floats(2.0 ** -1074, 2.0 ** -1022)).flatmap(
+        lambda x: st.sampled_from([x, -x]))
+_exact_separations = st.one_of(st.sampled_from(_SEPARATIONS),
+                               st.floats(0.0, 10.0))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(_exact_parts, _exact_parts), min_size=1,
+                max_size=12),
+       st.lists(_exact_separations, min_size=1, max_size=3),
+       st.sampled_from(["float", "0-d", "broadcast"]))
+def test_hammer_equals_the_masked_oracle_byte_for_byte(parts, seps, kind):
+    # every call, whichever path it takes, gives the masked oracle's bits:
+    # NaN magnitudes among normal ones included, which map to (0, nan)
+    z = np.array([complex(x, y) for x, y in parts])
+    s = {"float": seps[0], "0-d": np.array(seps[0]),
+         "broadcast": np.array(seps)[:, None]}[kind]
+    with np.errstate(invalid="ignore", over="ignore"):
+        out = np.asarray(hammer(z, s))
+        expected = np.asarray(hammer_masked(z, s))
+        odd = np.asarray(hammer(-z, s))
+    assert out.shape == expected.shape
+    np.testing.assert_array_equal(out.view(np.uint64),
+                                  expected.view(np.uint64))
+    # odd bit for bit, except that a NaN made here (inf * 0) has one sign
+    # whatever the sign of z
+    nan = np.isnan(out.view(np.float64))
+    np.testing.assert_array_equal(np.isnan(odd.view(np.float64)), nan)
+    np.testing.assert_array_equal(odd.view(np.uint64)[~nan],
+                                  (-out).view(np.uint64)[~nan])
+
+
+@pytest.mark.parametrize(
+    "s", [0.08, np.array(0.08), np.array([[0.08], [1.0]])])
+def test_hammer_of_a_nan_part_among_normal_ones(s):
+    # a NaN magnitude takes the masked path, as a zero one does: f = 0
+    with np.errstate(invalid="ignore"):
+        out = hammer(np.array([complex(1, math.nan), 0.3 + 0.4j]), s)
+    out = np.asarray(out).reshape(-1, 2)
+    assert np.all(out[:, 0].real == 0.0) and np.all(np.isnan(out[:, 0].imag))
+    np.testing.assert_array_equal(out[:, 1],
+                                  np.ravel(hammer(0.3 + 0.4j, s)))
 
 
 def test_hammer_rejects_negative_separation():

@@ -414,6 +414,29 @@ def test_mass_near_of_a_peak_at_the_origin_stays_below_mass(n_points):
     assert stats.mass_near <= stats.mass + 1e-12
 
 
+def _mass_between(f: GridPdf, a: float, b: float) -> float:
+    """Mass on [a, b] by the grid's u rule, as ``grid_stats`` takes it on
+    [-eps, eps]: the integral in u of the linear interpolant of
+    ``values * (c2 + |z|)``, partial cells at both ends included."""
+    ua, ub = (math.copysign(math.log1p(abs(x) / f.c2), x) for x in (a, b))
+    u, g = f.u, f.values * (f.c2 + np.abs(f.z))
+    un = np.concatenate(([ua], u[(ua < u) & (u < ub)], [ub]))
+    return float(np.trapezoid(np.interp(un, u, g), un))
+
+
+@pytest.mark.parametrize("n_points", [1501, DEFAULT_N_POINTS, 3001, 6001])
+def test_first_step_mass_within_one_sd_of_x0(n_points):
+    # the t = 1 pdf is N(x0, sd^2) sampled at the nodes, so its mass on
+    # [x0 - sd, x0 + sd] is erf(1 / sqrt(2)) wherever the nodes fall. The
+    # gate, fixed before measuring, is about four times the rule's leading
+    # error at 1501 points: h^2 / 12 * |f'| at x0 + sd = 10.1, where nodes
+    # are h = 0.126 apart and f' = 0.242 / sd^2, about 1.2e-5
+    f = initial_pdf(REF_X0, REF_KERNEL, n_points=n_points)
+    sd = float(REF_KERNEL.sd(REF_X0))
+    assert _mass_between(f, REF_X0 - sd, REF_X0 + sd) == pytest.approx(
+        math.erf(2 ** -0.5), abs=5e-5)
+
+
 @st.composite
 def graded_pdfs(draw) -> GridPdf:
     """A pdf at t = 1 or 2 on a random graded grid that initial_pdf accepts:
