@@ -6,7 +6,6 @@ from .core import (
     NeighborGraph,
     SwarmParams,
     build_neighborhood,
-    env_speed,
     hammer,
 )
 from .density import (
@@ -47,7 +46,6 @@ __all__ = [
     "advance_swarm",
     "build_neighborhood",
     "compute_metrics",
-    "env_speed",
     "first_passage",
     "grid_stats",
     "hammer",

@@ -14,11 +14,10 @@ avoidance into a single complex-valued function.
 Neighbors are the nodes within the sensing radius r. ``build_neighborhood``
 finds them with a sorted cell list and returns them in that sorted order
 (``NeighborGraph``): the node order and two index arrays into it holding
-each unordered pair once. The engine's vectorised step (``engine.move``)
-gathers the positions in that order once, takes one hammer per pair, adds
-it to one node and its negation to the other, and puts the summed social
-term back in node order, so the step sorts no edges and maps no pair back
-to node ids. Nothing here keeps mutable state.
+each unordered pair once. Each factor of a step has one home here: the
+speed law is ``distance_speed``, and the social sum is the graph's
+``hammer_sum``, which runs in the sorted order, so a step sorts no edges
+and maps no pair back to node ids. Nothing here keeps mutable state.
 """
 
 from __future__ import annotations
@@ -88,15 +87,16 @@ class SwarmParams:
                 "must be >= 1", self.n_nodes)
         check_speed_law(self.c1, self.c2)
         require(self.r >= 0, "r", "must be >= 0", self.r, "sensing radius ")
-        require(self.w >= 0, "w", "must be >= 0", self.w, "social weight ")
-        require(self.s >= 0, "s", "must be >= 0", self.s,
-                "separation distance ")
+        require(0 <= self.w < math.inf, "w", "must be >= 0 and finite",
+                self.w, "social weight ")
+        require(0 <= self.s < math.inf, "s", "must be >= 0 and finite",
+                self.s, "separation distance ")
         require(math.isfinite(self.rho.real), "rho.real", "must be finite",
                 self.rho.real)
         require(math.isfinite(self.rho.imag), "rho.imag", "must be finite",
                 self.rho.imag)
-        require(self.sigma_const is None or self.sigma_const >= 0,
-                "sigma_const", "must be >= 0", self.sigma_const)
+        require(self.sigma_const is None or 0 <= self.sigma_const < math.inf,
+                "sigma_const", "must be >= 0 and finite", self.sigma_const)
 
 
 # Bytes of pairwise entries that a blocked O(N^2) loop (``density.propagate``,
@@ -176,6 +176,21 @@ class NeighborGraph:
             if np.array_equal(hooked, label):
                 return int(np.count_nonzero(label == nodes))
             label = hooked
+
+    def hammer_sum(self, p: np.ndarray, s: float) -> np.ndarray:
+        """Node i's sum of ``hammer(p_j - p_i, s)`` over its neighbors j,
+        p being the positions the graph was built from. Each pair (a, b) of
+        sorted positions takes one hammer h, adds h to a's sum and -h to b's
+        (hammer is odd bit for bit), and the sums go to node order once."""
+        a, b, order = self.a, self.b, self.order
+        ps = p[order]
+        h = hammer(ps[b] - ps[a], s)
+        acc_sorted = np.zeros(self.n_nodes, dtype=np.complex128)
+        np.add.at(acc_sorted, a, h)
+        np.subtract.at(acc_sorted, b, h)
+        acc = np.empty_like(acc_sorted)
+        acc[order] = acc_sorted
+        return acc
 
 
 def check_finite(p: np.ndarray) -> None:
@@ -306,15 +321,6 @@ def distance_speed(d, params: SwarmParams, out: np.ndarray | None = None):
         return np.full(np.shape(d), float(params.sigma_const))[()]
     out.fill(params.sigma_const)
     return out
-
-
-def env_speed(p, params: SwarmParams):
-    """Speed scale at location(s) p: ``distance_speed`` at ``|p - rho|``.
-
-    Accepts a scalar or an array of positions and returns the same shape.
-    """
-    d = np.abs(np.asarray(p) - params.rho) if params.env_enabled else p
-    return distance_speed(d, params)
 
 
 def hammer(z, s):

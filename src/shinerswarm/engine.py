@@ -21,9 +21,9 @@ Every step goes through ``_step``, which moves the positions and reports
 one that is not finite: ``move`` and ``advance_swarm`` take one step, and
 ``run`` and ``first_passage`` step a plain array (numpy's overflow warnings
 suppressed once per walk). A ``SwarmState`` is built only for a record.
-``first_passage`` takes the distances ``|p - rho|`` once per step; its
-passage test reads them, and the next step's speed law
-(``core.distance_speed``) overwrites them in place.
+``_step`` turns the distances ``|p - rho|`` into the speed in place
+(``core.distance_speed``); ``first_passage``'s passage test reads them
+first. The social sum is ``core.NeighborGraph.hammer_sum``.
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (BLOCK_BYTES, NeighborGraph, SwarmParams, build_neighborhood,
-                   check_finite, distance_speed, env_speed, hammer, require,
-                   require_int)
+                   check_finite, distance_speed, require, require_int)
 
 # Seeds and steps are Philox words (key and counter), unsigned 64-bit.
 SEED_LIMIT = 2 ** 64
@@ -203,56 +202,45 @@ def _draws(master_seed: int, t: int, n: int, n_steps: int, social: bool):
 def resolve_sigma_const(params: SwarmParams, positions) -> SwarmParams:
     """Fill in ``sigma_const`` when it is needed but unset: the
     environment-on speed averaged over the given placement, so both modes
-    start comparably fast."""
+    start comparably fast. ParamError if that speed is not finite."""
     if params.env_enabled or params.sigma_const is not None:
         return params
     d = np.abs(np.asarray(positions, dtype=np.complex128) - params.rho)
-    with np.errstate(over="ignore"):  # the metrics or first step report inf
+    with np.errstate(over="ignore"):
         mean = d.mean()
     return replace(params, sigma_const=float(params.c1 * (params.c2 + mean)))
 
 
-def move(positions: np.ndarray, params: SwarmParams, g: np.ndarray,
-         graph: NeighborGraph | None = None) -> np.ndarray:
+def move(positions: np.ndarray, params: SwarmParams,
+         g: np.ndarray) -> np.ndarray:
     """Positions after one synchronous step in which node i uses the normals
     ``g[i]``: the step length is ``sigma * hypot(g[i, 0], g[i, 1])`` and the
     heading is the angle of the social term plus the noise
     ``g[i, 2] + 1j * g[i, 3]``. Pure: reads the time-t positions only.
 
-    The social term of node i sums ``hammer(p_j - p_i, s)`` over its
-    neighbors j. ``graph`` is the neighbor graph of ``positions`` (built
-    here when None). Each of its pairs (a, b) of sorted positions takes one
-    hammer h of ``p[order[b]] - p[order[a]]``, adds h to a's sum and -h to
-    b's; hammer is odd bit for bit, so -h is b's own term.
+    The speed is ``core.distance_speed`` at ``|p_i - rho|``, and node i's
+    social term sums ``hammer(p_j - p_i, s)`` over its neighbors j.
 
     Raises ValueError, naming the node, if a new position is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _step(positions, params, env_speed(positions, params),
-                     _draw_factors(g, params.social_enabled), graph)
+        return _step(positions, params, np.abs(positions - params.rho),
+                     _draw_factors(g, params.social_enabled))
 
 
-def _step(p: np.ndarray, params: SwarmParams, sigma, draw,
+def _step(p: np.ndarray, params: SwarmParams, d: np.ndarray, draw,
           graph: NeighborGraph | None = None) -> np.ndarray:
-    """``move`` from p at speed ``sigma`` with the step's draw factors
-    ``draw`` (see ``_draw_factors``): the one function that moves
-    positions, for ``move``, ``advance_swarm``, ``run`` and
-    ``first_passage``. The caller suppresses numpy's overflow and invalid
-    warnings; a position that overflows raises ValueError here, naming the
-    node, so a diverging walk stops at the step it diverges."""
+    """``move`` from p with the distances d = ``|p - rho|``, which become
+    the speed in place, and the step's draw factors ``draw`` (see
+    ``_draw_factors``): the one function that moves positions. The caller suppresses numpy's
+    overflow and invalid warnings; a position that overflows raises
+    ValueError here, naming the node, so a diverging walk stops at the step
+    it diverges."""
     u_raw, heading = draw
+    sigma = distance_speed(d, params, out=d)
     if params.social_enabled:
-        n = p.size
         if graph is None:
             graph = build_neighborhood(p, params.r)
-        a, b, order = graph.a, graph.b, graph.order
-        ps = p[order]
-        h = hammer(ps[b] - ps[a], params.s)
-        # the sums run over sorted positions and go back to node order once
-        acc_sorted = np.zeros(n, dtype=np.complex128)
-        np.add.at(acc_sorted, a, h)
-        np.subtract.at(acc_sorted, b, h)
-        acc = np.empty_like(acc_sorted)
-        acc[order] = acc_sorted
+        acc = graph.hammer_sum(p, params.s)
         deg = graph.degrees()
         heading = _heading(np.where(deg > 0,
                                     (params.w / np.maximum(deg, 1)) * acc
@@ -263,16 +251,14 @@ def _step(p: np.ndarray, params: SwarmParams, sigma, draw,
     return p
 
 
-def advance_swarm(state: SwarmState, params: SwarmParams,
-                  graph: NeighborGraph | None = None) -> SwarmState:
+def advance_swarm(state: SwarmState, params: SwarmParams) -> SwarmState:
     """One synchronous step: all nodes read the time-t snapshot, draw their
     step-t normals, and move together (``move``); returns the t+1 state.
-    ``graph``, if given, is the neighbor graph of the time-t positions.
 
     Raises ValueError, naming the node, when a new position overflows to a
     non-finite value, so a diverging walk stops at the step it diverges."""
     p = state.positions
-    p = move(p, params, step_normals(state.seed, state.t, p.size), graph)
+    p = move(p, params, step_normals(state.seed, state.t, p.size))
     return SwarmState(t=state.t + 1, positions=p, seed=state.seed)
 
 
@@ -296,6 +282,9 @@ def compute_metrics(state: SwarmState, params: SwarmParams, eps: float,
     require(n >= 1, "n_nodes", "must be >= 1", n)
     if graph is None:
         graph = build_neighborhood(p, params.r)
+    elif graph.n_nodes != n:
+        raise ValueError(f"the graph has {graph.n_nodes} nodes and the frame "
+                         f"{n}")
     rows = max(1, BLOCK_BYTES // (n * p.itemsize))
     with np.errstate(over="ignore"):
         d = np.abs(p - params.rho)
@@ -333,19 +322,19 @@ def run(params: SwarmParams, master_seed: int, region: Box, n_steps: int,
     reads it, if the social factor is on. So no graph is built twice.
 
     A ValueError from a step or its metrics names the step (see
-    ``step_error``), the initial placement's metrics as step 0."""
+    ``step_error``), the placement's metrics and sigma_const as step 0."""
     check_run_args(n_steps, snapshot_stride, eps)
     p = init_swarm(params, master_seed, region).positions
-    params = resolve_sigma_const(params, p)
     draws = _draws(master_seed, 0, p.size, n_steps, params.social_enabled)
     records = []
     graph = None
     t = 0
     try:
+        params = resolve_sigma_const(params, p)
         with np.errstate(over="ignore", invalid="ignore"):
             for t in range(n_steps + 1):
                 if t > 0:
-                    p = _step(p, params, env_speed(p, params), next(draws),
+                    p = _step(p, params, np.abs(p - params.rho), next(draws),
                               graph)
                     graph = None
                 if t % snapshot_stride == 0 or t == n_steps:
@@ -372,15 +361,14 @@ def first_passage(params: SwarmParams, master_seed: int, region: Box,
     require(require_int("max_steps", max_steps) >= 0, "max_steps",
             "must be >= 0", max_steps)
     p = init_swarm(params, master_seed, region).positions
-    params = resolve_sigma_const(params, p)
     draws = _draws(master_seed, 0, p.size, max_steps, params.social_enabled)
     t = 0
     try:
+        params = resolve_sigma_const(params, p)
         with np.errstate(over="ignore", invalid="ignore"):
             d = np.abs(p - params.rho)
             for t in range(1, max_steps + 1):
-                p = _step(p, params, distance_speed(d, params, out=d),
-                          next(draws))
+                p = _step(p, params, d, next(draws))
                 d = np.abs(p - params.rho)
                 # count / n is the fraction that mean() of d <= eps gives,
                 # bit for bit, without a reduction's set-up

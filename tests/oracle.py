@@ -5,7 +5,8 @@ node's neighbors one slice at a time from the graph's compressed sparse row
 (CSR) form, which ``indptr`` and ``indices`` build here from its pairs, and
 take its four normals from an explicit stream argument (anything with a
 ``standard_normal`` method, such as ``conftest.FakeStream`` or a
-``numpy.random.Generator``). The tests compare ``engine.move``, which does
+``numpy.random.Generator``), and its speed from the model's formula
+(``speed_reference``). The tests compare ``engine.move``, which does
 the same for all nodes at once, against them. ``dense_move`` does so for
 every node with no graph at all. ``hammer_reference`` keeps the hammer
 map's complex formula, and ``hammer_masked`` the masked real arithmetic
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from shinerswarm.core import (BLOCK_BYTES, NeighborGraph, SwarmParams,
-                              check_finite, env_speed, hammer, require)
+                              check_finite, hammer, require)
 from shinerswarm.density import GridPdf, KernelParams
 from shinerswarm.engine import (SwarmState, init_swarm, move,
                                 resolve_sigma_const, step_normals)
@@ -171,9 +172,17 @@ def dense_move(positions, params: SwarmParams, g: np.ndarray) -> np.ndarray:
         v = math.atan2(arg.imag, arg.real)
         if v == -math.pi:
             v = math.pi
-        out[i] = p[i] + step_displacement(env_speed(p[i], params), v,
+        out[i] = p[i] + step_displacement(speed_reference(p[i], params), v,
                                           math.hypot(g[i, 0], g[i, 1]))
     return out
+
+
+def speed_reference(p: complex, params: SwarmParams) -> float:
+    """Speed scale of a node at p: ``c1 * (c2 + |p - rho|)`` with the
+    environmental factor on, else the constant ``sigma_const``."""
+    if params.env_enabled:
+        return params.c1 * (params.c2 + abs(complex(p) - params.rho))
+    return params.sigma_const
 
 
 def step_displacement(sigma, v, u_raw):
@@ -224,7 +233,7 @@ def node_step(i: int, positions, graph: NeighborGraph, params: SwarmParams,
     """
     u_raw = sample_u(stream)
     z = sample_z(stream)
-    sigma = env_speed(positions[i], params)
+    sigma = speed_reference(positions[i], params)
     v = social_direction(i, positions, graph, params, z)
     return step_displacement(sigma, v, u_raw), StepDraw(u_raw, z, v, sigma)
 

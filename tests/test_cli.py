@@ -129,15 +129,32 @@ def test_simulate_file_value_a_flag_cannot_mend_exits_2(tmp_path, capsys, text,
     assert not out.exists()
 
 
-def test_simulate_infinite_w_writes_finite_values(tmp_path):
-    # w = inf makes the social term infinite; its angle is still finite,
-    # while a heading computed as arg / |arg| would be inf / inf = nan
+@pytest.mark.parametrize("key", ["w", "s", "sigma_const"])
+def test_simulate_infinite_model_value_exits_2(tmp_path, capsys, key):
+    # an infinite w would turn every heading with a neighbor into a
+    # diagonal; an infinite s, or sigma_const in a mode that reads it, would
+    # stop the run at step 1
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("w = inf\nsteps = 20\nstride = 20\n")
+    cfg.write_text(f"{key} = inf\nsteps = 20\nstride = 20\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line 1: key '{key}' must be >= 0 and finite, got inf\n")
+    assert not out.exists()
+
+
+def test_simulate_overflowing_social_term_writes_finite_values(tmp_path):
+    # r = inf makes every node a neighbor of every other, and w = 1e308 with
+    # s = 10 makes most social terms overflow to infinity; their angle is
+    # still finite, while a heading computed as arg / |arg| would be
+    # inf / inf = nan
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("r = inf\nw = 1e308\ns = 10\nsteps = 20\nstride = 20\n")
     out = tmp_path / "out"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     for name in ("snapshots.csv", "metrics.csv"):
         assert not holds_nan_or_inf(read(out / name))
+    assert lines(out / "metrics.csv")[-1].endswith(",1")
 
 
 def test_simulate_social_mode(tmp_path):

@@ -19,6 +19,7 @@ from oracle import (
     sample_u,
     sample_z,
     social_direction,
+    speed_reference,
     step_displacement,
 )
 from shinerswarm.core import (
@@ -26,7 +27,6 @@ from shinerswarm.core import (
     SwarmParams,
     build_neighborhood,
     distance_speed,
-    env_speed,
     hammer,
 )
 from shinerswarm.density import KernelParams
@@ -282,31 +282,35 @@ def test_component_count():
 
 
 # ---------------------------------------------------------------------------
-# env_speed
+# distance_speed: the speed at position(s) p is distance_speed(|p - rho|)
+
+
+def speed_at(p, params):
+    return distance_speed(np.abs(np.asarray(p) - params.rho), params)
 
 
 def test_env_speed_at_darkest_spot():
     params = SwarmParams(c1=0.1, c2=0.1, rho=0.3 + 0.4j)
-    assert env_speed(0.3 + 0.4j, params) == pytest.approx(0.01)
+    assert speed_at(0.3 + 0.4j, params) == pytest.approx(0.01)
 
 
 def test_env_speed_at_distance_five():
     params = SwarmParams(c1=1.0, c2=0.1, rho=0j)
-    assert env_speed(5 + 0j, params) == pytest.approx(5.1)
+    assert speed_at(5 + 0j, params) == pytest.approx(5.1)
 
 
 def test_env_speed_constant_mode_ignores_position():
     params = SwarmParams(env_enabled=False, sigma_const=0.05)
-    assert env_speed(0j, params) == 0.05
-    assert env_speed(100 + 3j, params) == 0.05
-    np.testing.assert_array_equal(env_speed(np.array([0j, 1j]), params),
+    assert speed_at(0j, params) == 0.05
+    assert speed_at(100 + 3j, params) == 0.05
+    np.testing.assert_array_equal(speed_at(np.array([0j, 1j]), params),
                                   [0.05, 0.05])
 
 
 def test_env_speed_requires_sigma_const_when_env_off():
     params = SwarmParams(env_enabled=False, sigma_const=None)
     with pytest.raises(ValueError, match="sigma_const"):
-        env_speed(0j, params)
+        speed_at(0j, params)
 
 
 _coordinates = st.floats(-1e6, 1e6, allow_nan=False)
@@ -327,17 +331,17 @@ def test_distance_speed_is_env_speed_bit_for_bit(points, scalar, c1, c2, rho,
     d = np.abs(p - params.rho)
     buf = np.array(d, ndmin=1)
     if not env and sigma_const is None:
-        for speed in (lambda: env_speed(p, params),
-                      lambda: distance_speed(d, params),
+        for speed in (lambda: distance_speed(d, params),
                       lambda: distance_speed(buf, params, out=buf)):
             with pytest.raises(ValueError, match="sigma_const"):
                 speed()
         return
-    want = env_speed(p, params)
-    got = distance_speed(d, params)
-    assert type(got) is type(want) and np.shape(got) == np.shape(want)
-    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-    # in place: the distances' own buffer becomes the speed
+    want = distance_speed(d, params)
+    assert type(want) is type(d) and np.shape(want) == np.shape(d)
+    np.testing.assert_allclose(
+        np.ravel(want), [speed_reference(z, params) for z in np.ravel(p)],
+        rtol=1e-15, atol=0)
+    # in place: the distances' own buffer becomes the speed, bit for bit
     assert distance_speed(buf, params, out=buf) is buf
     assert buf.tobytes() == np.array(want, ndmin=1).tobytes()
 
@@ -347,7 +351,7 @@ def test_env_speed_positive_and_lipschitz():
     rng = np.random.default_rng(5)
     p = rng.normal(size=200) + 1j * rng.normal(size=200)
     q = rng.normal(size=200) + 1j * rng.normal(size=200)
-    sp, sq = env_speed(p, params), env_speed(q, params)
+    sp, sq = speed_at(p, params), speed_at(q, params)
     assert np.all(sp > 0)
     assert np.all(np.abs(sp - sq) <= params.c1 * np.abs(p - q) + 1e-12)
 
@@ -672,6 +676,14 @@ def test_swarm_params_validation():
 def test_swarm_params_reject_nan(key):
     with pytest.raises(ValueError, match=f"{key} must be") as info:
         SwarmParams(**{key: math.nan})
+    assert info.value.key == key
+
+
+@pytest.mark.parametrize("key", ["w", "s", "sigma_const"])
+def test_swarm_params_reject_inf(key):
+    with pytest.raises(ValueError,
+                       match=f"{key} must be >= 0 and finite, got inf") as info:
+        SwarmParams(**{key: math.inf})
     assert info.value.key == key
 
 

@@ -19,7 +19,7 @@ from shinerswarm.core import (
     ParamError,
     SwarmParams,
     build_neighborhood,
-    env_speed,
+    distance_speed,
 )
 from shinerswarm.density import (KernelParams, initial_pdf, mc_sample,
                                  pdf_at_time)
@@ -301,7 +301,8 @@ def test_move_without_social_term_is_the_step_formula(env):
     g = step_normals(4, 9, p.size)
     v = np.angle(g[:, 2] + 1j * g[:, 3])
     v = np.where(v == -np.pi, np.pi, v)
-    step = (env_speed(p, params) * np.hypot(g[:, 0], g[:, 1])) * np.exp(1j * v)
+    sigma = distance_speed(np.abs(p - params.rho), params)
+    step = (sigma * np.hypot(g[:, 0], g[:, 1])) * np.exp(1j * v)
     assert move(p, params, g).tobytes() == (p + step).tobytes()
 
 
@@ -515,10 +516,21 @@ def test_a_passed_graph_gives_the_step_and_metrics_of_a_built_one():
     params = SwarmParams(n_nodes=40)
     state = init_swarm(params, 8, UNIT_BOX)
     graph = build_neighborhood(state.positions, params.r)
-    assert np.array_equal(advance_swarm(state, params, graph).positions,
-                          advance_swarm(state, params).positions)
     assert (compute_metrics(state, params, 0.15, graph)
             == compute_metrics(state, params, 0.15))
+
+
+def test_compute_metrics_refuses_the_graph_of_another_frame():
+    # the graph of the first 3 nodes would report 2 clusters; the frame's
+    # own graph counts 4
+    params = SwarmParams(n_nodes=5)
+    p = np.array([0, 0.1, 1, 2, 3], dtype=np.complex128)
+    state = SwarmState(t=0, positions=p, seed=0)
+    assert compute_metrics(state, params, 0.15).cluster_count == 4
+    graph = build_neighborhood(p[:3], params.r)
+    with pytest.raises(ValueError,
+                       match=r"^the graph has 3 nodes and the frame 5$"):
+        compute_metrics(state, params, 0.15, graph)
 
 
 def test_snapshot_resumes_bit_for_bit_from_plain_data():
@@ -768,17 +780,15 @@ def test_move_reports_a_position_that_overflows():
 @pytest.mark.parametrize("env, social", _MODES)
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2 ** 64 - 1), t=st.integers(0, 10 ** 6),
-       n=st.integers(1, 300), pass_graph=st.booleans())
-def test_advance_swarm_is_move_on_the_step_normals(env, social, seed, t, n,
-                                                   pass_graph):
+       n=st.integers(1, 300))
+def test_advance_swarm_is_move_on_the_step_normals(env, social, seed, t, n):
     p = init_swarm(SwarmParams(n_nodes=n), seed, UNIT_BOX).positions
     params = resolve_sigma_const(
         SwarmParams(n_nodes=n, env_enabled=env, social_enabled=social), p)
-    graph = build_neighborhood(p, params.r) if pass_graph else None
-    after = advance_swarm(SwarmState(t, p, seed), params, graph)
+    after = advance_swarm(SwarmState(t, p, seed), params)
     assert (after.t, after.seed) == (t + 1, seed)
     assert (after.positions.tobytes()
-            == move(p, params, step_normals(seed, t, n), graph).tobytes())
+            == move(p, params, step_normals(seed, t, n)).tobytes())
 
 
 @pytest.mark.parametrize("env, social", _MODES)
