@@ -15,7 +15,6 @@ from .density import (
     grid_stats,
     initial_pdf,
     kernel_pdf,
-    mc_sample,
     pdf_at_time,
     propagate,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "init_swarm",
     "initial_pdf",
     "kernel_pdf",
-    "mc_sample",
     "parse_config",
     "pdf_at_time",
     "propagate",

@@ -25,8 +25,7 @@ it, so a pdf owns only its values.
 
 Mass that diffuses past the grid edges is simply lost and shows up as a
 total-mass deficit; it is reported by ``grid_stats`` and never renormalized
-away, since hiding it would mask an undersized grid. ``mc_sample`` simulates
-the same chain directly and serves as an independent cross-check.
+away, since hiding it would mask an undersized grid.
 """
 
 from __future__ import annotations
@@ -296,19 +295,6 @@ def pdf_at_time(x0: float, t: int, params: KernelParams,
     for _ in range(t - 1):
         f = propagate(f, params)
     return f
-
-
-def mc_sample(x0: float, t: int, n_paths: int, params: KernelParams,
-              stream: np.random.Generator) -> np.ndarray:
-    """Final positions of n_paths independent walkers after t steps of the
-    exact chain; the grid-free cross-check for the propagated pdf."""
-    require(require_int("n_paths", n_paths) >= 1, "n_paths", "must be >= 1",
-            n_paths)
-    require(require_int("t", t) >= 0, "t", "must be >= 0", t)
-    x = np.full(n_paths, float(x0))
-    for _ in range(t):
-        x = x + params.sd(x) * stream.standard_normal(n_paths)
-    return x
 
 
 def grid_stats(f: GridPdf, eps: float) -> GridStats:

@@ -17,17 +17,18 @@ therefore just (t, positions, seed): it owns no generator, advancing it
 mutates nothing, and any copy resumes bit for bit, whatever the
 scheduling. Initial placement uses a separate stream (``init_swarm``).
 
-Every step goes through ``_step``, which moves the positions and reports
-one that is not finite: ``move`` and ``advance_swarm`` take one step, and
-``run`` and ``first_passage`` step a plain array (numpy's overflow warnings
-suppressed once per walk). A ``SwarmState`` is built only for a record.
-``_step`` turns the distances ``|p - rho|`` into the speed in place
-(``core.distance_speed``); ``first_passage``'s passage test reads them
-first. The social sum is ``core.NeighborGraph.hammer_sum``.
+Every step goes through ``_step``, which reports a position that is not
+finite, and every walk of ``run`` and ``first_passage`` through ``_walk``:
+the one home of the set-up, the errstate (entered once per walk, not per
+step at about 2 us each, so it holds across yields), the graph a record
+hands on and the step named in an error. ``move`` (the pure step the tests
+read with their own normals) and ``advance_swarm`` (the public state step)
+stay outside it, and resolve no ``sigma_const``.
 """
 
 from __future__ import annotations
 
+from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -201,14 +202,18 @@ def _draws(master_seed: int, t: int, n: int, n_steps: int, social: bool):
 
 def resolve_sigma_const(params: SwarmParams, positions) -> SwarmParams:
     """Fill in ``sigma_const`` when it is needed but unset: the
-    environment-on speed averaged over the given placement, so both modes
-    start comparably fast. ParamError if that speed is not finite."""
+    environment-on speed at the placement's mean distance to rho, so both
+    modes start comparably fast; ValueError, naming that distance, if the
+    speed is not finite. The caller suppresses overflow warnings."""
     if params.env_enabled or params.sigma_const is not None:
         return params
     d = np.abs(np.asarray(positions, dtype=np.complex128) - params.rho)
-    with np.errstate(over="ignore"):
-        mean = d.mean()
-    return replace(params, sigma_const=float(params.c1 * (params.c2 + mean)))
+    mean = float(d.mean())
+    sigma = params.c1 * (params.c2 + mean)
+    if not sigma < np.inf:
+        raise ValueError(f"the speed at the placement's mean distance to "
+                         f"rho, {mean}, is not finite")
+    return replace(params, sigma_const=sigma)
 
 
 def move(positions: np.ndarray, params: SwarmParams,
@@ -309,71 +314,64 @@ def step_error(t: int, exc: ValueError) -> ValueError:
     return ValueError(f"step {t}: {exc}")
 
 
+def _walk(params: SwarmParams, master_seed: int, region: Box, n_steps: int,
+          stride: int = 0, eps: float = DEFAULT_EPS):
+    """Place the swarm and yield ``(t, d, record)`` for t = 0..n_steps:
+    d = ``|p - rho|`` after step t, which the next step turns into its
+    speed in place, and record = (state, metrics) at t = 0, every ``stride``
+    steps and the last step, else None (always, for stride = 0). A record's
+    graph is built once, for its metrics, and handed on to the next step.
+    Numpy's overflow and invalid warnings are off until the walk ends or is
+    closed. A ValueError names its step (``step_error``), the set-up's 0."""
+    p = init_swarm(params, master_seed, region).positions
+    draws = _draws(master_seed, 0, p.size, n_steps, params.social_enabled)
+    graph = None
+    t = 0
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            params = resolve_sigma_const(params, p)
+            d = np.abs(p - params.rho)
+            for t in range(n_steps + 1):
+                if t > 0:
+                    p = _step(p, params, d, next(draws), graph)
+                    d = np.abs(p - params.rho)
+                    graph = None
+                record = None
+                if stride and (t % stride == 0 or t == n_steps):
+                    state = SwarmState(t=t, positions=p, seed=master_seed)
+                    graph = build_neighborhood(p, params.r)
+                    record = state, compute_metrics(state, params, eps, graph)
+                yield t, d, record
+    except ValueError as exc:
+        raise step_error(t, exc) from exc
+
+
 def run(params: SwarmParams, master_seed: int, region: Box, n_steps: int,
         snapshot_stride: int,
         eps: float = DEFAULT_EPS) -> list[tuple[SwarmState, Metrics]]:
     """Simulate ``n_steps`` steps, recording (state, metrics) at t = 0,
     every ``snapshot_stride`` steps, and the final step. Steps never modify
-    a state, so each recorded one is a resumable snapshot; between records
-    the walk holds its positions as a plain array.
-
-    A recorded state's neighbor graph is built once, for its metrics, and
-    handed on to the next step; any other state's is built by the step that
-    reads it, if the social factor is on. So no graph is built twice.
-
-    A ValueError from a step or its metrics names the step (see
-    ``step_error``), the placement's metrics and sigma_const as step 0."""
+    a state, so each recorded one is a resumable snapshot. A ValueError
+    names the step (see ``_walk``)."""
     check_run_args(n_steps, snapshot_stride, eps)
-    p = init_swarm(params, master_seed, region).positions
-    draws = _draws(master_seed, 0, p.size, n_steps, params.social_enabled)
-    records = []
-    graph = None
-    t = 0
-    try:
-        params = resolve_sigma_const(params, p)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(n_steps + 1):
-                if t > 0:
-                    p = _step(p, params, np.abs(p - params.rho), next(draws),
-                              graph)
-                    graph = None
-                if t % snapshot_stride == 0 or t == n_steps:
-                    state = SwarmState(t=t, positions=p, seed=master_seed)
-                    graph = build_neighborhood(p, params.r)
-                    records.append((state, compute_metrics(state, params, eps,
-                                                           graph)))
-    except ValueError as exc:
-        raise step_error(t, exc) from exc
-    return records
+    walk = _walk(params, master_seed, region, n_steps, snapshot_stride, eps)
+    return [record for _, _, record in walk if record]
 
 
 def first_passage(params: SwarmParams, master_seed: int, region: Box,
                   eps: float, frac: float, max_steps: int) -> int | None:
     """First step at which the fraction of nodes within ``eps`` of the
     darkest spot reaches ``frac``; None if it never does within
-    ``max_steps``. A ValueError from a step names the step, as in ``run``;
-    a ParamError names the argument out of range.
-
-    Each step takes the distances ``|p - rho|`` once: the passage test reads
-    them, and then the next step's speed overwrites them in place."""
+    ``max_steps``. A ValueError names the step, as in ``run``; a ParamError
+    names the argument out of range."""
     check_run_args(eps=eps)
     require(0 < frac <= 1, "frac", "must be in (0, 1]", frac)
     require(require_int("max_steps", max_steps) >= 0, "max_steps",
             "must be >= 0", max_steps)
-    p = init_swarm(params, master_seed, region).positions
-    draws = _draws(master_seed, 0, p.size, max_steps, params.social_enabled)
-    t = 0
-    try:
-        params = resolve_sigma_const(params, p)
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = np.abs(p - params.rho)
-            for t in range(1, max_steps + 1):
-                p = _step(p, params, d, next(draws))
-                d = np.abs(p - params.rho)
-                # count / n is the fraction that mean() of d <= eps gives,
-                # bit for bit, without a reduction's set-up
-                if np.count_nonzero(d <= eps) / d.size >= frac:
-                    return t
-    except ValueError as exc:
-        raise step_error(t, exc) from exc
+    with closing(_walk(params, master_seed, region, max_steps)) as walk:
+        for t, d, _ in walk:
+            # count / n is the fraction that mean() of d <= eps gives,
+            # bit for bit, without a reduction's set-up
+            if t > 0 and np.count_nonzero(d <= eps) / d.size >= frac:
+                return t
     return None

@@ -15,7 +15,8 @@ a step's normals from a Philox generator of its own, and ``stepped_walk``
 steps a walk one ``step_normals`` and ``move`` at a time: the references
 for the engine's block draws. ``propagate_every_entry`` is the density step
 that evaluates ``exp`` on every kernel entry, the reference for
-``density.propagate``.
+``density.propagate``, and ``mc_sample`` simulates the density's chain
+walker by walker, the grid-free cross-check of the propagated pdf.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from shinerswarm.core import (BLOCK_BYTES, NeighborGraph, SwarmParams,
-                              check_finite, hammer, require)
+                              check_finite, hammer, require, require_int)
 from shinerswarm.density import GridPdf, KernelParams
 from shinerswarm.engine import (SwarmState, init_swarm, move,
                                 resolve_sigma_const, step_normals)
@@ -282,3 +283,16 @@ def propagate_every_entry(f: GridPdf, params: KernelParams) -> GridPdf:
         np.exp(b, out=b)
         np.matmul(b, wf, out=out[lo:lo + b.shape[0]])
     return replace(f, values=out, t=f.t + 1)
+
+
+def mc_sample(x0: float, t: int, n_paths: int, params: KernelParams,
+              stream: np.random.Generator) -> np.ndarray:
+    """Final positions of n_paths independent walkers after t steps of the
+    exact chain; the grid-free cross-check for the propagated pdf."""
+    require(require_int("n_paths", n_paths) >= 1, "n_paths", "must be >= 1",
+            n_paths)
+    require(require_int("t", t) >= 0, "t", "must be >= 0", t)
+    x = np.full(n_paths, float(x0))
+    for _ in range(t):
+        x = x + params.sd(x) * stream.standard_normal(n_paths)
+    return x

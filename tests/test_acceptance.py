@@ -15,10 +15,10 @@ import pytest
 from scipy.stats import norm
 
 from conftest import REF_KERNEL, REF_X0, trapezoid_weights, tv_distance_to_samples
-from oracle import neighbors, sample_u, sample_z
+from oracle import mc_sample, neighbors, sample_u, sample_z
 from shinerswarm.cli import main
 from shinerswarm.core import SwarmParams, build_neighborhood, hammer
-from shinerswarm.density import grid_stats, mc_sample
+from shinerswarm.density import grid_stats
 from shinerswarm.engine import Box, first_passage, run
 
 SEEDS = range(20)

@@ -474,6 +474,22 @@ def test_simulate_env_only_overflow_exits_4_at_the_step_it_happens(tmp_path,
     assert not out.exists()
 
 
+def test_simulate_far_placement_names_its_mean_distance(tmp_path, capsys):
+    # sigma_const is unset in social mode, and the placement's mean distance
+    # to rho overflows: the message names that distance, not a key
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text("mode = social\nregion_min_x = 1e307\n"
+                   "region_max_x = 1.7e308\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 4
+    assert capsys.readouterr().err == (
+        "error: step 0: the speed at the placement's mean distance to rho, "
+        "inf, is not finite\n")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # metrics
 

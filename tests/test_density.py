@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from conftest import REF_KERNEL, REF_X0, trapezoid_weights, tv_distance_to_samples
-from oracle import propagate_every_entry
+from oracle import mc_sample, propagate_every_entry
 from shinerswarm.density import (
     DEFAULT_N_POINTS,
     GridPdf,
@@ -16,7 +16,6 @@ from shinerswarm.density import (
     grid_stats,
     initial_pdf,
     kernel_pdf,
-    mc_sample,
     pdf_at_time,
     propagate,
 )

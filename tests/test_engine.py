@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from conftest import FakeStream
-from oracle import (fresh_step_normals, indices, indptr, node_step,
-                    stepped_walk)
+from oracle import (fresh_step_normals, indices, indptr, mc_sample,
+                    node_step, stepped_walk)
 from shinerswarm import engine
 from shinerswarm.core import (
     BLOCK_BYTES,
@@ -21,8 +21,7 @@ from shinerswarm.core import (
     build_neighborhood,
     distance_speed,
 )
-from shinerswarm.density import (KernelParams, initial_pdf, mc_sample,
-                                 pdf_at_time)
+from shinerswarm.density import KernelParams, initial_pdf, pdf_at_time
 from shinerswarm.engine import (
     DEFAULT_EPS,
     Box,
@@ -470,6 +469,19 @@ def test_run_names_step_0_when_the_placement_cannot_be_measured():
         run(params, 0, UNIT_BOX, n_steps=1, snapshot_stride=1)
 
 
+def test_an_unset_sigma_const_names_the_mean_distance_that_overflows():
+    # the user set no sigma_const; the mean of ten distances near 1e308
+    # overflows, and that distance is what the message names
+    params = SwarmParams(n_nodes=10, env_enabled=False)
+    far = Box(1e307, -0.5, 1.7e308, 0.5)
+    message = (r"^step 0: the speed at the placement's mean distance to rho, "
+               r"inf, is not finite$")
+    with pytest.raises(ValueError, match=message):
+        run(params, 0, far, n_steps=1, snapshot_stride=1)
+    with pytest.raises(ValueError, match=message):
+        first_passage(params, 0, far, 0.15, 0.9, 1)
+
+
 def test_run_is_bit_reproducible():
     params = SwarmParams(n_nodes=30)
     a = run(params, 11, UNIT_BOX, n_steps=12, snapshot_stride=4)
@@ -618,6 +630,33 @@ def test_env_only_divergence_is_named_at_the_step_it_happens():
         first_passage(params, 0, UNIT_BOX, 0.15, 0.9, 2000)
     with pytest.raises(ValueError, match=message):
         run(params, 0, UNIT_BOX, n_steps=1000, snapshot_stride=1000)
+
+
+@pytest.mark.parametrize("walk, outcome", [
+    (lambda: first_passage(SwarmParams(), 0, UNIT_BOX, 0.15, 0.3, 400), 20),
+    (lambda: first_passage(SwarmParams(), 0, UNIT_BOX, 0.0, 1.0, 20), None),
+    (lambda: len(run(SwarmParams(), 0, UNIT_BOX, 70, 10)), 8),
+    (lambda: first_passage(SwarmParams(c1=3.0), 0, UNIT_BOX, 0.15, 0.9, 600),
+     r"^step 558: "),
+    (lambda: run(SwarmParams(c1=3.0), 0, UNIT_BOX, 600, 600), r"^step 558: "),
+    (lambda: run(SwarmParams(n_nodes=3, rho=complex(-1e308, -1e308)), 0,
+                 UNIT_BOX, 1, 1), r"^step 0: distances overflow: "),
+], ids=["first_passage-passage", "first_passage-none", "run",
+        "first_passage-diverges", "run-diverges", "run-placement"])
+def test_a_walk_leaves_numpy_error_state_as_it_found_it(walk, outcome):
+    # a walk's errstate holds across its yields; the caller's settings come
+    # back when it returns from inside the loop, runs to its end, or raises
+    old = np.seterr(all="raise")
+    try:
+        want = np.geterr()
+        if isinstance(outcome, str):
+            with pytest.raises(ValueError, match=outcome):
+                walk()
+        else:
+            assert walk() == outcome
+        assert np.geterr() == want
+    finally:
+        np.seterr(**old)
 
 
 # ---------------------------------------------------------------------------
@@ -843,6 +882,8 @@ _INTEGER_ARGUMENTS = [
                  2001, id="initial_pdf"),
     pytest.param("t", lambda v: pdf_at_time(5.0, v, _KERNEL), 2,
                  id="pdf_at_time"),
+    # the density chain's Monte Carlo reference keeps the rule of the
+    # density it checks
     pytest.param("t", lambda v: mc_sample(5.0, v, 10, _KERNEL,
                                           np.random.default_rng(0)), 2,
                  id="mc_sample-t"),
