@@ -3,8 +3,8 @@
 File outputs are deterministic byte for byte given the same inputs: floats
 are printed with 9 significant digits and LF line endings.
 
-Exit codes: 0 ok, 2 config error, 3 I/O error, 4 numeric/grid error,
-5 bad render request.
+Exit codes: 0 ok, 2 config error, 3 I/O error, 4 numeric/grid error or
+out of memory, 5 bad render request.
 """
 
 from __future__ import annotations
@@ -268,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and return its exit code. Commands raise and this
     maps their errors: a flag's ParamError and a ConfigError to 2, an
-    OSError to 3, any other ValueError to 4. Only ``render`` maps its own
-    code: 5 on a bad request."""
+    OSError to 3, any other ValueError and a MemoryError to 4. Only
+    ``render`` maps its own code: 5 on a bad request."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
@@ -282,6 +282,8 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(EXIT_IO, str(exc))
     except ValueError as exc:
         return _fail(EXIT_NUMERIC, str(exc))
+    except MemoryError as exc:
+        return _fail(EXIT_NUMERIC, f"out of memory: {exc}")
 
 
 if __name__ == "__main__":

@@ -12,16 +12,17 @@ neighbor is closer than ``s``, which folds attraction and collision
 avoidance into a single complex-valued function.
 
 Neighbors are the nodes within the sensing radius r. ``build_neighborhood``
-finds them with a sorted cell list and returns them in that sorted order
-(``NeighborGraph``): the node order and two index arrays into it holding
-each unordered pair once. Each factor of a step has one home here: the
-speed law is ``distance_speed``, and the social sum is the graph's
-``hammer_sum``, which runs in the sorted order, so a step sorts no edges
-and maps no pair back to node ids. Nothing here keeps mutable state.
+tests the pairs of a sorted cell list (all pairs up to 128 nodes) and
+returns them in that sorted order (``NeighborGraph``): the node order and
+two index arrays into it holding each unordered pair once. Each factor of a
+step has one home here: the speed law ``distance_speed`` and the social sum
+``NeighborGraph.hammer_sum``, which runs in the sorted order, so a step
+sorts no edges and maps no pair to node ids. Nothing here keeps mutable state.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -128,6 +129,13 @@ _MIN_CELL = 2.0 ** -511
 # times 2**-30, and the candidates then grow as N**2: 5e9 at N = 1e5.
 _MAX_CANDIDATES = 2 ** 26
 
+# Most pairs a search tests whole, skipping the cell list (n <= 128). Per
+# build on 4 uniform swarms of 100 nodes per unit area, r = 0.2, cells vs all
+# pairs took 75-107 vs 67-91 us at n = 100, 115-127 vs 114-119 at 128 and
+# 118-123 vs 325-359 at 145 (2-vCPU Xeon, numpy 2.4.6). All pairs took a
+# quarter to a third less on a cluster; a sparse swarm favours cells at any n.
+_ALL_PAIRS_MAX = 2 ** 13
+
 # The smallest normal double; ``hammer`` rescales magnitudes below it.
 _MIN_NORMAL = 2.0 ** -1022
 
@@ -216,10 +224,13 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
     cell above it (keys k and k + 1), and the three cells of the next
     column (keys k + H - 1 to k + H + 1, H the column height). So each
     unordered pair is a candidate once, and the candidates that pass the
-    distance test are the returned pairs as they stand. Points at distance
-    exactly r are neighbors: the test compares squared magnitudes, so
-    exactly-representable boundary pairs are classified without a sqrt
-    round trip.
+    distance test are the returned pairs as they stand. Both runs lie past
+    k, ascending, the first before the second, so they are the close pairs
+    a < b in lexicographic order, and a search of at most ``_ALL_PAIRS_MAX``
+    pairs (n <= 128, where cells cost more than they save) tests all pairs.
+    Points at distance exactly r are neighbors: the test compares squared
+    magnitudes, so exactly-representable boundary pairs are classified
+    without a sqrt round trip.
 
     Raises ValueError, naming the node, when a position is not finite, and
     before any candidate list is made when there would be more than
@@ -262,28 +273,8 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
     key -= (ix_lo - 1) * height + (iy_lo - 1)  # the minimum's cell is (1, 1)
 
     order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    start = np.empty((n, 2), dtype=np.int64)
-    end = np.empty((n, 2), dtype=np.int64)
-    start[:, 0] = np.arange(1, n + 1)
-    end[:, 0] = sorted_key.searchsorted(sorted_key + 1, "right")
-    start[:, 1] = sorted_key.searchsorted(sorted_key + (height - 1), "left")
-    end[:, 1] = sorted_key.searchsorted(sorted_key + (height + 1), "right")
-    counts = (end - start).ravel()
-    total = int(counts.sum())
-    if total > _MAX_CANDIDATES:
-        why = ""
-        if side > max(r, _MIN_CELL) * _CELL_SLACK:  # the extent set the side
-            with np.errstate(over="ignore"):
-                far = np.hypot(x - np.median(x), y - np.median(y))
-            i = int(np.argmax(far))
-            why = f"node {i} at {p[i]} stretches the swarm's extent, so "
-        raise ValueError(f"{why}{total} neighbor candidates on cells of side "
-                         f"{side:.3g} for r = {r:g} exceed the budget of "
-                         f"{_MAX_CANDIDATES}")
-    a = np.arange(n).repeat(counts[0::2] + counts[1::2])
-    b = np.arange(total) + (
-        start.ravel() - (np.cumsum(counts) - counts)).repeat(counts)
+    a, b = (_all_pairs(n) if n * (n - 1) // 2 <= _ALL_PAIRS_MAX
+            else _cell_pairs(key[order], height, p, r, side))
     # the distance test reads the positions in sorted order, where a
     # candidate pair sits close together. A difference that overflows is
     # beyond any finite r, and a square that does is beyond any r < 2**510,
@@ -299,6 +290,42 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
             close = np.abs(d) <= r
     kept = np.flatnonzero(close)
     return NeighborGraph(n, order, a[kept], b[kept])
+
+
+@functools.lru_cache(maxsize=4)
+def _all_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair a < b of range(n), lexicographic; cached, so read-only."""
+    a, b = (i.astype(np.int64) for i in np.triu_indices(n, 1))
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
+def _cell_pairs(sorted_key, height: int, p, r: float, side: float):
+    """The cell list's candidates (a, b); ValueError past the budget."""
+    n = sorted_key.size
+    start = np.empty((n, 2), dtype=np.int64)
+    end = np.empty((n, 2), dtype=np.int64)
+    start[:, 0] = np.arange(1, n + 1)
+    end[:, 0] = sorted_key.searchsorted(sorted_key + 1, "right")
+    start[:, 1] = sorted_key.searchsorted(sorted_key + (height - 1), "left")
+    end[:, 1] = sorted_key.searchsorted(sorted_key + (height + 1), "right")
+    counts = (end - start).ravel()
+    total = int(counts.sum())
+    if total > _MAX_CANDIDATES:
+        why = ""
+        if side > max(r, _MIN_CELL) * _CELL_SLACK:  # the extent set the side
+            x, y = p.real, p.imag
+            with np.errstate(over="ignore"):
+                far = np.hypot(x - np.median(x), y - np.median(y))
+            i = int(np.argmax(far))
+            why = f"node {i} at {p[i]} stretches the swarm's extent, so "
+        raise ValueError(f"{why}{total} neighbor candidates on cells of side "
+                         f"{side:.3g} for r = {r:g} exceed the budget of "
+                         f"{_MAX_CANDIDATES}")
+    a = np.arange(n).repeat(counts[0::2] + counts[1::2])
+    b = np.arange(total) + (
+        start.ravel() - (np.cumsum(counts) - counts)).repeat(counts)
+    return a, b
 
 
 def distance_speed(d, params: SwarmParams, out: np.ndarray | None = None):

@@ -302,6 +302,25 @@ def test_density_narrow_grid_exits_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv, shape", [
+    (["simulate", "--config", "huge.cfg"], "(10000000000000000, 2)"),
+    (["density", "--x0", "5", "--t", "1", "--grid-points",
+      "10000000000000000"], "(5000000000000001,)")])
+def test_an_allocation_refused_exits_4(tmp_path, monkeypatch, capsys, argv,
+                                       shape):
+    # each size needs far more than a 2**47-byte address space, so the
+    # allocation is refused at once and takes no memory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "huge.cfg").write_text("n_nodes = 10000000000000000\n")
+    assert main([*argv, "--out", "o"]) == 4
+    out, err = capsys.readouterr()
+    assert err.startswith("error: out of memory: Unable to allocate ")
+    assert f"array with shape {shape}" in err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert out == ""
+    assert not (tmp_path / "o").exists()
+
+
 def test_density_coarse_grid_blames_point_count(tmp_path, capsys):
     # the default span holds x0 +/- 8 sd; 7 nodes cannot resolve the pdf
     code = main(["density", "--x0", "5", "--t", "3", "--grid-points", "7",

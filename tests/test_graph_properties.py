@@ -4,10 +4,15 @@ Point sets come in three kinds: arbitrary floats, tight clusters with exact
 duplicates (many nodes per cell), and dyadic grids where many pairs sit at
 distance exactly r. Each graph is checked against an O(N^2) brute-force
 oracle, against the CSR invariants, and, for the component count, against
-``scipy.sparse.csgraph.connected_components``.
+``scipy.sparse.csgraph.connected_components``. The build tests either every
+pair or the pairs of its cell list, by the swarm's size; each property is
+checked on both lists (``graphs``), and the two must give the same arrays.
 """
 
+import contextlib
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
@@ -15,6 +20,7 @@ from scipy.sparse.csgraph import connected_components
 
 from oracle import (dense_move, directed_edges, indices, indptr, neighbors,
                     node_pairs)
+from shinerswarm import core
 from shinerswarm.core import NeighborGraph, SwarmParams, build_neighborhood
 from shinerswarm.engine import move, step_normals
 
@@ -59,6 +65,31 @@ def dyadic_points(draw):
 point_sets = st.one_of(arbitrary_points(), clustered_points(), dyadic_points())
 
 
+# the all-pairs budget that makes a build test every pair a < b, and the
+# one that makes it take the cell list's runs, at any size
+CANDIDATE_LISTS = {"all pairs": 2 ** 62, "cell list": -1}
+
+
+@contextlib.contextmanager
+def candidate_list(name):
+    """Builds within the block take the named candidate list."""
+    saved = core._ALL_PAIRS_MAX
+    core._ALL_PAIRS_MAX = CANDIDATE_LISTS[name]
+    try:
+        yield
+    finally:
+        core._ALL_PAIRS_MAX = saved
+
+
+def graphs(p, r):
+    """The graph of p and r built from each candidate list."""
+    built = []
+    for name in CANDIDATE_LISTS:
+        with candidate_list(name):
+            built.append(build_neighborhood(p, r))
+    return built
+
+
 def brute_force_csr(p, r):
     """O(N^2) oracle: full squared-distance matrix, rows as CSR."""
     d = p[:, None] - p[None, :]
@@ -72,31 +103,31 @@ def brute_force_csr(p, r):
 @given(point_sets)
 def test_csr_graph_equals_brute_force(case):
     p, r = case
-    graph = build_neighborhood(p, r)
     want_indptr, want_indices = brute_force_csr(p, r)
-    np.testing.assert_array_equal(indptr(graph), want_indptr)
-    np.testing.assert_array_equal(indices(graph), want_indices)
+    for graph in graphs(p, r):
+        np.testing.assert_array_equal(indptr(graph), want_indptr)
+        np.testing.assert_array_equal(indices(graph), want_indices)
 
 
 @PROPERTY_SETTINGS
 @given(point_sets)
 def test_csr_invariants(case):
     p, r = case
-    graph = build_neighborhood(p, r)
     n = p.size
-    assert graph.n_nodes == n
-    offsets = indptr(graph)
-    assert offsets[0] == 0 and offsets[-1] == indices(graph).size
-    assert np.all(np.diff(offsets) >= 0)
-    edges = set()
-    for i in range(n):
-        row = neighbors(graph, i)
-        assert np.all(np.diff(row) > 0), f"row {i} not strictly ascending"
-        assert i not in row, f"loop at node {i}"
-        edges.update((i, int(j)) for j in row)
-    assert edges == {(j, i) for i, j in edges}
-    i_idx, j_idx = directed_edges(graph)
-    assert set(zip(i_idx.tolist(), j_idx.tolist())) == edges
+    for graph in graphs(p, r):
+        assert graph.n_nodes == n
+        offsets = indptr(graph)
+        assert offsets[0] == 0 and offsets[-1] == indices(graph).size
+        assert np.all(np.diff(offsets) >= 0)
+        edges = set()
+        for i in range(n):
+            row = neighbors(graph, i)
+            assert np.all(np.diff(row) > 0), f"row {i} not strictly ascending"
+            assert i not in row, f"loop at node {i}"
+            edges.update((i, int(j)) for j in row)
+        assert edges == {(j, i) for i, j in edges}
+        i_idx, j_idx = directed_edges(graph)
+        assert set(zip(i_idx.tolist(), j_idx.tolist())) == edges
 
 
 def scipy_components(graph: NeighborGraph) -> int:
@@ -111,8 +142,8 @@ def scipy_components(graph: NeighborGraph) -> int:
 @given(point_sets)
 def test_component_count_matches_scipy_on_neighbor_graphs(case):
     p, r = case
-    graph = build_neighborhood(p, r)
-    assert graph.component_count() == scipy_components(graph)
+    for graph in graphs(p, r):
+        assert graph.component_count() == scipy_components(graph)
 
 
 @st.composite
@@ -157,13 +188,13 @@ def test_component_count_on_shuffled_long_path():
 @given(point_sets)
 def test_pair_list_holds_each_neighbor_pair_once(case):
     p, r = case
-    graph = build_neighborhood(p, r)
     want_indptr, _ = brute_force_csr(p, r)
-    np.testing.assert_array_equal(graph.degrees(), np.diff(want_indptr))
-    u, v = node_pairs(graph)
-    assert np.all(u != v)
-    pairs = {frozenset(e) for e in zip(u.tolist(), v.tolist())}
-    assert len(pairs) == u.size
+    for graph in graphs(p, r):
+        np.testing.assert_array_equal(graph.degrees(), np.diff(want_indptr))
+        u, v = node_pairs(graph)
+        assert np.all(u != v)
+        pairs = {frozenset(e) for e in zip(u.tolist(), v.tolist())}
+        assert len(pairs) == u.size
 
 
 @PROPERTY_SETTINGS
@@ -175,5 +206,50 @@ def test_pair_list_social_sum_matches_dense_oracle(case, s, w, seed):
     p, r = case
     params = SwarmParams(r=r, s=s, w=w)
     g = step_normals(seed, 0, p.size)
-    np.testing.assert_allclose(move(p, params, g), dense_move(p, params, g),
-                               rtol=0, atol=1e-12)
+    want = dense_move(p, params, g)
+    for name in CANDIDATE_LISTS:
+        with candidate_list(name):
+            np.testing.assert_allclose(move(p, params, g), want, rtol=0,
+                                       atol=1e-12)
+
+
+def assert_same_graph_bytes(p, r):
+    """Both candidate lists give equal int64 arrays, byte for byte, which
+    hold the brute-force neighbor pairs."""
+    from_all, from_cells = graphs(p, r)
+    for name in ("order", "a", "b"):
+        got, want = getattr(from_all, name), getattr(from_cells, name)
+        assert got.dtype == want.dtype == np.int64, name
+        assert got.tobytes() == want.tobytes(), name
+    with np.errstate(over="ignore"):  # a far pair's square overflows to inf
+        want_indptr, _ = brute_force_csr(p, r)
+    np.testing.assert_array_equal(from_all.degrees(), np.diff(want_indptr))
+
+
+@PROPERTY_SETTINGS
+@given(point_sets)
+def test_cell_list_and_all_pairs_give_the_same_graph_byte_for_byte(case):
+    assert_same_graph_bytes(*case)
+
+
+def uniform(n, seed=0):
+    # the reference node density: 100 nodes per unit area
+    half = 0.5 * (n / 100) ** 0.5
+    xy = np.random.default_rng(seed).uniform(-half, half, (2, n))
+    return xy[0] + 1j * xy[1]
+
+
+@pytest.mark.parametrize("p, r", [
+    (uniform(128), 0.2),  # the most nodes a default build tests all pairs of
+    (uniform(129), 0.2),  # the fewest it takes the cell list for
+    (uniform(129, 1), 0.0),
+    (uniform(129, 2), np.inf),
+    (np.repeat(uniform(43, 3), 3), 0.0),  # exact duplicates, each a pair
+    (np.repeat(uniform(43, 4), 3), 0.05),
+    (np.append(uniform(128, 5), 1e12), 0.2),  # a far outlier widens cells
+    (np.append(uniform(40, 6), [1e308, -1e308j]), np.inf),
+], ids=["n128", "n129", "r0", "r_inf", "duplicates_r0", "duplicates",
+        "far_outlier", "overflowing_spread_r_inf"])
+def test_cell_list_and_all_pairs_agree_at_the_edges(p, r):
+    assert_same_graph_bytes(p, r)
+
