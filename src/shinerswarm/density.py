@@ -19,9 +19,10 @@ in ``u = sign(x) * log(1 + |x| / c2)``, so the spacing grows in proportion
 to ``c2 + |x|`` as the kernel width does, and integrals are taken by the
 trapezoid rule in u with the Jacobian ``dx/du = c2 + |x|``. The origin,
 where the kernel width has its kink, is always a node when the span holds
-it; the rule's only error there makes mass shrink, never grow. Each grid is
-built once, and its read-only nodes and weights are shared by every pdf on
-it, so a pdf owns only its values.
+it; the rule's only error there makes mass shrink, never grow. Each grid
+is one frozen, cached ``Grid`` of read-only nodes, u nodes and weights; a
+``GridPdf`` owns only its values on a grid and its step, so every pdf on a
+grid is integrated by that grid's one rule.
 
 Mass that diffuses past the grid edges is simply lost and shows up as a
 total-mass deficit; it is reported by ``grid_stats`` and never renormalized
@@ -32,7 +33,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+import sys
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +43,7 @@ from .core import BLOCK_BYTES, check_speed_law, require, require_int
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _SQRT_HALF = np.sqrt(0.5)
+_FLOAT_MAX = sys.float_info.max
 
 # Default log-graded grid for the reference scenario (x0 = 5, c1 = 1,
 # c2 = 0.1): spacing 0.0009 at the origin and 0.047 at x = 5. On this
@@ -72,8 +75,10 @@ _REACH_SDS = 40.0
 
 
 class GridSpanError(ValueError):
-    """The grid is too narrow or too coarse to hold the pdf (mass deficit
-    above 1e-3), or its nodes are too far apart to resolve the kernel."""
+    """The grid cannot hold the pdf: its span holds fewer distinct nodes
+    than points, all its nodes are closer in u than the smallest normal
+    double or some too far apart to resolve the kernel, or it holds less
+    than 1 - 1e-3 of the first-step mass."""
 
 
 @dataclass(frozen=True)
@@ -98,50 +103,47 @@ class KernelParams:
         return _SQRT_HALF / sd, 1.0 / (sd * _SQRT_2PI)
 
 
-@dataclass
-class GridPdf:
-    """Pdf samples ``values`` at increasing nodes ``z`` at time step t;
-    ``w`` holds the quadrature weights, so ``w @ values`` is the mass.
-
-    The weights are the trapezoid rule in the nodes ``u`` times the
-    Jacobian dz/du. On a graded grid ``u = sign(z) * log1p(|z| / c2)`` and
-    the Jacobian is ``c2 + |z|``. On a plain grid, ``u`` and ``c2`` are None:
-    the nodes ``z`` serve as u and the Jacobian is 1. Pdfs on one grid share
-    its arrays and own only their values."""
+@dataclass(frozen=True)
+class Grid:
+    """A log-graded grid, built and checked once by ``_graded_grid``: nodes
+    ``z``, finite and strictly increasing, uniform on each side of the
+    origin in ``u = sign(z) * log1p(|z| / c2)``; finite weights ``w``, the
+    trapezoid rule in u times the Jacobian ``c2 + |z|``, so ``w @ values``
+    is a pdf's mass; and ``du``, the largest node spacing in u. The arrays
+    are read-only and shared by every pdf on the grid."""
 
     z: np.ndarray
+    u: np.ndarray
     w: np.ndarray
+    c2: float
+    du: float
+
+
+@dataclass
+class GridPdf:
+    """Pdf samples ``values``, one per node of ``grid``, at time step t.
+    The grid owns the nodes and weights, and the pdf only its values: they
+    must be finite and >= 0, with mass ``grid.w @ values`` at most 1."""
+
+    grid: Grid
     values: np.ndarray
     t: int
-    u: np.ndarray | None = None
-    c2: float | None = None
 
     def __post_init__(self) -> None:
-        if (self.u is None) != (self.c2 is None):
-            raise ValueError("a graded grid needs both its u nodes and c2")
-        self.z = np.asarray(self.z, dtype=float)
-        self.w = np.asarray(self.w, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        if self.z.ndim != 1 or self.z.size < 3:
-            raise ValueError(f"need at least 3 grid points, got {self.z.size}")
-        if not np.all(np.isfinite(self.z)) or np.any(np.diff(self.z) <= 0):
-            raise ValueError("grid nodes must be finite and strictly increasing")
-        if self.c2 is not None:
-            self.u = np.asarray(self.u, dtype=float)
-            if self.u.shape != self.z.shape or not np.all(np.diff(self.u) > 0):
-                raise ValueError("u nodes must increase strictly, one per node")
-            if not 0 < self.c2 < np.inf:
-                raise ValueError(f"grading scale c2 must be finite and > 0, "
-                                 f"got {self.c2}")
-        if self.w.shape != self.z.shape or self.values.shape != self.z.shape:
-            raise ValueError("weights and values must have one entry per node")
-        if not np.all(np.isfinite(self.w)) or np.any(self.w < 0):
-            raise ValueError("quadrature weights must be finite and >= 0")
+        if self.values.shape != self.grid.z.shape:
+            raise ValueError("pdf values must have one entry per grid node")
         if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
-            raise ValueError("pdf values must be finite and >= 0")
-        mass = float(self.w @ self.values)
+            raise ValueError(f"t = {self.t}: pdf values must be finite and >= 0")
+        mass = float(self.grid.w @ self.values)
         if mass > 1.0 + 1e-9:
-            raise ValueError(f"pdf mass {mass} exceeds 1 (unnormalized input?)")
+            raise ValueError(f"t = {self.t}: pdf mass {mass} exceeds 1 "
+                             f"(unnormalized input?)")
+
+    @property
+    def z(self) -> np.ndarray:
+        """The grid's nodes, read-only."""
+        return self.grid.z
 
 
 class GridStats(NamedTuple):
@@ -163,16 +165,18 @@ def kernel_pdf(mu, z, params: KernelParams):
 # density-chain, 5 s runs, numpy 2.4.6 on 2 vCPUs) peaked at 47.0-47.3 MB
 # RSS instead of 43.5-43.8 MB, in 3 of 3 pairs of runs.
 @functools.lru_cache(maxsize=8)
-def _graded_grid(z_min: float, z_max: float, n_points: int, c2: float
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Nodes z uniform in u = sign(x) * log(1 + |x| / c2) on [z_min, z_max],
-    the nodes u themselves, their trapezoid-in-u weights times the Jacobian
-    c2 + |x|, and the largest node spacing in u.
+@np.errstate(over="ignore")
+def _graded_grid(z_min: float, z_max: float, n_points: int, c2: float) -> Grid:
+    """The grid of n_points nodes uniform in u = sign(x) * log(1 + |x| / c2)
+    on [z_min, z_max] (see ``Grid``).
 
     A span across the origin is split there, each side uniform in u with
     the points shared in proportion to its length, so the origin is a node.
-    Each grid is built once: the arrays are read-only and shared by every
-    pdf on it. ParamError unless n_points >= 3 and z_min < z_max are finite.
+    Each grid is built and checked once. ParamError unless n_points >= 3,
+    z_min < z_max are finite, and each end's u, node and Jacobian are
+    finite. GridSpanError when all nodes are closer in u than the smallest
+    normal double, and, naming the point count, when the span does not hold
+    n_points distinct nodes or a weight overflows.
     """
     require(require_int("n_points", n_points) >= 3, "n_points",
             "must be >= 3", n_points)
@@ -180,6 +184,13 @@ def _graded_grid(z_min: float, z_max: float, n_points: int, c2: float
     require(z_min < z_max < np.inf, "z_max",
             f"must be finite and greater than z_min = {z_min}", z_max)
     u_min, u_max = (float(np.sign(x) * np.log1p(abs(x) / c2)) for x in (z_min, z_max))
+    # the build ignores overflow: an end out of range reads +inf here
+    bound = min(c2 * _FLOAT_MAX, _FLOAT_MAX - c2)
+    for key, x, u_end in (("z_min", z_min, u_min), ("z_max", z_max, u_max)):
+        require(c2 + c2 * np.expm1(abs(u_end)) < np.inf, key,
+                f"must be within about +/-{bound:.6g}, past which "
+                f"log1p(|{key}| / c2) or the node's weight overflows "
+                f"at c2 = {c2:g}", x)
     if u_min < 0.0 < u_max:
         k = min(max(round((n_points - 1) * -u_min / (u_max - u_min)), 1), n_points - 2)
         u = np.concatenate([np.linspace(u_min, 0.0, k + 1),
@@ -192,9 +203,25 @@ def _graded_grid(z_min: float, z_max: float, n_points: int, c2: float
     w[:-1] += du / 2
     w[1:] += du / 2
     w *= c2 + np.abs(z)
+    if not np.all(z[1:] > z[:-1]):
+        raise GridSpanError(
+            f"grid [{z_min}, {z_max}]: {n_points} points are too many: the "
+            f"span does not hold {n_points} distinct graded nodes")
+    # a pdf of mass <= 1 has a u-integrand values * (c2 + |z|) of up to
+    # about 2 / du, which overflows below the smallest normal double
+    du_max = float(du.max())
+    if du_max < sys.float_info.min:
+        raise GridSpanError(
+            f"grid [{z_min}, {z_max}] at c2 = {c2:g}: its nodes are at most "
+            f"{du_max:.3g} apart in u = sign(x) log(1 + |x| / c2), closer "
+            f"than the smallest normal double")
+    if not np.all(np.isfinite(w)):
+        raise GridSpanError(
+            f"grid [{z_min}, {z_max}]: {n_points} points are too few: their "
+            f"quadrature weights overflow")
     for a in (z, u, w):
         a.flags.writeable = False
-    return z, u, w, float(du.max())
+    return Grid(z, u, w, c2, du_max)
 
 
 def initial_pdf(x0: float, params: KernelParams,
@@ -206,32 +233,47 @@ def initial_pdf(x0: float, params: KernelParams,
     Raises GridSpanError, naming the point count, when nodes are more than
     ``_MAX_DU`` kernel widths apart in u, on which the quadrature can gain
     mass. Raises it too, naming the span that would be needed, when the
-    grid holds less than 1 - 1e-3 of the mass. ParamError unless x0 is
-    finite and the grid is valid (see ``_graded_grid``).
+    grid holds less than 1 - 1e-3 of the mass, and naming the sd when no
+    finite span holds x0 +/- 8 sd. ParamError unless x0 is finite and the
+    grid is valid (see ``_graded_grid``).
     """
     require(np.isfinite(x0), "x0", "must be finite", x0)
-    z, u, w, du = _graded_grid(z_min, z_max, n_points, params.c2)
+    grid = _graded_grid(z_min, z_max, n_points, params.c2)
     width = params.c1 / (1.0 + params.c1)
-    if du > _MAX_DU * width:
+    if grid.du > _MAX_DU * width:
         raise GridSpanError(
             f"grid [{z_min}, {z_max}]: {n_points} points are too few: its "
-            f"nodes are {du:.3g} apart in u = sign(x) log(1 + |x| / c2), "
+            f"nodes are {grid.du:.3g} apart in u = sign(x) log(1 + |x| / c2), "
             f"more than {_MAX_DU:g} of the kernel's width in u, "
             f"c1 / (1 + c1) = {width:.3g}")
-    f = GridPdf(z, w, kernel_pdf(x0, z, params), t=1, u=u, c2=params.c2)
-    mass = float(f.w @ f.values)
+    # an overflow goes to its limit, a norm of 0 or exp(-inf) = 0, and an sd
+    # of inf spreads the pdf to 0; only a kernel too narrow for a finite norm
+    # makes inf * 0, a NaN that GridPdf's check refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        sd = float(params.sd(x0))
+        values = (kernel_pdf(x0, grid.z, params) if sd < math.inf
+                  else np.zeros(n_points))
+    f = GridPdf(grid, values, t=1)
+    mass = float(grid.w @ f.values)
     # Once the nodes resolve the kernel, only a span too narrow loses this
     # much: of 60000 random grids (c1 0.01-5, c2 0.005-3, |x0| <= 50, spans
     # 0.1-2000, 3-3000 points), none whose span held x0 +/- 8 sd did.
     if mass < 1.0 - 1e-3:
-        sd = float(params.sd(x0))
+        lo, hi = x0 - 8 * sd, x0 + 8 * sd
+        need = (f"span at least [{lo:.6g}, {hi:.6g}] is required"
+                if math.isfinite(lo) and math.isfinite(hi) else
+                f"no finite grid spans x0 +/- 8 sd, with sd = {sd:.6g}")
         raise GridSpanError(
             f"grid [{z_min}, {z_max}] of {n_points} points holds only mass "
-            f"{mass:.6f} of the first-step pdf; span at least "
-            f"[{x0 - 8 * sd:.6g}, {x0 + 8 * sd:.6g}] is required")
+            f"{mass:.6f} of the first-step pdf; {need}")
     return f
 
 
+# An overflow in a step goes to its limit: an sd of inf gives a norm of 0 and
+# an infinite reach, an entry of inf exp = 0. Only inf * 0 makes a NaN, where
+# an sd and a node distance both overflow or a kernel is too narrow for a
+# finite norm, and GridPdf's check refuses it.
+@np.errstate(over="ignore", invalid="ignore")
 def propagate(f: GridPdf, params: KernelParams) -> GridPdf:
     """Push the pdf one step forward on the same grid.
 
@@ -248,10 +290,11 @@ def propagate(f: GridPdf, params: KernelParams) -> GridPdf:
     bit for bit. On a grid that resolves the kernel, mass can only shrink
     (tail truncation); the deficit is observable via grid_stats.
     """
-    z = f.z
+    grid = f.grid
+    z = grid.z
     n = z.size
     k, norm = params.factors(z)
-    wf = f.w * f.values * norm
+    wf = grid.w * f.values * norm
     rows = min(n, max(1, BLOCK_BYTES // (n * z.itemsize)))
     buf = np.empty((rows, n))
     out = np.empty(n)
@@ -282,7 +325,7 @@ def propagate(f: GridPdf, params: KernelParams) -> GridPdf:
             else:
                 np.exp(run, out=run)
         np.matmul(b, wf, out=out[lo:hi])
-    return replace(f, values=out, t=f.t + 1)
+    return GridPdf(grid, out, f.t + 1)
 
 
 def pdf_at_time(x0: float, t: int, params: KernelParams,
@@ -305,17 +348,14 @@ def grid_stats(f: GridPdf, eps: float) -> GridStats:
     the ends count. It therefore never exceeds the mass (up to rounding)
     and never falls as eps grows. The shortfall of mass below 1 is the
     truncated tail the grid has lost."""
-    z = f.z
-    mass = float(f.w @ f.values)
+    grid = f.grid
+    mass = float(grid.w @ f.values)
     if mass <= 0.0:
         raise ValueError("pdf has zero mass")
-    mean = float(f.w @ (z * f.values)) / mass
-    if f.c2 is None:
-        u, u_eps, g = z, eps, f.values
-    else:
-        u = f.u
-        u_eps = math.copysign(math.log1p(abs(eps) / f.c2), eps)
-        g = f.values * (f.c2 + np.abs(z))
+    mean = float(grid.w @ (grid.z * f.values)) / mass
+    u = grid.u
+    u_eps = math.copysign(math.log1p(abs(eps) / grid.c2), eps)
+    g = f.values * (grid.c2 + np.abs(grid.z))
     lo, hi = max(-u_eps, u[0]), min(u_eps, u[-1])
     near = 0.0
     if lo < hi:

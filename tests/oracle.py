@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -267,10 +267,10 @@ def stepped_walk(params: SwarmParams, seed: int, region, n_steps: int):
 def propagate_every_entry(f: GridPdf, params: KernelParams) -> GridPdf:
     """``density.propagate`` with ``exp`` taken on every kernel entry, in the
     same row blocks, so its output is the reference bit for bit."""
-    z = f.z
+    z = f.grid.z
     n = z.size
     k, norm = params.factors(z)
-    wf = f.w * f.values * norm
+    wf = f.grid.w * f.values * norm
     rows = min(n, max(1, BLOCK_BYTES // (n * z.itemsize)))
     buf = np.empty((rows, n))
     out = np.empty(n)
@@ -282,7 +282,7 @@ def propagate_every_entry(f: GridPdf, params: KernelParams) -> GridPdf:
         np.negative(b, out=b)
         np.exp(b, out=b)
         np.matmul(b, wf, out=out[lo:lo + b.shape[0]])
-    return replace(f, values=out, t=f.t + 1)
+    return GridPdf(f.grid, out, f.t + 1)
 
 
 def mc_sample(x0: float, t: int, n_paths: int, params: KernelParams,

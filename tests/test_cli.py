@@ -420,6 +420,19 @@ def test_density_bad_params_exit_2(tmp_path):
      "got inf"),
     (["--x0", "5", "--t", "1", "--grid-min", "4", "--grid-max", "3"],
      "--grid-max: z_max must be finite and greater than z_min = 4.0, got 3.0"),
+    # ends past c2 times the largest double, where log1p(|z| / c2) overflows
+    (["--x0", "5", "--t", "2", "--grid-min", "1e308", "--grid-max", "1.7e308"],
+     "--grid-min: z_min must be within about +/-1.79769e+307, past which "
+     "log1p(|z_min| / c2) or the node's weight overflows at c2 = 0.1, "
+     "got 1e+308"),
+    (["--x0", "5", "--t", "2", "--grid-min", "-1.7e308", "--grid-max", "1.7e308"],
+     "--grid-min: z_min must be within about +/-1.79769e+307, past which "
+     "log1p(|z_min| / c2) or the node's weight overflows at c2 = 0.1, "
+     "got -1.7e+308"),
+    (["--x0", "5", "--t", "2", "--grid-min", "-10", "--grid-max", "1e308"],
+     "--grid-max: z_max must be within about +/-1.79769e+307, past which "
+     "log1p(|z_max| / c2) or the node's weight overflows at c2 = 0.1, "
+     "got 1e+308"),
 ])
 def test_density_grid_and_start_errors_exit_2_naming_the_flag(
         tmp_path, capsys, args, message):
@@ -429,6 +442,64 @@ def test_density_grid_and_start_errors_exit_2_naming_the_flag(
         assert main(["density", *args, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--grid-min", "1", "--grid-max", "1.0000000000000002",
+      "--grid-points", "3"],
+     "grid [1.0, 1.0000000000000002]: 3 points are too many: the span does "
+     "not hold 3 distinct graded nodes"),
+    (["--c2", "1", "--grid-min", "-1e308", "--grid-max", "1e308",
+      "--grid-points", "3"],
+     "grid [-1e+308, 1e+308]: 3 points are too few: their quadrature "
+     "weights overflow"),
+    # u = log1p(|z| / c2) is subnormal, where a pdf's u-integrand overflows
+    (["--x0", "0", "--c2", "1.7e308", "--grid-min", "-1", "--grid-max", "1",
+      "--grid-points", "3"],
+     "grid [-1.0, 1.0] at c2 = 1.7e+308: its nodes are at most 5.88e-309 "
+     "apart in u = sign(x) log(1 + |x| / c2), closer than the smallest "
+     "normal double"),
+    (["--x0", "1e308"],
+     "grid [-1000.0, 1000.0] of 2001 points holds only mass 0.000000 of the "
+     "first-step pdf; no finite grid spans x0 +/- 8 sd, with sd = 1e+308"),
+    (["--c1", "1e308"],
+     "grid [-1000.0, 1000.0] of 2001 points holds only mass 0.000000 of the "
+     "first-step pdf; no finite grid spans x0 +/- 8 sd, with sd = inf"),
+    # an sd and a node distance both overflow in the second step, so one
+    # kernel entry is 0 * inf
+    (["--c1", "2", "--c2", "1e300", "--grid-min", "-1e308", "--grid-max",
+      "1e308", "--grid-points", "240"],
+     "t = 2: pdf values must be finite and >= 0"),
+    # an sd of 1e-310 at x0: the kernel's norm overflows, and its k times a
+    # distance of 0 is inf * 0
+    (["--x0", "0", "--c2", "1e-310", "--grid-min", "-1e-300", "--grid-max",
+      "1e-300", "--grid-points", "400"],
+     "t = 1: pdf values must be finite and >= 0"),
+])
+def test_density_grid_that_cannot_hold_the_pdf_exits_4_with_one_error_line(
+        tmp_path, capsys, args, message):
+    out = tmp_path / "d.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["density", "--x0", "5", "--t", "2", *args,
+                     "--out", str(out)]) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_density_on_a_grid_near_the_float_range_warns_of_no_overflow(
+        tmp_path, capsys):
+    # the kernel's norm, its reach and some entries overflow to their
+    # limits: a norm of 0, an infinite reach, exp(-inf) = 0
+    out = tmp_path / "d.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["density", "--x0", "5", "--t", "2", "--c1", "100",
+                     "--grid-min", "-1e306", "--grid-max", "1e306",
+                     "--grid-points", "6000", "--out", str(out)]) == 0
+    stdout, err = capsys.readouterr()
+    assert err == ""
+    assert "t=2 mass=0.999999227 " in stdout
 
 
 @pytest.mark.parametrize("flag, value", [("--x0", "-1e-05"),

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import norm
 
 from conftest import REF_KERNEL, REF_X0, trapezoid_weights, tv_distance_to_samples
@@ -18,6 +20,7 @@ from shinerswarm.density import (
     kernel_pdf,
     pdf_at_time,
     propagate,
+    _graded_grid,
 )
 
 
@@ -99,22 +102,31 @@ def test_initial_pdf_rejects_nodes_too_far_apart_for_the_kernel():
         initial_pdf(-1.3114711711202176, params, -100.0, 100.0, 44)
 
 
-def _uniform_grid_pdf(z_min, z_max, n, values, t=1) -> GridPdf:
-    """A GridPdf on np.linspace nodes with trapezoid weights of its own."""
-    z = np.linspace(z_min, z_max, n)
-    return GridPdf(z, trapezoid_weights(z), values, t=t)
+def _u(x: float, c2: float) -> float:
+    """The graded grid's coordinate u = sign(x) * log(1 + |x| / c2)."""
+    return math.copysign(math.log1p(abs(x) / c2), x)
+
+
+def _uniform_in_u(z_min, z_max, n, c2=0.1) -> GridPdf:
+    """The pdf uniform in u on the builder's grid: ``values * (c2 + |z|)``
+    is constant, so the weights' rule integrates it exactly, to mass 1, and
+    its mass on [a, b] is ``(u(b) - u(a)) / (u(z_max) - u(z_min))``."""
+    grid = _graded_grid(z_min, z_max, n, c2)
+    u_span = _u(z_max, c2) - _u(z_min, c2)
+    return GridPdf(grid, 1.0 / (u_span * (c2 + np.abs(grid.z))), t=1)
 
 
 # ---------------------------------------------------------------------------
 # propagate
 
-DIRAC_STEP = 0.02  # spacing of the uniform grid the point mass sits on
-
 
 def _dirac_at_zero() -> GridPdf:
-    values = np.zeros(6001)
-    values[3000] = 1.0 / DIRAC_STEP  # unit trapezoid mass in one interior cell
-    return _uniform_grid_pdf(-60.0, 60.0, 6001, values)
+    """Unit mass at the origin, a node of every span across 0."""
+    grid = _graded_grid(-60.0, 60.0, 6001, REF_KERNEL.c2)
+    k = int(np.flatnonzero(grid.z == 0.0)[0])
+    values = np.zeros(grid.z.size)
+    values[k] = 1.0 / grid.w[k]
+    return GridPdf(grid, values, t=1)
 
 
 def test_propagate_point_mass_reproduces_kernel():
@@ -124,7 +136,7 @@ def test_propagate_point_mass_reproduces_kernel():
     expected = kernel_pdf(0.0, z, REF_KERNEL)
     np.testing.assert_allclose(out.values, expected, rtol=1e-12, atol=1e-300)
     stats = grid_stats(out, eps=1.0)
-    assert abs(stats.mean) <= DIRAC_STEP
+    assert abs(stats.mean) <= 0.02
     sd = np.sqrt(np.trapezoid(z * z * out.values, z) / stats.mass
                  - stats.mean ** 2)
     assert sd == pytest.approx(REF_KERNEL.c1 * REF_KERNEL.c2, rel=0.05)
@@ -149,21 +161,14 @@ def test_propagate_never_gains_mass(ref_chain):
     assert masses[1] <= masses[0] + 1e-9
     assert masses[2] <= masses[1] + 1e-9
     out = propagate(_dirac_at_zero(), REF_KERNEL)
-    assert float(np.trapezoid(out.values, out.z)) <= 1.0 + 1e-9
+    assert out.grid.w @ out.values <= 1.0 + 1e-9
 
 
 def _direct_quadrature(f: GridPdf, params: KernelParams) -> np.ndarray:
     """Oracle for propagate: sum_j w_j f_j N(z_i; z_j, sd_j) with scipy's
     normal pdf, the whole kernel matrix at once."""
     sd = params.c1 * (params.c2 + np.abs(f.z))
-    return norm.pdf(f.z[:, None], loc=f.z, scale=sd) @ (f.w * f.values)
-
-
-def _graded_nodes(n, half_width, c2):
-    """n nodes uniform in u = sign(x) * log(1 + |x| / c2) on
-    [-half_width, half_width], built here apart from the program's grid."""
-    u = np.linspace(-1.0, 1.0, n) * math.log1p(half_width / c2)
-    return np.sign(u) * c2 * np.expm1(np.abs(u))
+    return norm.pdf(f.z[:, None], loc=f.z, scale=sd) @ (f.grid.w * f.values)
 
 
 # Tolerances fixed from float64 rounding before comparing: each kernel term
@@ -185,10 +190,9 @@ def test_propagate_matches_direct_quadrature_partial_last_block(t):
 def test_propagate_matches_direct_quadrature_below_one_block():
     # nodes about 0.35 apart in u against a kernel about 1 wide there
     params = KernelParams(c1=1.0, c2=1.0)
-    z = _graded_nodes(5, 1.0, params.c2)
-    w = trapezoid_weights(z)
-    values = norm.pdf(z, loc=0.5, scale=params.sd(0.5))
-    f = GridPdf(z, w, 0.9 * values / (w @ values), t=1)
+    grid = _graded_grid(-1.0, 1.0, 5, params.c2)
+    values = norm.pdf(grid.z, loc=0.5, scale=params.sd(0.5))
+    f = GridPdf(grid, 0.9 * values / (grid.w @ values), t=1)
     out = propagate(f, params)
     assert out.t == 2
     np.testing.assert_allclose(out.values, _direct_quadrature(f, params),
@@ -211,7 +215,7 @@ def test_propagate_matches_oracle_and_never_gains_mass(c1, c2, x0, extra):
     out = propagate(f, params)
     np.testing.assert_allclose(out.values, _direct_quadrature(f, params),
                                rtol=ORACLE_RTOL, atol=ORACLE_ATOL)
-    assert out.w @ out.values <= f.w @ f.values + 1e-9
+    assert out.grid.w @ out.values <= f.grid.w @ f.values + 1e-9
 
 
 def _same_bits_as_oracle(f: GridPdf, params: KernelParams) -> GridPdf:
@@ -379,17 +383,20 @@ def test_mc_deterministic_given_seed():
 
 
 def test_grid_stats_uniform():
-    f = _uniform_grid_pdf(-1.0, 1.0, 201, np.full(201, 0.5))
+    f = _uniform_in_u(-1.0, 1.0, 201)
     stats = grid_stats(f, eps=0.5)
     assert stats.mass == pytest.approx(1.0)
     assert stats.mean == pytest.approx(0.0, abs=1e-12)
-    assert stats.mass_near == pytest.approx(0.5)
+    assert stats.mass_near == pytest.approx(_u(0.5, 0.1) / _u(1.0, 0.1))
 
 
 def test_grid_stats_mass_near_counts_partial_cells():
-    f = _uniform_grid_pdf(-1.0, 1.0, 5, np.full(5, 0.5))  # nodes 0.5 apart
-    assert grid_stats(f, eps=0.25).mass_near == pytest.approx(0.25)
-    assert grid_stats(f, eps=0.75).mass_near == pytest.approx(0.75)
+    # nodes at 0, +-(sqrt(2) - 1) and +-1: eps = 0.25 and 0.75 fall inside
+    # the first and the second cell
+    f = _uniform_in_u(-1.0, 1.0, 5, c2=1.0)
+    for eps in (0.25, 0.75):
+        assert grid_stats(f, eps).mass_near == pytest.approx(
+            _u(eps, 1.0) / _u(1.0, 1.0))
     assert grid_stats(f, eps=5.0).mass_near == pytest.approx(1.0)
     assert grid_stats(f, eps=0.0).mass_near == 0.0
 
@@ -417,8 +424,9 @@ def _mass_between(f: GridPdf, a: float, b: float) -> float:
     """Mass on [a, b] by the grid's u rule, as ``grid_stats`` takes it on
     [-eps, eps]: the integral in u of the linear interpolant of
     ``values * (c2 + |z|)``, partial cells at both ends included."""
-    ua, ub = (math.copysign(math.log1p(abs(x) / f.c2), x) for x in (a, b))
-    u, g = f.u, f.values * (f.c2 + np.abs(f.z))
+    grid = f.grid
+    ua, ub = (_u(x, grid.c2) for x in (a, b))
+    u, g = grid.u, f.values * (grid.c2 + np.abs(grid.z))
     un = np.concatenate(([ua], u[(ua < u) & (u < ub)], [ub]))
     return float(np.trapezoid(np.interp(un, u, g), un))
 
@@ -447,11 +455,8 @@ def graded_pdfs(draw) -> GridPdf:
     z_min = x0 - 8 * sd - draw(st.floats(0.0, 50.0))
     z_max = x0 + 8 * sd + draw(st.floats(0.0, 50.0))
 
-    def u(x):
-        return math.copysign(math.log1p(abs(x) / params.c2), x)
-
     width = params.c1 / (1 + params.c1)
-    n = (3 + math.ceil((u(z_max) - u(z_min)) / (0.2 * width))
+    n = (3 + math.ceil((_u(z_max, params.c2) - _u(z_min, params.c2)) / (0.2 * width))
          + draw(st.integers(0, 200)))
     try:
         f = initial_pdf(x0, params, z_min, z_max, n)
@@ -460,14 +465,41 @@ def graded_pdfs(draw) -> GridPdf:
     return propagate(f, params) if draw(st.booleans()) else f
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(f=graded_pdfs(), eps=st.lists(st.floats(0.0, 100.0), min_size=2,
-                                     max_size=2).map(sorted))
-def test_mass_near_is_at_most_mass_and_grows_with_eps(f, eps):
+def _check_mass_near(f: GridPdf, eps: list[float]) -> None:
     small, large, whole = (grid_stats(f, e) for e in (*eps, 1e9))
     assert small.mass_near <= large.mass_near + 1e-12
     assert large.mass_near <= large.mass + 1e-12
     assert whole.mass_near == pytest.approx(whole.mass, rel=0, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(f=graded_pdfs(), eps=st.lists(st.floats(0.0, 100.0), min_size=2,
+                                     max_size=2).map(sorted))
+def test_mass_near_is_at_most_mass_and_grows_with_eps(f, eps):
+    _check_mass_near(f, eps)
+
+
+@st.composite
+def builder_grid_pdfs(draw) -> GridPdf:
+    """Arbitrary nonnegative values of mass at most 1 on a random grid of the
+    program's builder, either side of the origin or across it: values drawn
+    freely, scaled down to mass 1 if they hold more."""
+    z_min = draw(st.floats(-500.0, 500.0))
+    z_max = z_min + draw(st.floats(0.01, 1000.0))
+    grid = _graded_grid(z_min, z_max, draw(st.integers(3, 300)),
+                        draw(st.floats(0.01, 2.0)))
+    raw = draw(arrays(np.float64, grid.z.size, elements=st.floats(0.0, 1e6)))
+    mass = grid.w @ raw
+    assume(mass > 0.0)
+    return GridPdf(grid, raw / max(1.0, mass), t=1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(f=builder_grid_pdfs(),
+       eps=st.lists(st.floats(0.0, 1500.0), min_size=2, max_size=2).map(sorted))
+def test_mass_near_of_any_values_on_a_builder_grid_is_at_most_mass(f, eps):
+    # the pdf owns no weights, so its mass and mass_near take one rule
+    _check_mass_near(f, eps)
 
 
 def test_default_grid_meets_its_accuracy_target(ref_chain):
@@ -485,28 +517,34 @@ def test_default_grid_meets_its_accuracy_target(ref_chain):
 
 def test_pdfs_on_one_grid_share_its_read_only_arrays(ref_chain):
     f1, f3 = ref_chain[1], ref_chain[3]
-    assert f1.z is f3.z and f1.u is f3.u and f1.w is f3.w
-    assert not (f3.z.flags.writeable or f3.u.flags.writeable
-                or f3.w.flags.writeable)
+    grid = f3.grid
+    assert f1.grid is grid and f3.z is grid.z
+    assert not (grid.z.flags.writeable or grid.u.flags.writeable
+                or grid.w.flags.writeable)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.w = np.ones(grid.z.size)
     # across calls too, and each pdf still owns its values
     g1, g3 = initial_pdf(REF_X0, REF_KERNEL), pdf_at_time(REF_X0, 3, REF_KERNEL)
-    assert g1.z is g3.z and g1.w is g3.w
+    assert g1.grid is g3.grid
     np.testing.assert_array_equal(g3.values, f3.values)
     assert g3.values is not f3.values
 
 
 def test_grid_stats_rejects_zero_mass():
-    f = _uniform_grid_pdf(-1.0, 1.0, 11, np.zeros(11))
+    f = GridPdf(_graded_grid(-1.0, 1.0, 11, 0.1), np.zeros(11), t=1)
     with pytest.raises(ValueError, match="zero mass"):
         grid_stats(f, eps=0.5)
 
 
 def test_grid_pdf_validation():
+    grid = _graded_grid(-1.0, 1.0, 11, 0.1)
     with pytest.raises(ValueError):
-        _uniform_grid_pdf(1.0, -1.0, 11, np.zeros(11))
+        _graded_grid(1.0, -1.0, 11, 0.1)
     with pytest.raises(ValueError):
-        _uniform_grid_pdf(-1.0, 1.0, 11, -np.ones(11))
+        GridPdf(grid, -np.ones(11), t=1)
     with pytest.raises(ValueError):
-        _uniform_grid_pdf(-1.0, 1.0, 12, np.zeros(11))
+        GridPdf(_graded_grid(-1.0, 1.0, 12, 0.1), np.zeros(11), t=1)
+    with pytest.raises(ValueError):
+        GridPdf(grid, np.full(11, np.nan), t=1)
     with pytest.raises(ValueError, match="mass"):
-        _uniform_grid_pdf(-1.0, 1.0, 11, np.ones(11))  # trapezoid mass 2
+        GridPdf(grid, np.ones(11), t=1)  # mass 2, the span's length
