@@ -110,17 +110,20 @@ def cmd_density(args: argparse.Namespace) -> int:
     f = initial_pdf(args.x0, params, args.grid_min, args.grid_max,
                     args.grid_points)
 
-    lines = [DENSITY_HEADER]
+    # stats are printed once the CSV is written: a failure leaves stdout empty
+    lines, stats_lines = [DENSITY_HEADER], []
     for t in range(1, args.t + 1):
         if t > 1:
             f = propagate(f, params)
         for z, p in zip(f.z, f.values):
             lines.append(f"{t},{_fmt(z)},{_fmt(p)}")
         stats = grid_stats(f, args.near_eps)
-        print(f"t={t} mass={_fmt(stats.mass)} mean={_fmt(stats.mean)} "
-              f"mass_near({args.near_eps:g})={_fmt(stats.mass_near)} "
-              f"deficit={_fmt(1.0 - stats.mass)}")
+        stats_lines.append(
+            f"t={t} mass={_fmt(stats.mass)} mean={_fmt(stats.mean)} "
+            f"mass_near({args.near_eps:g})={_fmt(stats.mass_near)} "
+            f"deficit={_fmt(1.0 - stats.mass)}")
     _write_text(args.out, "\n".join(lines) + "\n")
+    print("\n".join(stats_lines))
     return EXIT_OK
 
 

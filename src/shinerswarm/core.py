@@ -15,7 +15,8 @@ Neighbors are the nodes within the sensing radius r. ``build_neighborhood``
 tests the pairs of a sorted cell list (all pairs up to 128 nodes) and
 returns them in that sorted order (``NeighborGraph``): the node order and
 two index arrays into it holding each unordered pair once. Each factor of a
-step has one home here: the speed law ``distance_speed`` and the social sum
+step has one home here: the speed law of both engines, ``speed_law``, which
+``distance_speed`` and ``density.KernelParams.sd`` apply, and the social sum
 ``NeighborGraph.hammer_sum``, which runs in the sorted order, so a step
 sorts no edges and maps no pair to node ids. Nothing here keeps mutable state.
 """
@@ -57,10 +58,16 @@ def require_int(key: str, value) -> int:
 
 
 def check_speed_law(c1: float, c2: float) -> None:
-    """ParamError unless both constants of the speed law
-    ``c1 * (c2 + distance)`` are positive and finite."""
+    """ParamError unless both constants of ``speed_law`` are positive and
+    finite."""
     for key, value in (("c1", c1), ("c2", c2)):
         require(0 < value < math.inf, key, "must be positive and finite", value)
+
+
+def speed_law(c1: float, c2: float, d, out: np.ndarray | None = None):
+    """``c1 * (c2 + d)``, the speed law of both engines at the distance(s) d
+    from the darkest spot; ``out``, such as d itself, receives it in place."""
+    return np.multiply(c1, np.add(c2, d, out=out), out=out)
 
 
 @dataclass(frozen=True)
@@ -328,26 +335,17 @@ def _cell_pairs(sorted_key, height: int, p, r: float, side: float):
     return a, b
 
 
-def distance_speed(d, params: SwarmParams, out: np.ndarray | None = None):
-    """Speed scale at distance(s) d from the darkest spot: the speed law
-    ``c1 * (c2 + d)`` when the environmental factor is on, else the
-    constant ``sigma_const``, for which only d's shape is read.
-
-    Accepts a scalar or an array and returns the same shape. ``out``, an
-    array of d's shape such as d itself, receives the speed in place.
-    """
+def distance_speed(d: np.ndarray, params: SwarmParams) -> np.ndarray:
+    """The speed scale over the distances d from the darkest spot, written
+    into d and returned: ``speed_law`` when the environmental factor is on,
+    else the constant ``sigma_const``."""
     if params.env_enabled:
-        if out is None:
-            return (params.c1 * (params.c2 + np.asarray(d)))[()]
-        np.add(params.c2, d, out=out)
-        return np.multiply(params.c1, out, out=out)
+        return speed_law(params.c1, params.c2, d, out=d)
     if params.sigma_const is None:
         raise ValueError("sigma_const must be set when the environmental "
                          "factor is disabled")
-    if out is None:
-        return np.full(np.shape(d), float(params.sigma_const))[()]
-    out.fill(params.sigma_const)
-    return out
+    d.fill(params.sigma_const)
+    return d
 
 
 def hammer(z, s):

@@ -1,7 +1,8 @@
 """One-dimensional location density of a single speed-modulated walker.
 
 In 1D with the darkest spot at the origin, a walker's next location is
-normal around its current one with standard deviation ``c1 * (c2 + |x|)``.
+normal around its current one with standard deviation ``c1 * (c2 + |x|)``,
+``core.speed_law`` at |x|: the one law of the swarm's speed and this width.
 The location pdf after t steps has no closed form for t >= 2, so it is
 pushed forward numerically: starting from the one-step Gaussian, each
 application of ``propagate`` convolves the current grid pdf with the
@@ -39,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BLOCK_BYTES, check_speed_law, require, require_int
+from .core import BLOCK_BYTES, check_speed_law, require, require_int, speed_law
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _SQRT_HALF = np.sqrt(0.5)
@@ -83,7 +84,8 @@ class GridSpanError(ValueError):
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Constants of the 1D transition kernel N(x, (c1*(c2+|x|))^2)."""
+    """Constants of the 1D transition kernel N(x, sd(x)^2), its sd being
+    ``core.speed_law`` at |x|, the law the swarm's speed follows."""
 
     c1: float = 1.0
     c2: float = 0.1
@@ -93,7 +95,7 @@ class KernelParams:
 
     def sd(self, x):
         """Kernel standard deviation conditioned at x (kinked at x = 0)."""
-        return self.c1 * (self.c2 + np.abs(x))
+        return speed_law(self.c1, self.c2, np.abs(x))
 
     def factors(self, mu):
         """Per-source factors ``(k, norm)`` of the kernel from mu, whose pdf
@@ -347,14 +349,15 @@ def grid_stats(f: GridPdf, eps: float) -> GridStats:
     u(-eps) to u(eps), both ends clipped to the grid, so partial cells at
     the ends count. It therefore never exceeds the mass (up to rounding)
     and never falls as eps grows. The shortfall of mass below 1 is the
-    truncated tail the grid has lost."""
+    truncated tail the grid has lost. ParamError unless eps >= 0."""
+    require(eps >= 0, "eps", "must be >= 0", eps)
     grid = f.grid
     mass = float(grid.w @ f.values)
     if mass <= 0.0:
         raise ValueError("pdf has zero mass")
     mean = float(grid.w @ (grid.z * f.values)) / mass
     u = grid.u
-    u_eps = math.copysign(math.log1p(abs(eps) / grid.c2), eps)
+    u_eps = math.log1p(eps / grid.c2)
     g = f.values * (grid.c2 + np.abs(grid.z))
     lo, hi = max(-u_eps, u[0]), min(u_eps, u[-1])
     near = 0.0

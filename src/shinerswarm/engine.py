@@ -34,7 +34,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (BLOCK_BYTES, NeighborGraph, SwarmParams, build_neighborhood,
-                   check_finite, distance_speed, require, require_int)
+                   check_finite, distance_speed, require, require_int,
+                   speed_law)
 
 # Seeds and steps are Philox words (key and counter), unsigned 64-bit.
 SEED_LIMIT = 2 ** 64
@@ -201,15 +202,15 @@ def _draws(master_seed: int, t: int, n: int, n_steps: int, social: bool):
 
 
 def resolve_sigma_const(params: SwarmParams, positions) -> SwarmParams:
-    """Fill in ``sigma_const`` when it is needed but unset: the
-    environment-on speed at the placement's mean distance to rho, so both
-    modes start comparably fast; ValueError, naming that distance, if the
-    speed is not finite. The caller suppresses overflow warnings."""
+    """Fill in ``sigma_const`` when it is needed but unset: ``speed_law``
+    at the placement's mean distance to rho, so both modes start comparably
+    fast; ValueError, naming that distance, if the speed is not finite. The
+    caller suppresses overflow warnings."""
     if params.env_enabled or params.sigma_const is not None:
         return params
     d = np.abs(np.asarray(positions, dtype=np.complex128) - params.rho)
     mean = float(d.mean())
-    sigma = params.c1 * (params.c2 + mean)
+    sigma = float(speed_law(params.c1, params.c2, mean))
     if not sigma < np.inf:
         raise ValueError(f"the speed at the placement's mean distance to "
                          f"rho, {mean}, is not finite")
@@ -241,7 +242,7 @@ def _step(p: np.ndarray, params: SwarmParams, d: np.ndarray, draw,
     ValueError here, naming the node, so a diverging walk stops at the step
     it diverges."""
     u_raw, heading = draw
-    sigma = distance_speed(d, params, out=d)
+    sigma = distance_speed(d, params)
     if params.social_enabled:
         if graph is None:
             graph = build_neighborhood(p, params.r)

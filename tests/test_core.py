@@ -28,8 +28,10 @@ from shinerswarm.core import (
     build_neighborhood,
     distance_speed,
     hammer,
+    speed_law,
 )
 from shinerswarm.density import KernelParams
+from shinerswarm.engine import resolve_sigma_const
 
 
 def brute_force_adjacency(positions, r):
@@ -282,11 +284,13 @@ def test_component_count():
 
 
 # ---------------------------------------------------------------------------
-# distance_speed: the speed at position(s) p is distance_speed(|p - rho|)
+# distance_speed: the speed at position(s) p is distance_speed(|p - rho|),
+# written over a 1-d copy of the distances
 
 
 def speed_at(p, params):
-    return distance_speed(np.abs(np.asarray(p) - params.rho), params)
+    return distance_speed(np.array(np.abs(np.asarray(p) - params.rho),
+                                   ndmin=1), params)
 
 
 def test_env_speed_at_darkest_spot():
@@ -316,7 +320,7 @@ def test_env_speed_requires_sigma_const_when_env_off():
 _coordinates = st.floats(-1e6, 1e6, allow_nan=False)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(points=st.lists(st.tuples(_coordinates, _coordinates), min_size=1,
                        max_size=20),
        scalar=st.booleans(), c1=st.floats(1e-3, 1e3), c2=st.floats(1e-3, 1e3),
@@ -331,19 +335,29 @@ def test_distance_speed_is_env_speed_bit_for_bit(points, scalar, c1, c2, rho,
     d = np.abs(p - params.rho)
     buf = np.array(d, ndmin=1)
     if not env and sigma_const is None:
-        for speed in (lambda: distance_speed(d, params),
-                      lambda: distance_speed(buf, params, out=buf)):
-            with pytest.raises(ValueError, match="sigma_const"):
-                speed()
+        with pytest.raises(ValueError, match="sigma_const"):
+            distance_speed(buf, params)
         return
-    want = distance_speed(d, params)
-    assert type(want) is type(d) and np.shape(want) == np.shape(d)
+    # in place: the distances' own buffer becomes the speed
+    assert distance_speed(buf, params) is buf
     np.testing.assert_allclose(
-        np.ravel(want), [speed_reference(z, params) for z in np.ravel(p)],
+        buf, [speed_reference(z, params) for z in np.ravel(p)],
         rtol=1e-15, atol=0)
-    # in place: the distances' own buffer becomes the speed, bit for bit
-    assert distance_speed(buf, params, out=buf) is buf
-    assert buf.tobytes() == np.array(want, ndmin=1).tobytes()
+
+
+@settings(max_examples=300)
+@given(c1=st.floats(1e-6, 1e6), c2=st.floats(1e-6, 1e6),
+       d=st.floats(0.0, 1e6))
+def test_both_engines_read_one_speed_law_bit_for_bit(c1, c2, d):
+    env_off = SwarmParams(c1=c1, c2=c2, env_enabled=False)
+    # two nodes at distance d from rho = 0, so their mean distance is d
+    placement = np.array([complex(d, 0.0), complex(0.0, -d)])
+    speeds = [speed_law(c1, c2, d), speed_law(c1, c2, np.array([d]))[0],
+              KernelParams(c1, c2).sd(d), KernelParams(c1, c2).sd(-d),
+              distance_speed(np.array([d]), SwarmParams(c1=c1, c2=c2))[0],
+              resolve_sigma_const(env_off, placement).sigma_const]
+    assert {np.float64(v).tobytes() for v in speeds} == {
+        np.float64(c1 * (c2 + d)).tobytes()}
 
 
 def test_env_speed_positive_and_lipschitz():
@@ -406,7 +420,7 @@ _separations = st.one_of(st.integers(0, 12).map(lambda m: m / 32),
                          st.floats(0.0, 10.0))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(st.lists(st.tuples(_z_parts, _z_parts), min_size=1, max_size=40),
        _separations)
 def test_hammer_is_the_complex_formula_and_exactly_odd(parts, s):
@@ -458,7 +472,7 @@ _exact_separations = st.one_of(st.sampled_from(_SEPARATIONS),
                                st.floats(0.0, 10.0))
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(st.lists(st.tuples(_exact_parts, _exact_parts), min_size=1,
                 max_size=12),
        st.lists(_exact_separations, min_size=1, max_size=3),

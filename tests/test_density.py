@@ -10,6 +10,7 @@ from scipy.stats import norm
 
 from conftest import REF_KERNEL, REF_X0, trapezoid_weights, tv_distance_to_samples
 from oracle import mc_sample, propagate_every_entry
+from shinerswarm.core import ParamError
 from shinerswarm.density import (
     DEFAULT_N_POINTS,
     GridPdf,
@@ -199,7 +200,7 @@ def test_propagate_matches_direct_quadrature_below_one_block():
                                rtol=ORACLE_RTOL, atol=ORACLE_ATOL)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(c1=st.floats(0.5, 2.0), c2=st.floats(0.05, 1.0),
        x0=st.floats(-10.0, 10.0), extra=st.integers(0, 40))
 def test_propagate_matches_oracle_and_never_gains_mass(c1, c2, x0, extra):
@@ -246,7 +247,7 @@ def test_propagate_equals_every_entry_oracle(x0, params, z_min, z_max,
         f = _same_bits_as_oracle(f, params)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(c1=st.integers(0, 1000).map(lambda i: 0.02 * 150.0 ** (i / 1000)),
        c2=st.floats(0.01, 2.0), x0=st.floats(-20.0, 20.0),
        left=st.floats(8.0, 300.0), right=st.floats(8.0, 300.0),
@@ -472,7 +473,7 @@ def _check_mass_near(f: GridPdf, eps: list[float]) -> None:
     assert whole.mass_near == pytest.approx(whole.mass, rel=0, abs=1e-12)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(f=graded_pdfs(), eps=st.lists(st.floats(0.0, 100.0), min_size=2,
                                      max_size=2).map(sorted))
 def test_mass_near_is_at_most_mass_and_grows_with_eps(f, eps):
@@ -494,12 +495,26 @@ def builder_grid_pdfs(draw) -> GridPdf:
     return GridPdf(grid, raw / max(1.0, mass), t=1)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(f=builder_grid_pdfs(),
        eps=st.lists(st.floats(0.0, 1500.0), min_size=2, max_size=2).map(sorted))
 def test_mass_near_of_any_values_on_a_builder_grid_is_at_most_mass(f, eps):
     # the pdf owns no weights, so its mass and mass_near take one rule
     _check_mass_near(f, eps)
+
+
+@pytest.mark.parametrize("n", [3, 4, 300])
+@pytest.mark.parametrize("c2", [0.01, 0.5, 2.0])
+def test_mass_near_on_a_grid_from_the_smallest_subnormal(n, c2):
+    # the span [-5e-324, 1] once drawn by the property above, pinned so that
+    # it runs whichever modules a run collects: at c2 <= 0.5 the cell left
+    # of the origin is 5e-324 wide, and at c2 = 2 the left end rounds onto
+    # the origin
+    grid = _graded_grid(-5e-324, 1.0, n, c2)
+    raw = np.random.default_rng(n).uniform(0.0, 1e6, n)
+    f = GridPdf(grid, raw / max(1.0, grid.w @ raw), t=1)
+    for eps in ([0.0, 5e-324], [1e-3, 0.5], [0.5, 1500.0]):
+        _check_mass_near(f, eps)
 
 
 def test_default_grid_meets_its_accuracy_target(ref_chain):
@@ -528,6 +543,15 @@ def test_pdfs_on_one_grid_share_its_read_only_arrays(ref_chain):
     assert g1.grid is g3.grid
     np.testing.assert_array_equal(g3.values, f3.values)
     assert g3.values is not f3.values
+
+
+@pytest.mark.parametrize("eps", [-1.0, math.nan])
+def test_grid_stats_rejects_an_eps_out_of_range(eps):
+    f = pdf_at_time(0.5, 2, KernelParams())
+    with pytest.raises(ParamError, match="eps must be >= 0") as info:
+        grid_stats(f, eps)
+    assert info.value.key == "eps"
+    assert grid_stats(f, 0.0).mass_near == 0.0
 
 
 def test_grid_stats_rejects_zero_mass():

@@ -169,7 +169,7 @@ def _block_steps(n: int) -> int:
     return max(1, engine._DRAW_BYTES // (32 * n))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2 ** 64 - 1), t0=st.integers(0, 10 ** 6),
        n=st.integers(1, 300), extra=st.integers(1, 12), social=st.booleans())
 def test_block_draws_are_the_step_draws(seed, t0, n, extra, social):
@@ -268,7 +268,7 @@ def test_permutation_equivariance():
 lattice = st.tuples(st.integers(-40, 40), st.integers(-40, 40))
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(points=st.lists(lattice, min_size=1, max_size=60),
        shift=st.tuples(st.integers(-4096, 4096), st.integers(-4096, 4096)),
        social=st.booleans(), seed=st.integers(0, 2 ** 64 - 1))
@@ -775,7 +775,7 @@ def _stepped_passage(walk, rho: complex, eps: float, frac: float):
     (100, 0), (100, _K - 1), (100, _K), (100, _K + 1),
     # from N = 2049 on, each block is a single step
     (2100, 3)])
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@settings(max_examples=10)
 @given(seed=st.integers(0, 2 ** 64 - 1), data=st.data())
 def test_first_passage_is_the_stepped_walk_passage(env, social, n, max_steps,
                                                    seed, data):
@@ -817,7 +817,7 @@ def test_move_reports_a_position_that_overflows():
 
 
 @pytest.mark.parametrize("env, social", _MODES)
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@settings(max_examples=10)
 @given(seed=st.integers(0, 2 ** 64 - 1), t=st.integers(0, 10 ** 6),
        n=st.integers(1, 300))
 def test_advance_swarm_is_move_on_the_step_normals(env, social, seed, t, n):

@@ -24,8 +24,7 @@ from shinerswarm import core
 from shinerswarm.core import NeighborGraph, SwarmParams, build_neighborhood
 from shinerswarm.engine import move, step_normals
 
-PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
-                             derandomize=True, database=None)
+PROPERTY_SETTINGS = settings(max_examples=150)
 
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 radii = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=5.0))
