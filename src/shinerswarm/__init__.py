@@ -14,7 +14,6 @@ from .density import (
     KernelParams,
     grid_stats,
     initial_pdf,
-    kernel_pdf,
     pdf_at_time,
     propagate,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "hammer",
     "init_swarm",
     "initial_pdf",
-    "kernel_pdf",
     "parse_config",
     "pdf_at_time",
     "propagate",

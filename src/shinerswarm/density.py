@@ -154,7 +154,7 @@ class GridStats(NamedTuple):
     mass_near: float
 
 
-def kernel_pdf(mu, z, params: KernelParams):
+def _kernel_pdf(mu, z, params: KernelParams):
     """Transition density: normal pdf with mean mu and standard deviation
     ``c1 * (c2 + |mu|)``, evaluated at z. Broadcasts over mu and z."""
     mu = np.asarray(mu)
@@ -253,7 +253,7 @@ def initial_pdf(x0: float, params: KernelParams,
     # makes inf * 0, a NaN that GridPdf's check refuses
     with np.errstate(over="ignore", invalid="ignore"):
         sd = float(params.sd(x0))
-        values = (kernel_pdf(x0, grid.z, params) if sd < math.inf
+        values = (_kernel_pdf(x0, grid.z, params) if sd < math.inf
                   else np.zeros(n_points))
     f = GridPdf(grid, values, t=1)
     mass = float(grid.w @ f.values)

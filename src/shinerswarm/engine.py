@@ -1,29 +1,28 @@
 """Synchronous time-stepped swarm simulation with reproducible randomness.
 
-Each step, all nodes read the same time-t snapshot, take four standard
-normals each (two for the step length, two for the heading noise), and move
-simultaneously. The normals of node i at step t are a pure function of
-(master seed, i, t): they are the Philox4x64 block (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11) with key (master seed, 0) at
-counter (i, t, 0, 0). A walk reads them a block of consecutive steps at a
-time from one generator, which jumps from the end of step t's row to
-counter (0, t + 1, 0, 0), so a block row equals ``step_normals`` of its
-step bit for bit. Blocks hold at most 64 KiB of normals, so they span
-many steps of a small swarm and one step of a large one. The factors
-that depend on the draws alone (the step length factor, the heading noise
-and, with the social factor off, the heading) are computed once per block;
-only the position-dependent part of a step runs per step. A state is
-therefore just (t, positions, seed): it owns no generator, advancing it
-mutates nothing, and any copy resumes bit for bit, whatever the
-scheduling. Initial placement uses a separate stream (``init_swarm``).
+Each step, all nodes read the same time-t snapshot, draw two factors each
+(the step length factor and the heading, or with the social factor on the
+heading noise), and move simultaneously. The factors of node i at step t
+are a pure function of (master seed, i, t): they are made from the
+Philox4x64 block (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+3", SC'11) with key (master seed, 0) at counter (i, t, 0, 0)
+(``step_draws``). A walk reads them a block of consecutive steps at a time
+from one generator, which jumps from the end of step t's row to counter
+(0, t + 1, 0, 0), so a block row equals ``step_draws`` of its step bit for
+bit. Blocks hold at most 64 KiB of Philox words, so they span many steps of
+a small swarm and one step of a large one; only the position-dependent part
+of a step runs per step. A state is therefore just (t, positions, seed): it
+owns no generator, advancing it mutates nothing, and any copy resumes bit
+for bit, whatever the scheduling. Initial placement uses a separate stream
+(``init_swarm``).
 
 Every step goes through ``_step``, which reports a position that is not
 finite, and every walk of ``run`` and ``first_passage`` through ``_walk``:
 the one home of the set-up, the errstate (entered once per walk, not per
 step at about 2 us each, so it holds across yields), the graph a record
 hands on and the step named in an error. ``move`` (the pure step the tests
-read with their own normals) and ``advance_swarm`` (the public state step)
-stay outside it, and resolve no ``sigma_const``.
+read with draws of their choosing) and ``advance_swarm`` (the public state
+step) stay outside it, and resolve no ``sigma_const``.
 """
 
 from __future__ import annotations
@@ -33,9 +32,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (BLOCK_BYTES, NeighborGraph, SwarmParams, build_neighborhood,
-                   check_finite, distance_speed, require, require_int,
-                   speed_law)
+from .core import (_MIN_NORMAL, BLOCK_BYTES, NeighborGraph, SwarmParams,
+                   build_neighborhood, check_finite, distance_speed, require,
+                   require_int, speed_law)
 
 # Seeds and steps are Philox words (key and counter), unsigned 64-bit.
 SEED_LIMIT = 2 ** 64
@@ -43,10 +42,10 @@ SEED_LIMIT = 2 ** 64
 # Radius around the darkest spot within which a node counts as arrived.
 DEFAULT_EPS = 0.15
 
-# Most normals a walk draws at once: 64 KiB of 32 bytes per node-step is
-# 2048 // N steps, 20 at N = 100, where a block saves the generator set-up
-# and numpy calls of 19 steps; two at N = 683-1024, and one from N = 1025
-# on, where more steps would only add memory.
+# Most Philox words a walk draws at once: 64 KiB of 32 bytes per node-step
+# is 2048 // N steps, 20 at N = 100, where a block saves the generator
+# set-up and numpy calls of 19 steps; two at N = 683-1024, and one from
+# N = 1025 on, where more steps would only add memory.
 _DRAW_BYTES = 2 ** 16
 
 
@@ -124,28 +123,34 @@ def init_swarm(params: SwarmParams, master_seed: int, region: Box) -> SwarmState
     return SwarmState(t=0, positions=x + 1j * y, seed=master_seed)
 
 
-def step_normals(master_seed: int, t: int, n: int) -> np.ndarray:
-    """The (n, 4) standard normals that nodes 0..n-1 draw at step t.
+def step_draws(master_seed: int, t: int, n: int, social: bool):
+    """The draw factors ``(length, heading)`` of nodes 0..n-1 at step t, two
+    (n,) arrays: node i's step is ``sigma * length[i]`` long and, with the
+    social factor off, points along the unit vector ``heading[i]``; with it
+    on, ``heading[i]`` is the noise added to the social term.
 
-    Row i comes from the four 64-bit words of the Philox4x64 block with key
-    (master_seed, 0) and counter (i, t, 0, 0), so it depends on neither n nor
-    the order of evaluation; the step is the counter's second word. Box-Muller
-    maps each pair of words (a, b) to
-    ``sqrt(-2 log(1 - u_a)) * (cos, sin)(2 pi u_b)`` with the 53-bit uniforms
-    ``u = (word >> 11) * 2**-53`` in [0, 1), so every value is finite. A walk
-    reads the same rows a block of steps at a time (``_block_normals``).
-    ParamError unless t is an integer in [0, 2**64) and n an integer >= 0.
+    Node i's factors come from the four 64-bit words w0..w3 of the
+    Philox4x64 block with key (master_seed, 0) and counter (i, t, 0, 0), so
+    they depend on neither n nor the order of evaluation; the step is the
+    counter's second word. With the 53-bit uniforms
+    ``u = (w >> 11) * 2**-53`` in [0, 1), the length is the chi-2 radius
+    ``sqrt(-2 log1p(-u0))`` (Box and Muller 1958), the heading
+    ``exp(2j pi u3)`` and the noise ``sqrt(-2 log1p(-u2)) * exp(2j pi u3)``,
+    a standard complex normal; every value is finite. A walk reads the same
+    rows a block of steps at a time (``_block_draws``). ParamError unless t
+    is an integer in [0, 2**64) and n an integer >= 0.
     """
     t = require_int("t", t)
     require(0 <= t < SEED_LIMIT, "t", "must be in [0, 2**64)", t)
     n = require_int("n", n)
     require(n >= 0, "n", "must be >= 0", n)
-    return _block_normals(master_seed, t, n, 1)[0]
+    length, heading = _block_draws(master_seed, t, n, 1, social)
+    return length[0], heading[0]
 
 
-def _block_normals(master_seed: int, t: int, n: int, k: int) -> np.ndarray:
-    """The (k, n, 4) normals of steps t..t+k-1: row j is
-    ``step_normals(master_seed, t + j, n)``, read from one generator."""
+def _block_draws(master_seed: int, t: int, n: int, k: int, social: bool):
+    """The (k, n) draw factors of steps t..t+k-1: row j of each is that of
+    ``step_draws(master_seed, t + j, n, social)``, read from one generator."""
     # uint64 arrays: numpy converts a key or counter given as a list of
     # Python ints through float64, which rounds words above 2**53
     key = np.array([check_seed(master_seed), 0], dtype=np.uint64)
@@ -157,48 +162,67 @@ def _block_normals(master_seed: int, t: int, n: int, k: int) -> np.ndarray:
         # the n blocks read took the counter to (n, t, 0, 0); wrapping the
         # first word carries into the second: (0, t + 1, 0, 0)
         bitgen.advance(2 ** 64 - n)
-    # one step's words, the usual case at large n, need no copy; they are
-    # dropped once their uniforms are made, which takes a fifth off the
-    # peak memory of a step at large n
+    # one step's words, the usual case at large n, need no copy
     raw = rows[0] if k == 1 else np.concatenate(rows)
     del rows
     raw >>= 11
-    u = raw.reshape(k, n, 2, 2) * 2.0 ** -53
-    del raw
-    g = np.sqrt(-2.0 * np.log1p(-u[..., 0])) * np.exp(2j * np.pi * u[..., 1])
-    return g.view(np.float64)
+    w = raw.reshape(k, n, 4)
+    length = _radius(w[..., 0])
+    # w * (2 pi 2**-53) is 2 pi u bit for bit: a power-of-two scale commutes
+    # with rounding
+    heading = np.zeros((k, n), dtype=np.complex128)
+    np.multiply(w[..., 3], 2.0 * np.pi * 2.0 ** -53, out=heading.imag)
+    np.exp(heading, out=heading)
+    if social:
+        heading *= _radius(w[..., 2])
+    return length, heading
+
+
+def _radius(w: np.ndarray) -> np.ndarray:
+    """``sqrt(-2 log1p(-u))`` of the uniforms ``u = w * 2**-53`` of the
+    shifted words w, in one new array; w * -2**-53 is -u bit for bit."""
+    r = w * -2.0 ** -53
+    np.log1p(r, out=r)
+    r *= -2.0
+    return np.sqrt(r, out=r)
 
 
 def _heading(arg: np.ndarray) -> np.ndarray:
-    """``exp(1j * angle(arg))``, with the angle -pi folded onto pi."""
-    v = np.arctan2(arg.imag, arg.real)  # np.angle without its wrapper
-    v = np.where(v == -np.pi, np.pi, v)
-    return np.exp(1j * v)
-
-
-def _draw_factors(g: np.ndarray, social: bool):
-    """The factors of a step that depend on its normals ``g[..., :4]``
-    alone: the step length factor ``hypot(g0, g1)``, and the heading noise
-    ``g2 + 1j * g3`` when the social factor is on, else the heading itself
-    (the noise's unit vector)."""
-    u_raw = np.hypot(g[..., 0], g[..., 1])
-    z = g[..., 2] + 1j * g[..., 3]
-    return u_raw, (z if social else _heading(z))
+    """The unit vector ``arg / |arg|``: 1 for a zero arg, NaN for a NaN
+    part, and for an infinite part the limit that ``exp(1j * angle(arg))``
+    takes, ±1 on its axis."""
+    re, im = arg.real, arg.imag
+    mag = np.hypot(re, im)
+    # routed by >= ... all(), which a NaN fails, as in core.hammer
+    if not ((mag >= _MIN_NORMAL) & (mag < np.inf)).all():
+        # scale a subnormal magnitude up and one that overflows down; an
+        # infinite part becomes ±1 and a finite one beside it ±0, while a
+        # NaN part stays NaN; a zero arg points along +x
+        inf_part = np.isinf(re) | np.isinf(im)
+        scale = np.select([mag < _MIN_NORMAL, inf_part, mag == np.inf],
+                          [2.0 ** 1022, 0.0, 0.25], 1.0)
+        re = np.where(np.isinf(re), np.copysign(1.0, re), re * scale)
+        im = np.where(np.isinf(im), np.copysign(1.0, im), im * scale)
+        re = np.where(mag == 0.0, 1.0, re)
+        mag = np.hypot(re, im)
+    out = np.empty(arg.shape, dtype=np.complex128)
+    np.divide(re, mag, out=out.real)
+    np.divide(im, mag, out=out.imag)
+    return out
 
 
 def _draws(master_seed: int, t: int, n: int, n_steps: int, social: bool):
-    """The draw factors (see ``_draw_factors``) of n nodes at steps
+    """The draw factors (see ``step_draws``) of n nodes at steps
     t..t+n_steps-1, one step at a time, computed a block of at most
-    ``_DRAW_BYTES`` of normals at a time. It takes no state, which would
-    keep the walk's first positions alive."""
+    ``_DRAW_BYTES`` of Philox words at a time. It takes no state, which
+    would keep the walk's first positions alive."""
     k_max = max(1, _DRAW_BYTES // (32 * n))
     end = t + n_steps
     for t0 in range(t, end, k_max):
-        # the normals are dropped once their factors are made; a caller that
-        # passes each step's factors on without keeping them holds no more
-        # than one block at a time
-        yield from zip(*_draw_factors(
-            _block_normals(master_seed, t0, n, min(k_max, end - t0)), social))
+        # a caller that passes each step's factors on without keeping them
+        # holds no more than one block at a time
+        yield from zip(*_block_draws(master_seed, t0, n,
+                                     min(k_max, end - t0), social))
 
 
 def resolve_sigma_const(params: SwarmParams, positions) -> SwarmParams:
@@ -217,31 +241,31 @@ def resolve_sigma_const(params: SwarmParams, positions) -> SwarmParams:
     return replace(params, sigma_const=sigma)
 
 
-def move(positions: np.ndarray, params: SwarmParams,
-         g: np.ndarray) -> np.ndarray:
-    """Positions after one synchronous step in which node i uses the normals
-    ``g[i]``: the step length is ``sigma * hypot(g[i, 0], g[i, 1])`` and the
-    heading is the angle of the social term plus the noise
-    ``g[i, 2] + 1j * g[i, 3]``. Pure: reads the time-t positions only.
+def move(positions: np.ndarray, params: SwarmParams, draw) -> np.ndarray:
+    """Positions after one synchronous step with the draw factors
+    ``draw = (length, heading)`` of ``step_draws(seed, t, n,
+    params.social_enabled)``: node i's step is ``sigma * length[i]`` long,
+    along ``heading[i]`` with the social factor off, else along the unit
+    vector of the social term plus the noise ``heading[i]``. Pure: reads the
+    time-t positions only.
 
     The speed is ``core.distance_speed`` at ``|p_i - rho|``, and node i's
     social term sums ``hammer(p_j - p_i, s)`` over its neighbors j.
 
     Raises ValueError, naming the node, if a new position is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _step(positions, params, np.abs(positions - params.rho),
-                     _draw_factors(g, params.social_enabled))
+        return _step(positions, params, np.abs(positions - params.rho), draw)
 
 
 def _step(p: np.ndarray, params: SwarmParams, d: np.ndarray, draw,
           graph: NeighborGraph | None = None) -> np.ndarray:
     """``move`` from p with the distances d = ``|p - rho|``, which become
     the speed in place, and the step's draw factors ``draw`` (see
-    ``_draw_factors``): the one function that moves positions. The caller suppresses numpy's
-    overflow and invalid warnings; a position that overflows raises
-    ValueError here, naming the node, so a diverging walk stops at the step
-    it diverges."""
-    u_raw, heading = draw
+    ``step_draws``): the one function that moves positions. The caller
+    suppresses numpy's overflow and invalid warnings; a position that
+    overflows raises ValueError here, naming the node, so a diverging walk
+    stops at the step it diverges."""
+    length, heading = draw
     sigma = distance_speed(d, params)
     if params.social_enabled:
         if graph is None:
@@ -252,19 +276,21 @@ def _step(p: np.ndarray, params: SwarmParams, d: np.ndarray, draw,
                                     (params.w / np.maximum(deg, 1)) * acc
                                     + heading,
                                     heading))
-    p = p + sigma * u_raw * heading
+    p = p + sigma * length * heading
     check_finite(p)
     return p
 
 
 def advance_swarm(state: SwarmState, params: SwarmParams) -> SwarmState:
     """One synchronous step: all nodes read the time-t snapshot, draw their
-    step-t normals, and move together (``move``); returns the t+1 state.
+    step-t draw factors, and move together (``move``); returns the t+1
+    state.
 
     Raises ValueError, naming the node, when a new position overflows to a
     non-finite value, so a diverging walk stops at the step it diverges."""
     p = state.positions
-    p = move(p, params, step_normals(state.seed, state.t, p.size))
+    p = move(p, params, step_draws(state.seed, state.t, p.size,
+                                   params.social_enabled))
     return SwarmState(t=state.t + 1, positions=p, seed=state.seed)
 
 

@@ -1,17 +1,23 @@
+import importlib
+import pkgutil
 import time
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import shinerswarm
 from shinerswarm.density import GridPdf, KernelParams, initial_pdf, propagate
 
 # Every property test runs under this profile, and its own @settings sets
-# only max_examples. Derandomised draws are a function of the test, yet a
-# test can still draw other examples in another run: Hypothesis mines
-# literals from every local (non-test) module loaded at the time, so which
-# modules a run collects changes the pool, and it caches them under
-# .hypothesis/constants. An example that matters is pinned as a case.
+# only max_examples. Derandomised draws are a function of the test and of
+# the constant pool: Hypothesis mines literals from every local module
+# loaded when a test first draws, skipping files under tests/. So every
+# module of the package is loaded here, before any test runs, and a test
+# draws the same examples whichever tests a run selects. An example that
+# matters is still pinned as a case.
+for _module in pkgutil.iter_modules(shinerswarm.__path__):
+    importlib.import_module(f"shinerswarm.{_module.name}")
 settings.register_profile("derandomized", deadline=None, derandomize=True,
                           database=None)
 settings.load_profile("derandomized")

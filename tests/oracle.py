@@ -8,12 +8,15 @@ take its four normals from an explicit stream argument (anything with a
 ``numpy.random.Generator``), and its speed from the model's formula
 (``speed_reference``). The tests compare ``engine.move``, which does
 the same for all nodes at once, against them. ``dense_move`` does so for
-every node with no graph at all. ``hammer_reference`` keeps the hammer
-map's complex formula, and ``hammer_masked`` the masked real arithmetic
-that ``core.hammer`` must equal byte for byte. ``fresh_step_normals`` draws
-a step's normals from a Philox generator of its own, and ``stepped_walk``
-steps a walk one ``step_normals`` and ``move`` at a time: the references
-for the engine's block draws. ``propagate_every_entry`` is the density step
+every node with no graph at all. ``heading_angle`` is the angle
+``arctan2`` gives a heading, the reference for ``engine._heading``.
+``hammer_reference`` keeps the hammer map's complex formula, and
+``hammer_masked`` the masked real arithmetic that ``core.hammer`` must
+equal byte for byte. ``fresh_step_normals`` draws a step's four normals
+from a Philox generator of its own by Box-Muller, the reference for the
+factors of ``engine.step_draws``, and ``stepped_walk`` steps a walk one
+``step_draws`` and ``move`` at a time: the reference for the engine's block
+draws. ``propagate_every_entry`` is the density step
 that evaluates ``exp`` on every kernel entry, the reference for
 ``density.propagate``, and ``mc_sample`` simulates the density's chain
 walker by walker, the grid-free cross-check of the propagated pdf.
@@ -31,7 +34,7 @@ from shinerswarm.core import (BLOCK_BYTES, NeighborGraph, SwarmParams,
                               check_finite, hammer, require, require_int)
 from shinerswarm.density import GridPdf, KernelParams
 from shinerswarm.engine import (SwarmState, init_swarm, move,
-                                resolve_sigma_const, step_normals)
+                                resolve_sigma_const, step_draws)
 
 
 def node_pairs(graph: NeighborGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -109,6 +112,12 @@ def social_direction(i: int, positions, graph: NeighborGraph,
         arg = (params.w / nbrs.size) * total + z
     else:
         arg = complex(z)
+    return heading_angle(arg)
+
+
+def heading_angle(arg: complex) -> float:
+    """The angle of arg in (-pi, pi] by ``math.atan2``, with an exactly-zero
+    arg mapped to angle 0."""
     if arg == 0:
         return 0.0
     v = math.atan2(arg.imag, arg.real)
@@ -154,10 +163,10 @@ def hammer_masked(z, s):
 
 
 def dense_move(positions, params: SwarmParams, g: np.ndarray) -> np.ndarray:
-    """``engine.move`` without a neighbor graph: node i's neighbors are read
-    from the full squared-distance matrix, its social term sums
-    ``hammer_reference(p_j - p_i, s)`` over them in ascending j, and it
-    steps with the normals ``g[i]`` as in ``node_step``."""
+    """``engine.move`` without a neighbor graph or draw factors: node i's
+    neighbors are read from the full squared-distance matrix, its social
+    term sums ``hammer_reference(p_j - p_i, s)`` over them in ascending j,
+    and it steps with the four normals ``g[i]`` as in ``node_step``."""
     p = np.asarray(positions, dtype=np.complex128)
     d = p[None, :] - p[:, None]
     close = d.real * d.real + d.imag * d.imag <= params.r * params.r
@@ -170,9 +179,7 @@ def dense_move(positions, params: SwarmParams, g: np.ndarray) -> np.ndarray:
         if params.social_enabled and nbrs.size > 0:
             total = complex(np.sum(hammer_reference(d[i, nbrs], params.s)))
             arg = (params.w / nbrs.size) * total + z
-        v = math.atan2(arg.imag, arg.real)
-        if v == -math.pi:
-            v = math.pi
+        v = heading_angle(arg)
         out[i] = p[i] + step_displacement(speed_reference(p[i], params), v,
                                           math.hypot(g[i, 0], g[i, 1]))
     return out
@@ -252,14 +259,15 @@ def fresh_step_normals(seed: int, t: int, n: int) -> np.ndarray:
 
 def stepped_walk(params: SwarmParams, seed: int, region, n_steps: int):
     """The states of ``engine.run``'s walk at t = 0, 1, ..., n_steps, each
-    step a plain ``step_normals``, ``move`` and ``check_finite``."""
+    step a plain ``step_draws``, ``move`` and ``check_finite``."""
     state = init_swarm(params, seed, region)
     params = resolve_sigma_const(params, state.positions)
     yield state
     p = state.positions
     for t in range(n_steps):
         with np.errstate(over="ignore", invalid="ignore"):
-            p = move(p, params, step_normals(seed, t, p.size))
+            p = move(p, params,
+                     step_draws(seed, t, p.size, params.social_enabled))
         check_finite(p)
         yield SwarmState(t=t + 1, positions=p, seed=seed)
 

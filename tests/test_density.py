@@ -18,25 +18,25 @@ from shinerswarm.density import (
     KernelParams,
     grid_stats,
     initial_pdf,
-    kernel_pdf,
     pdf_at_time,
     propagate,
     _graded_grid,
+    _kernel_pdf,
 )
 
 
 # ---------------------------------------------------------------------------
-# kernel_pdf
+# _kernel_pdf
 
 
 def test_kernel_peak_at_origin():
     # 1 / (0.1 * sqrt(2*pi))
-    assert kernel_pdf(0.0, 0.0, REF_KERNEL) == pytest.approx(3.98942280, rel=1e-8)
+    assert _kernel_pdf(0.0, 0.0, REF_KERNEL) == pytest.approx(3.98942280, rel=1e-8)
 
 
 def test_kernel_peak_at_five():
     # sd = 1 * (0.1 + 5) = 5.1, peak 1 / (5.1 * sqrt(2*pi))
-    assert kernel_pdf(5.0, 5.0, REF_KERNEL) == pytest.approx(0.0782239766, rel=1e-8)
+    assert _kernel_pdf(5.0, 5.0, REF_KERNEL) == pytest.approx(0.0782239766, rel=1e-8)
 
 
 def test_kernel_symmetry_about_mean():
@@ -44,13 +44,13 @@ def test_kernel_symmetry_about_mean():
     for _ in range(50):
         mu = float(rng.normal(scale=3))
         d = float(rng.uniform(0, 10))
-        assert kernel_pdf(mu, mu + d, REF_KERNEL) == pytest.approx(
-            kernel_pdf(mu, mu - d, REF_KERNEL), rel=1e-12)
+        assert _kernel_pdf(mu, mu + d, REF_KERNEL) == pytest.approx(
+            _kernel_pdf(mu, mu - d, REF_KERNEL), rel=1e-12)
 
 
 def test_kernel_positive_and_matches_scipy():
     z = np.linspace(-20, 20, 101)
-    mine = kernel_pdf(3.0, z, REF_KERNEL)
+    mine = _kernel_pdf(3.0, z, REF_KERNEL)
     ref = norm.pdf(z, loc=3.0, scale=REF_KERNEL.sd(3.0))
     assert np.all(mine > 0)
     np.testing.assert_allclose(mine, ref, rtol=1e-12)
@@ -134,7 +134,7 @@ def test_propagate_point_mass_reproduces_kernel():
     out = propagate(_dirac_at_zero(), REF_KERNEL)
     assert out.t == 2
     z = out.z
-    expected = kernel_pdf(0.0, z, REF_KERNEL)
+    expected = _kernel_pdf(0.0, z, REF_KERNEL)
     np.testing.assert_allclose(out.values, expected, rtol=1e-12, atol=1e-300)
     stats = grid_stats(out, eps=1.0)
     assert abs(stats.mean) <= 0.02
@@ -145,7 +145,7 @@ def test_propagate_point_mass_reproduces_kernel():
 
 def test_propagate_point_mass_matches_kernel_away_from_tails():
     out = propagate(_dirac_at_zero(), REF_KERNEL)
-    expected = kernel_pdf(0.0, out.z, REF_KERNEL)
+    expected = _kernel_pdf(0.0, out.z, REF_KERNEL)
     body = expected >= 0.01 * expected.max()
     rel = np.abs(out.values[body] - expected[body]) / expected[body]
     assert rel.max() < 1e-3

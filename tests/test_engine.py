@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from conftest import FakeStream
-from oracle import (fresh_step_normals, indices, indptr, mc_sample,
-                    node_step, stepped_walk)
+from oracle import (fresh_step_normals, heading_angle, indices, indptr,
+                    mc_sample, node_step, stepped_walk)
 from shinerswarm import engine
 from shinerswarm.core import (
     BLOCK_BYTES,
+    NeighborGraph,
     ParamError,
     SwarmParams,
     build_neighborhood,
@@ -33,7 +34,7 @@ from shinerswarm.engine import (
     move,
     resolve_sigma_const,
     run,
-    step_normals,
+    step_draws,
 )
 
 UNIT_BOX = Box(-0.5, -0.5, 0.5, 0.5)
@@ -96,16 +97,17 @@ def test_seed_outside_uint64_rejected(seed):
 @pytest.mark.parametrize("t", [-1, 2 ** 64])
 def test_step_outside_uint64_rejected(t):
     with pytest.raises(ParamError, match=r"^t must be in \[0, 2\*\*64\), got"):
-        step_normals(0, t, 3)
+        step_draws(0, t, 3, False)
 
 
 def test_step_normals_node_count_is_a_whole_number():
     with pytest.raises(ParamError, match=r"^n must be >= 0, got -1$") as info:
-        step_normals(0, 0, -1)
+        step_draws(0, 0, -1, False)
     assert info.value.key == "n"
     with pytest.raises(ParamError, match=r"^n must be an integer, got 2.5$"):
-        step_normals(0, 0, 2.5)
-    assert step_normals(0, 0, 0).shape == (0, 4)
+        step_draws(0, 0, 2.5, False)
+    for social in (False, True):
+        assert [f.shape for f in step_draws(0, 0, 0, social)] == [(0,), (0,)]
 
 
 def test_largest_seed_accepted():
@@ -114,58 +116,72 @@ def test_largest_seed_accepted():
 
 
 # ---------------------------------------------------------------------------
-# step_normals
+# step_draws
 
 
-def _box_muller_oracle(words) -> list[float]:
-    """Four normals from four 64-bit words, by scalar Box-Muller on the
-    53-bit uniforms (word >> 11) * 2**-53."""
+def _factor_oracle(words) -> tuple[float, complex, complex]:
+    """(length, heading, noise) from four 64-bit words, in scalar arithmetic
+    on the 53-bit uniforms (word >> 11) * 2**-53."""
     u = [(int(w) >> 11) * 2.0 ** -53 for w in words]
-    out = []
-    for a, b in ((u[0], u[1]), (u[2], u[3])):
-        radius = math.sqrt(-2.0 * math.log1p(-a))
-        out += [radius * math.cos(2 * math.pi * b), radius * math.sin(2 * math.pi * b)]
-    return out
+    heading = complex(math.cos(2 * math.pi * u[3]), math.sin(2 * math.pi * u[3]))
+    return (math.sqrt(-2.0 * math.log1p(-u[0])), heading,
+            math.sqrt(-2.0 * math.log1p(-u[2])) * heading)
 
 
 @pytest.mark.parametrize("seed, t", [(0, 0), (5, 3), (2 ** 63 + 5, 1),
                                      (2 ** 64 - 1, 10 ** 6)])
 def test_step_normals_rows_are_fresh_philox_blocks(seed, t):
-    g = step_normals(seed, t, 9)
-    assert g.shape == (9, 4)
+    length, heading = step_draws(seed, t, 9, False)
+    _, noise = step_draws(seed, t, 9, True)
+    assert length.shape == heading.shape == noise.shape == (9,)
     for i in range(9):
         # integer key and counter: numpy splits them into the 64-bit words
         # (seed, 0) and (i, t, 0, 0)
         words = np.random.Philox(key=seed, counter=i + (t << 64)).random_raw(4)
         # scalar libm and numpy's vector loops may differ in the last ulp
-        np.testing.assert_allclose(g[i], _box_muller_oracle(words),
-                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose([length[i], heading[i], noise[i]],
+                                   _factor_oracle(words), rtol=0, atol=1e-14)
 
 
 def test_step_normals_rows_stable_under_prefix():
-    full = step_normals(11, 4, 300)
-    for m in (1, 2, 17, 299):
-        assert np.array_equal(step_normals(11, 4, m), full[:m])
-    assert not np.array_equal(step_normals(11, 5, 300), full)
-    assert not np.array_equal(step_normals(12, 4, 300), full)
+    for social in (False, True):
+        full = step_draws(11, 4, 300, social)
+        for m in (1, 2, 17, 299):
+            for got, want in zip(step_draws(11, 4, m, social), full):
+                assert np.array_equal(got, want[:m])
+        for other in (step_draws(11, 5, 300, social),
+                      step_draws(12, 4, 300, social)):
+            for got, want in zip(other, full):
+                assert not np.array_equal(got, want)
 
 
-def test_step_normals_moments():
-    g = step_normals(2024, 7, 250_000)
-    assert np.all(np.isfinite(g))
-    # 250k samples per column: standard error of the mean 0.002
-    assert np.all(np.abs(g.mean(axis=0)) < 0.01)
-    assert np.all(np.abs(g.var(axis=0) - 1) < 0.02)
-    assert np.all(np.abs((g ** 4).mean(axis=0) - 3) < 0.1)
-    corr = np.corrcoef(g, rowvar=False)
-    assert np.all(np.abs(corr - np.eye(4)) < 0.01)
-    u_raw = np.hypot(g[:, 0], g[:, 1])
-    assert u_raw.mean() == pytest.approx(math.sqrt(math.pi / 2), abs=0.01)
+def test_step_draw_moments():
+    length, heading = step_draws(2024, 7, 250_000, False)
+    _, noise = step_draws(2024, 7, 250_000, True)
+    assert np.all(np.isfinite(length)) and np.all(np.isfinite(noise))
+    # 250k samples: the Rayleigh length has E[R] = sqrt(pi / 2) and
+    # E[R^2] = 2, standard errors 0.0013 and 0.004
+    assert length.mean() == pytest.approx(math.sqrt(math.pi / 2), abs=0.01)
+    assert (length ** 2).mean() == pytest.approx(2, abs=0.02)
+    # a uniform angle: |heading| = 1, and E[heading] = E[heading^2] = 0,
+    # standard error 0.002
+    np.testing.assert_allclose(np.abs(heading), 1, rtol=0, atol=4e-16)
+    assert abs(heading.mean()) < 0.01 and abs((heading ** 2).mean()) < 0.01
+    # the noise is a standard complex normal: standard error of the mean
+    # 0.002 per part
+    g = np.stack([noise.real, noise.imag])
+    assert np.all(np.abs(g.mean(axis=1)) < 0.01)
+    assert np.all(np.abs(g.var(axis=1) - 1) < 0.02)
+    assert np.all(np.abs((g ** 4).mean(axis=1) - 3) < 0.1)
+    # the length and either draw's parts are uncorrelated
+    for z in (heading, noise):
+        corr = np.corrcoef([length, z.real, z.imag])
+        assert np.all(np.abs(corr - np.eye(3)) < 0.01)
 
 
 def _block_steps(n: int) -> int:
-    """Steps in one of a walk's block draws of n nodes: 32 bytes of normals
-    per node-step, at most ``engine._DRAW_BYTES`` per block."""
+    """Steps in one of a walk's block draws of n nodes: 32 bytes of Philox
+    words per node-step, at most ``engine._DRAW_BYTES`` per block."""
     return max(1, engine._DRAW_BYTES // (32 * n))
 
 
@@ -175,16 +191,39 @@ def _block_steps(n: int) -> int:
 def test_block_draws_are_the_step_draws(seed, t0, n, extra, social):
     # more steps than one block holds: the walk's draws cross the byte cap
     n_steps = _block_steps(n) + extra
-    block = engine._block_normals(seed, t0, n, n_steps)
+    block = engine._block_draws(seed, t0, n, n_steps, social)
     walk = list(engine._draws(seed, t0, n, n_steps, social))
-    assert block.shape == (n_steps, n, 4) and len(walk) == n_steps
+    assert [f.shape for f in block] == [(n_steps, n)] * 2
+    assert len(walk) == n_steps
     for j in range(n_steps):
-        g = step_normals(seed, t0 + j, n)
-        # one Philox generator per step gives the same bits
-        assert g.tobytes() == fresh_step_normals(seed, t0 + j, n).tobytes()
-        assert block[j].tobytes() == g.tobytes()
-        for got, want in zip(walk[j], engine._draw_factors(g, social)):
+        draw = step_draws(seed, t0 + j, n, social)
+        for got, want in zip(draw, (f[j] for f in block)):
             assert got.tobytes() == want.tobytes()
+        for got, want in zip(walk[j], draw):
+            assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 64 - 1), t0=st.integers(0, 10 ** 6),
+       n=st.integers(1, 300), extra=st.integers(1, 12))
+def test_block_draws_are_the_box_muller_factors(seed, t0, n, extra):
+    # the factors are those of the four Box-Muller normals of a Philox
+    # generator made for each step alone: the length is hypot(g0, g1) and
+    # the heading the unit vector of g2 + 1j g3 within a few ulp, and the
+    # noise is g2 + 1j g3 bit for bit, across the walk's block boundaries
+    n_steps = _block_steps(n) + extra
+    walks = [list(engine._draws(seed, t0, n, n_steps, social))
+             for social in (False, True)]
+    for j, ((length, heading), (length_on, noise)) in enumerate(zip(*walks)):
+        g = fresh_step_normals(seed, t0 + j, n)
+        z = g[:, 2] + 1j * g[:, 3]
+        assert length.tobytes() == length_on.tobytes()
+        np.testing.assert_array_max_ulp(length, np.hypot(g[:, 0], g[:, 1]),
+                                        maxulp=4)
+        # a unit vector's parts are within 4 ulp of 1
+        np.testing.assert_allclose(heading, z / np.hypot(z.real, z.imag),
+                                   rtol=0, atol=4 * np.spacing(1.0))
+        assert noise.tobytes() == z.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +234,7 @@ def test_single_node_moves_by_noise_angle():
     params = SwarmParams(n_nodes=1, c1=0.1, c2=0.1, rho=0j)
     state = init_swarm(params, 5, UNIT_BOX)
     p0 = complex(state.positions[0])
-    g1, g2, zr, zi = step_normals(5, 0, 1)[0]
+    g1, g2, zr, zi = fresh_step_normals(5, 0, 1)[0]
     sigma = 0.1 * (0.1 + abs(p0))
     expected = p0 + sigma * math.hypot(g1, g2) * np.exp(1j * math.atan2(zi, zr))
     new = advance_swarm(state, params)
@@ -207,7 +246,7 @@ def test_advance_matches_scalar_reference_path():
     params = SwarmParams(n_nodes=60)
     state = init_swarm(params, 21, UNIT_BOX)
     graph = build_neighborhood(state.positions, params.r)
-    g = step_normals(21, 0, 60)
+    g = fresh_step_normals(21, 0, 60)
     expected = np.empty(60, dtype=np.complex128)
     for i in range(60):
         disp, _ = node_step(i, state.positions, graph, params,
@@ -258,10 +297,11 @@ def test_permutation_equivariance():
     rng = np.random.default_rng(123)
     pos = rng.uniform(-0.5, 0.5, n) + 1j * rng.uniform(-0.5, 0.5, n)
     perm = rng.permutation(n)
-    g = step_normals(7, 0, n)
+    draw = step_draws(7, 0, n, True)
     # identical up to float summation order of the relabeled neighbor sums
-    np.testing.assert_allclose(move(pos[perm], params, g[perm]),
-                               move(pos, params, g)[perm],
+    np.testing.assert_allclose(move(pos[perm], params,
+                                    tuple(f[perm] for f in draw)),
+                               move(pos, params, draw)[perm],
                                rtol=0, atol=1e-12)
 
 
@@ -284,25 +324,23 @@ def test_translation_equivariance(points, shift, social, seed):
     moved = build_neighborhood(p + c, params.r)
     assert np.array_equal(indptr(moved), indptr(graph))
     assert np.array_equal(indices(moved), indices(graph))
-    g = step_normals(seed, 0, p.size)
+    draw = step_draws(seed, 0, p.size, social)
     np.testing.assert_allclose(
-        move(p + c, replace(params, rho=params.rho + c), g),
-        move(p, params, g) + c, rtol=0, atol=1e-12)
+        move(p + c, replace(params, rho=params.rho + c), draw),
+        move(p, params, draw) + c, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("env", [True, False])
 def test_move_without_social_term_is_the_step_formula(env):
-    # the step is (sigma * u_raw) * exp(1j * v), multiplied in that order;
-    # sigma * (u_raw * exp(1j * v)) differs in the last bits
+    # the step is (sigma * length) * heading, multiplied in that order;
+    # sigma * (length * heading) differs in the last bits
     params = replace(SwarmParams(n_nodes=500, social_enabled=False,
                                  env_enabled=env), sigma_const=0.07)
     p = init_swarm(params, 4, UNIT_BOX).positions
-    g = step_normals(4, 9, p.size)
-    v = np.angle(g[:, 2] + 1j * g[:, 3])
-    v = np.where(v == -np.pi, np.pi, v)
+    length, heading = draw = step_draws(4, 9, p.size, False)
     sigma = distance_speed(np.abs(p - params.rho), params)
-    step = (sigma * np.hypot(g[:, 0], g[:, 1])) * np.exp(1j * v)
-    assert move(p, params, g).tobytes() == (p + step).tobytes()
+    step = (sigma * length) * heading
+    assert move(p, params, draw).tobytes() == (p + step).tobytes()
 
 
 def test_move_nodes_a_subnormal_distance_apart():
@@ -310,13 +348,13 @@ def test_move_nodes_a_subnormal_distance_apart():
     # step is the one from a pair 1e-300 apart; positions differ by less
     # than an ulp of the step
     params = SwarmParams(n_nodes=2)
-    g = step_normals(3, 0, 2)
+    draw = step_draws(3, 0, 2, True)
     for offset in (5e-324, 3e-309 + 1e-309j):
-        moved = move(np.array([0j, offset]), params, g)
+        moved = move(np.array([0j, offset]), params, draw)
         assert np.all(np.isfinite(moved))
         np.testing.assert_allclose(
             moved, move(np.array([0j, 1e-300 * (offset / abs(offset))]),
-                        params, g),
+                        params, draw),
             rtol=1e-15, atol=0)
 
 
@@ -813,7 +851,7 @@ def test_move_reports_a_position_that_overflows():
         warnings.simplefilter("error")
         with pytest.raises(ValueError,
                            match=r"^node 1: position .* is not finite"):
-            move(p, params, step_normals(0, 0, 2))
+            move(p, params, step_draws(0, 0, 2, False))
 
 
 @pytest.mark.parametrize("env, social", _MODES)
@@ -827,7 +865,56 @@ def test_advance_swarm_is_move_on_the_step_normals(env, social, seed, t, n):
     after = advance_swarm(SwarmState(t, p, seed), params)
     assert (after.t, after.seed) == (t + 1, seed)
     assert (after.positions.tobytes()
-            == move(p, params, step_normals(seed, t, n)).tobytes())
+            == move(p, params, step_draws(seed, t, n, social)).tobytes())
+
+
+_INF, _NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("arg", [
+    0j, complex(-0.0, 0.0), complex(0.0, -0.0),
+    complex(_NAN, 0), complex(0, _NAN), complex(_NAN, _NAN),
+    complex(_INF, _NAN), complex(_NAN, -_INF),
+    complex(_INF, 5), complex(_INF, -5), complex(-_INF, 5), complex(-_INF, -5),
+    complex(5, _INF), complex(-5, -_INF), complex(_INF, _INF),
+    complex(-_INF, _INF), complex(1e308, 1e308), complex(-1.5e308, 1e308),
+    complex(-1, 0), complex(-1, -0.0), complex(5e-324, 0),
+    complex(-5e-324, -5e-324), complex(3e-309, 1e-309), complex(1e-320, 1),
+], ids=repr)
+def test_heading_is_the_arctan2_heading(arg):
+    # finite exactly where exp(1j * angle) is, and within 4 ulp of 1 of it
+    # there, alone or beside normal magnitudes, which keep their own bits
+    normal = np.array([3 - 4j, -1e-300 + 0j, 2e300j])
+    want = np.exp(1j * heading_angle(arg))
+    # the caller suppresses overflow and invalid warnings, as _step does
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = engine._heading(np.array([arg]))
+        mixed = engine._heading(np.array([arg, *normal]))
+    assert mixed[1:].tobytes() == engine._heading(normal).tobytes()
+    for h in (got[0], mixed[0]):
+        assert np.isfinite(h) == np.isfinite(want)
+        if np.isfinite(want):
+            assert abs(h.real - want.real) <= 4 * np.spacing(1.0)
+            assert abs(h.imag - want.imag) <= 4 * np.spacing(1.0)
+
+
+def test_a_nan_social_sum_is_named_at_its_step(monkeypatch):
+    # a NaN social sum gives a NaN heading, and the step names its node
+    hammer_sum = NeighborGraph.hammer_sum
+    poisoned = []
+
+    def nan_sum(graph, p, s):
+        acc = hammer_sum(graph, p, s)
+        poisoned.append(int(np.argmax(graph.degrees() > 0)))
+        acc[poisoned[-1]] = complex(math.nan, 0)
+        return acc
+
+    monkeypatch.setattr(NeighborGraph, "hammer_sum", nan_sum)
+    with pytest.raises(ValueError) as info:
+        run(SwarmParams(), 0, UNIT_BOX, n_steps=5, snapshot_stride=5)
+    assert len(poisoned) == 1
+    assert str(info.value) == (f"step 1: node {poisoned[0]}: position "
+                               f"(nan+nanj) is not finite")
 
 
 @pytest.mark.parametrize("env, social", _MODES)
@@ -843,7 +930,7 @@ def test_every_step_goes_through_one_function(monkeypatch, env, social):
     params = SwarmParams(n_nodes=30, env_enabled=env, social_enabled=social)
     state = init_swarm(params, 1, UNIT_BOX)
     params = resolve_sigma_const(params, state.positions)
-    move(state.positions, params, step_normals(1, 0, 30))
+    move(state.positions, params, step_draws(1, 0, 30, social))
     assert len(calls) == 1
     advance_swarm(state, params)
     assert len(calls) == 2
@@ -874,8 +961,10 @@ _INTEGER_ARGUMENTS = [
     pytest.param("max_steps", lambda v: first_passage(
         SwarmParams(n_nodes=3), 0, UNIT_BOX, 0.15, 0.9, v), 2,
                  id="first_passage"),
-    pytest.param("t", lambda v: step_normals(0, v, 3), 2, id="step_normals"),
-    pytest.param("n", lambda v: step_normals(0, 2, v), 3, id="step_normals-n"),
+    pytest.param("t", lambda v: step_draws(0, v, 3, False), 2,
+                 id="step_normals"),
+    pytest.param("n", lambda v: step_draws(0, 2, v, False), 3,
+                 id="step_normals-n"),
     pytest.param("n_nodes", lambda v: SwarmParams(n_nodes=v), 3,
                  id="SwarmParams"),
     pytest.param("n_points", lambda v: initial_pdf(5.0, _KERNEL, n_points=v),

@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from oracle import (dense_move, directed_edges, indices, indptr, neighbors,
-                    node_pairs)
+from oracle import (dense_move, directed_edges, fresh_step_normals, indices,
+                    indptr, neighbors, node_pairs)
 from shinerswarm import core
 from shinerswarm.core import NeighborGraph, SwarmParams, build_neighborhood
-from shinerswarm.engine import move, step_normals
+from shinerswarm.engine import move, step_draws
 
 PROPERTY_SETTINGS = settings(max_examples=150)
 
@@ -204,11 +204,11 @@ def test_pair_list_social_sum_matches_dense_oracle(case, s, w, seed):
     # against every node summing its own hammers over ascending j
     p, r = case
     params = SwarmParams(r=r, s=s, w=w)
-    g = step_normals(seed, 0, p.size)
-    want = dense_move(p, params, g)
+    want = dense_move(p, params, fresh_step_normals(seed, 0, p.size))
+    draw = step_draws(seed, 0, p.size, True)
     for name in CANDIDATE_LISTS:
         with candidate_list(name):
-            np.testing.assert_allclose(move(p, params, g), want, rtol=0,
+            np.testing.assert_allclose(move(p, params, draw), want, rtol=0,
                                        atol=1e-12)
 
 
