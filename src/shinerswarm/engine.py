@@ -6,15 +6,16 @@ heading noise), and move simultaneously. The factors of node i at step t
 are a pure function of (master seed, i, t): they are made from the
 Philox4x64 block (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 3", SC'11) with key (master seed, 0) at counter (i, t, 0, 0)
-(``step_draws``). A walk reads them a block of consecutive steps at a time
-from one generator, which jumps from the end of step t's row to counter
-(0, t + 1, 0, 0), so a block row equals ``step_draws`` of its step bit for
-bit. Blocks hold at most 64 KiB of Philox words, so they span many steps of
-a small swarm and one step of a large one; only the position-dependent part
-of a step runs per step. A state is therefore just (t, positions, seed): it
-owns no generator, advancing it mutates nothing, and any copy resumes bit
-for bit, whatever the scheduling. Initial placement uses a separate stream
-(``init_swarm``).
+(``step_draws``); the heading is ``cos + i sin`` of the angle 2 pi u3, the
+bits of ``exp(2j pi u3)``. A walk owns one Philox generator and reads the
+factors a block of consecutive steps at a time: for each step t it sets the
+generator's counter to (0, t, 0, 0), so a block row equals ``step_draws`` of
+its step bit for bit. Blocks hold at most 64 KiB of Philox words, so they
+span many steps of a small swarm and one step of a large one; only the
+position-dependent part of a step runs per step. A state is therefore just
+(t, positions, seed): it owns no generator, advancing it mutates nothing,
+and any copy resumes bit for bit, whatever the scheduling. Initial
+placement uses a separate stream (``init_swarm``).
 
 Every step goes through ``_step``, which reports a position that is not
 finite, and every walk of ``run`` and ``first_passage`` through ``_walk``:
@@ -43,8 +44,8 @@ SEED_LIMIT = 2 ** 64
 DEFAULT_EPS = 0.15
 
 # Most Philox words a walk draws at once: 64 KiB of 32 bytes per node-step
-# is 2048 // N steps, 20 at N = 100, where a block saves the generator
-# set-up and numpy calls of 19 steps; two at N = 683-1024, and one from
+# is 2048 // N steps, 20 at N = 100, where a block saves the numpy calls
+# that make the factors of 19 steps; two at N = 683-1024, and one from
 # N = 1025 on, where more steps would only add memory.
 _DRAW_BYTES = 2 ** 16
 
@@ -144,35 +145,44 @@ def step_draws(master_seed: int, t: int, n: int, social: bool):
     require(0 <= t < SEED_LIMIT, "t", "must be in [0, 2**64)", t)
     n = require_int("n", n)
     require(n >= 0, "n", "must be >= 0", n)
-    length, heading = _block_draws(master_seed, t, n, 1, social)
+    # any seed will do: the block sets the generator's key and counter
+    length, heading = _block_draws(master_seed, t, n, 1, social,
+                                   np.random.Philox(0))
     return length[0], heading[0]
 
 
-def _block_draws(master_seed: int, t: int, n: int, k: int, social: bool):
+def _block_draws(master_seed: int, t: int, n: int, k: int, social: bool,
+                 bitgen: np.random.Philox):
     """The (k, n) draw factors of steps t..t+k-1: row j of each is that of
-    ``step_draws(master_seed, t + j, n, social)``, read from one generator."""
-    # uint64 arrays: numpy converts a key or counter given as a list of
-    # Python ints through float64, which rounds words above 2**53
-    key = np.array([check_seed(master_seed), 0], dtype=np.uint64)
-    counter = np.array([0, t, 0, 0], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key, counter=counter)
+    ``step_draws(master_seed, t + j, n, social)``, read from ``bitgen``,
+    whose whole state each row sets, so what it drew before is of no
+    account."""
+    state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    key = (check_seed(master_seed), 0)
     rows = []
-    for _ in range(k):
+    for j in range(k):
+        # counter (0, t + j, 0, 0), and an empty buffer, so that no word
+        # left from the last row is read first
+        state["state"] = {"counter": (0, t + j, 0, 0), "key": key}
+        bitgen.state = state
         rows.append(bitgen.random_raw(4 * n))
-        # the n blocks read took the counter to (n, t, 0, 0); wrapping the
-        # first word carries into the second: (0, t + 1, 0, 0)
-        bitgen.advance(2 ** 64 - n)
     # one step's words, the usual case at large n, need no copy
     raw = rows[0] if k == 1 else np.concatenate(rows)
     del rows
     raw >>= 11
     w = raw.reshape(k, n, 4)
     length = _radius(w[..., 0])
-    # w * (2 pi 2**-53) is 2 pi u bit for bit: a power-of-two scale commutes
-    # with rounding
-    heading = np.zeros((k, n), dtype=np.complex128)
-    np.multiply(w[..., 3], 2.0 * np.pi * 2.0 ** -53, out=heading.imag)
-    np.exp(heading, out=heading)
+    # exp(2j pi u3) as cos + i sin, in the heading's own memory: the angle
+    # goes into the real part, sin reads it into the imaginary part, and
+    # cos overwrites it. numpy's complex exp is a scalar loop; cos and sin
+    # gave its bits at the AVX512, AVX2 and X86_V2 levels. w * (2 pi 2**-53)
+    # is 2 pi u bit for bit: a power-of-two scale commutes with rounding
+    heading = np.empty((k, n), dtype=np.complex128)
+    angle = heading.real
+    np.multiply(w[..., 3], 2.0 * np.pi * 2.0 ** -53, out=angle)
+    np.sin(angle, out=heading.imag)
+    np.cos(angle, out=angle)
     if social:
         heading *= _radius(w[..., 2])
     return length, heading
@@ -214,15 +224,17 @@ def _heading(arg: np.ndarray) -> np.ndarray:
 def _draws(master_seed: int, t: int, n: int, n_steps: int, social: bool):
     """The draw factors (see ``step_draws``) of n nodes at steps
     t..t+n_steps-1, one step at a time, computed a block of at most
-    ``_DRAW_BYTES`` of Philox words at a time. It takes no state, which
-    would keep the walk's first positions alive."""
+    ``_DRAW_BYTES`` of Philox words at a time from the one generator of the
+    walk. It takes no state, which would keep the walk's first positions
+    alive."""
     k_max = max(1, _DRAW_BYTES // (32 * n))
     end = t + n_steps
+    bitgen = np.random.Philox(0)
     for t0 in range(t, end, k_max):
         # a caller that passes each step's factors on without keeping them
         # holds no more than one block at a time
         yield from zip(*_block_draws(master_seed, t0, n,
-                                     min(k_max, end - t0), social))
+                                     min(k_max, end - t0), social, bitgen))
 
 
 def resolve_sigma_const(params: SwarmParams, positions) -> SwarmParams:

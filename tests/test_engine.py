@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
@@ -187,11 +187,22 @@ def _block_steps(n: int) -> int:
 
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2 ** 64 - 1), t0=st.integers(0, 10 ** 6),
-       n=st.integers(1, 300), extra=st.integers(1, 12), social=st.booleans())
-def test_block_draws_are_the_step_draws(seed, t0, n, extra, social):
-    # more steps than one block holds: the walk's draws cross the byte cap
+       n=st.integers(1, 300), extra=st.integers(1, 12), social=st.booleans(),
+       other=st.integers(0, 2 ** 64 - 1), words=st.integers(0, 9))
+# a generator left mid-block, with three words in its buffer, under the
+# block's own key and under another
+@example(seed=9, t0=40, n=25, extra=1, social=False, other=9, words=1)
+@example(seed=9, t0=40, n=25, extra=1, social=True, other=2 ** 64 - 1,
+         words=4 * 25 + 1)
+def test_block_draws_are_the_step_draws(seed, t0, n, extra, social, other,
+                                        words):
+    # more steps than one block holds: the walk's draws cross the byte cap,
+    # and the block reads from a generator that another key left at any
+    # point; for words % 4 != 0 the rest of its last block waits in its buffer
     n_steps = _block_steps(n) + extra
-    block = engine._block_draws(seed, t0, n, n_steps, social)
+    bitgen = np.random.Philox(key=other)
+    bitgen.random_raw(words)
+    block = engine._block_draws(seed, t0, n, n_steps, social, bitgen)
     walk = list(engine._draws(seed, t0, n, n_steps, social))
     assert [f.shape for f in block] == [(n_steps, n)] * 2
     assert len(walk) == n_steps
@@ -779,11 +790,11 @@ def test_first_passage_without_passage_is_the_per_step_walk(
 
 
 def test_walk_draws_one_step_at_a_time_at_large_n():
-    # Gate, set before this code was measured: a 2-step environment-only
-    # first_passage at N = 1e5 peaks at no more than 10.5 * 16 N bytes
-    # (16.8 MB). Drawing each step from a Philox generator of its own peaked
-    # at 10.0 * 16 N (16.0 MB); a block of two steps would add 2 * 32 N
-    # bytes of normals alone.
+    # Gate: a 2-step environment-only first_passage at N = 1e5 peaks at no
+    # more than 5.25 * 16 N bytes (8.4 MB). The walk peaks at 5.04 * 16 N,
+    # with one step's Philox words at 2 * 16 N. A heading made through an
+    # angle array of its own peaked at 5.54 * 16 N, and a block of two steps
+    # would add 2 * 16 N of words alone.
     n = 100_000
     half = 0.5 * math.sqrt(n / 100)
     box = Box(-half, -half, half, half)
@@ -796,7 +807,7 @@ def test_walk_draws_one_step_at_a_time_at_large_n():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10.5 * 16 * n
+    assert peak <= 5.25 * 16 * n
 
 
 def _stepped_passage(walk, rho: complex, eps: float, frac: float):
