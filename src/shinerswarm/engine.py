@@ -28,6 +28,7 @@ step) stay outside it, and resolve no ``sigma_const``.
 
 from __future__ import annotations
 
+import functools
 from contextlib import closing
 from dataclasses import dataclass, replace
 
@@ -145,10 +146,18 @@ def step_draws(master_seed: int, t: int, n: int, social: bool):
     require(0 <= t < SEED_LIMIT, "t", "must be in [0, 2**64)", t)
     n = require_int("n", n)
     require(n >= 0, "n", "must be >= 0", n)
-    # any seed will do: the block sets the generator's key and counter
     length, heading = _block_draws(master_seed, t, n, 1, social,
-                                   np.random.Philox(0))
+                                   np.random.Philox(_any_seed()))
     return length[0], heading[0]
+
+
+@functools.cache
+def _any_seed() -> np.random.SeedSequence:
+    """The seed of every Philox generator made here, hashed once, on first
+    use (made at import, it loaded numpy.random there): a block sets its
+    generator's key and counter, so any seed will do, and hashing a new one
+    took about 40% of a 100-node ``step_draws``."""
+    return np.random.SeedSequence(0)
 
 
 def _block_draws(master_seed: int, t: int, n: int, k: int, social: bool,
@@ -229,7 +238,7 @@ def _draws(master_seed: int, t: int, n: int, n_steps: int, social: bool):
     alive."""
     k_max = max(1, _DRAW_BYTES // (32 * n))
     end = t + n_steps
-    bitgen = np.random.Philox(0)
+    bitgen = np.random.Philox(_any_seed())
     for t0 in range(t, end, k_max):
         # a caller that passes each step's factors on without keeping them
         # holds no more than one block at a time

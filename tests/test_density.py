@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +14,8 @@ from scipy.stats import norm
 
 from conftest import REF_KERNEL, REF_X0, trapezoid_weights, tv_distance_to_samples
 from oracle import mc_sample, propagate_every_entry
-from shinerswarm.core import ParamError
+from shinerswarm import density
+from shinerswarm.core import BLOCK_BYTES, ParamError
 from shinerswarm.density import (
     DEFAULT_N_POINTS,
     GridPdf,
@@ -231,7 +236,7 @@ def test_propagate_equals_every_entry_oracle_on_reference_chain(ref_chain, t):
     _same_bits_as_oracle(ref_chain[t], REF_KERNEL)
 
 
-@pytest.mark.parametrize("x0, params, z_min, z_max, n_points", [
+ORACLE_GRIDS = pytest.mark.parametrize("x0, params, z_min, z_max, n_points", [
     # the last row block is partial
     (REF_X0, REF_KERNEL, -1000.0, 1000.0, 1237),
     (REF_X0, REF_KERNEL, -1000.0, 1000.0, 6001),
@@ -240,11 +245,106 @@ def test_propagate_equals_every_entry_oracle_on_reference_chain(ref_chain, t):
     # ends of the grid as well as around the origin
     (REF_X0, KernelParams(c1=0.02, c2=0.1), -100.0, 100.0, 4001),
 ])
+
+
+@ORACLE_GRIDS
 def test_propagate_equals_every_entry_oracle(x0, params, z_min, z_max,
                                              n_points):
     f = initial_pdf(x0, params, z_min, z_max, n_points)
     for _ in range(2):
         f = _same_bits_as_oracle(f, params)
+
+
+def _row_block_count(n: int) -> int:
+    return -(-n // min(n, max(1, BLOCK_BYTES // (8 * n))))
+
+
+@ORACLE_GRIDS
+def test_propagate_equals_every_entry_oracle_at_each_worker_count(
+        monkeypatch, x0, params, z_min, z_max, n_points):
+    # more workers than blocks start one thread per block, so they are run
+    # only on the grids of few blocks
+    counts = [1, 2, 3] + [10 ** 6] * (_row_block_count(n_points) <= 20)
+    f = initial_pdf(x0, params, z_min, z_max, n_points)
+    # threads switch as often as they can, so that a block done in another
+    # order or by two workers at once would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(2):
+            # every output, the oracle's too, is kept alive: an output made
+            # in the memory of one freed before it would hold that one's
+            # values in any rows that no worker wrote
+            expected = propagate_every_entry(f, params)
+            outs = []
+            for workers in counts:
+                monkeypatch.setattr(density, "_cpus", lambda: workers)
+                outs.append(propagate(f, params))
+                assert outs[-1].t == f.t + 1
+                assert (outs[-1].values.tobytes()
+                        == expected.values.tobytes()), workers
+            f = outs[0]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_cpus_are_those_the_process_may_run_on():
+    if hasattr(os, "sched_getaffinity"):
+        assert density._cpus() == len(os.sched_getaffinity(0))
+    else:
+        assert density._cpus() == (os.cpu_count() or 1)
+
+
+def test_propagate_raises_a_worker_error_once_every_worker_has_joined(
+        monkeypatch):
+    # 12 row blocks; worker 1 reads from the second block on, and fails
+    f = initial_pdf(REF_X0, REF_KERNEL, n_points=1237)
+    row_blocks = density._row_blocks
+
+    def fail_in_worker_1(*args):
+        buf, blocks = args[-2:]
+        if blocks[0] == len(buf):
+            raise RuntimeError("worker 1 failed")
+        row_blocks(*args)
+
+    monkeypatch.setattr(density, "_row_blocks", fail_in_worker_1)
+    before = threading.active_count()
+    for workers in (2, 3):
+        monkeypatch.setattr(density, "_cpus", lambda: workers)
+        with pytest.raises(RuntimeError, match="worker 1 failed"):
+            propagate(f, REF_KERNEL)
+        assert threading.active_count() == before
+    # one worker is the caller, which reads every block from the first and
+    # makes no thread
+    monkeypatch.setattr(density, "_cpus", lambda: 1)
+    monkeypatch.setattr(density, "threading", None)
+    assert propagate(f, REF_KERNEL).values.tobytes() == (
+        propagate_every_entry(f, REF_KERNEL).values.tobytes())
+
+
+@pytest.mark.parametrize("args, message", [
+    # test_cli's grid on which an sd and a node distance both overflow in
+    # the second step, on 400 points rather than 240: two row blocks, both
+    # with distances that overflow, the second of them worker 1's
+    ((KernelParams(c1=2.0, c2=1e300), -1e308, 1e308, 400),
+     "t = 2: pdf values must be finite and >= 0"),
+    # test_cli's grid near the float range, on which the norm, the reach
+    # and some entries overflow to their limits and the step succeeds
+    ((KernelParams(c1=100.0, c2=0.1), -1e306, 1e306, 6000), None),
+])
+def test_propagate_on_two_workers_warns_of_no_overflow_in_any_thread(
+        monkeypatch, args, message):
+    params, z_min, z_max, n_points = args
+    monkeypatch.setattr(density, "_cpus", lambda: 2)
+    f = initial_pdf(REF_X0, params, z_min, z_max, n_points)
+    # numpy's errstate is per thread, while the warnings filter is global
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if message is None:
+            assert propagate(f, params).t == 2
+        else:
+            with pytest.raises(ValueError, match=message):
+                propagate(f, params)
 
 
 @settings(max_examples=100)
