@@ -293,10 +293,8 @@ def _step(p: np.ndarray, params: SwarmParams, d: np.ndarray, draw,
             graph = build_neighborhood(p, params.r)
         acc = graph.hammer_sum(p, params.s)
         deg = graph.degrees()
-        heading = _heading(np.where(deg > 0,
-                                    (params.w / np.maximum(deg, 1)) * acc
-                                    + heading,
-                                    heading))
+        # a node with no neighbor has acc = +0, so it steers by its noise
+        heading = _heading((params.w / np.maximum(deg, 1)) * acc + heading)
     p = p + sigma * length * heading
     check_finite(p)
     return p

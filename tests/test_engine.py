@@ -100,7 +100,7 @@ def test_step_outside_uint64_rejected(t):
         step_draws(0, t, 3, False)
 
 
-def test_step_normals_node_count_is_a_whole_number():
+def test_step_draws_node_count_is_a_whole_number():
     with pytest.raises(ParamError, match=r"^n must be >= 0, got -1$") as info:
         step_draws(0, 0, -1, False)
     assert info.value.key == "n"
@@ -130,7 +130,7 @@ def _factor_oracle(words) -> tuple[float, complex, complex]:
 
 @pytest.mark.parametrize("seed, t", [(0, 0), (5, 3), (2 ** 63 + 5, 1),
                                      (2 ** 64 - 1, 10 ** 6)])
-def test_step_normals_rows_are_fresh_philox_blocks(seed, t):
+def test_step_draws_rows_are_fresh_philox_blocks(seed, t):
     length, heading = step_draws(seed, t, 9, False)
     _, noise = step_draws(seed, t, 9, True)
     assert length.shape == heading.shape == noise.shape == (9,)
@@ -143,7 +143,7 @@ def test_step_normals_rows_are_fresh_philox_blocks(seed, t):
                                    _factor_oracle(words), rtol=0, atol=1e-14)
 
 
-def test_step_normals_rows_stable_under_prefix():
+def test_step_draws_rows_stable_under_prefix():
     for social in (False, True):
         full = step_draws(11, 4, 300, social)
         for m in (1, 2, 17, 299):
@@ -869,7 +869,7 @@ def test_move_reports_a_position_that_overflows():
 @settings(max_examples=10)
 @given(seed=st.integers(0, 2 ** 64 - 1), t=st.integers(0, 10 ** 6),
        n=st.integers(1, 300))
-def test_advance_swarm_is_move_on_the_step_normals(env, social, seed, t, n):
+def test_advance_swarm_is_move_on_the_step_draws(env, social, seed, t, n):
     p = init_swarm(SwarmParams(n_nodes=n), seed, UNIT_BOX).positions
     params = resolve_sigma_const(
         SwarmParams(n_nodes=n, env_enabled=env, social_enabled=social), p)
@@ -973,9 +973,9 @@ _INTEGER_ARGUMENTS = [
         SwarmParams(n_nodes=3), 0, UNIT_BOX, 0.15, 0.9, v), 2,
                  id="first_passage"),
     pytest.param("t", lambda v: step_draws(0, v, 3, False), 2,
-                 id="step_normals"),
+                 id="step_draws"),
     pytest.param("n", lambda v: step_draws(0, 2, v, False), 3,
-                 id="step_normals-n"),
+                 id="step_draws-n"),
     pytest.param("n_nodes", lambda v: SwarmParams(n_nodes=v), 3,
                  id="SwarmParams"),
     pytest.param("n_points", lambda v: initial_pdf(5.0, _KERNEL, n_points=v),
