@@ -16,9 +16,10 @@ tests the pairs of a sorted cell list (all pairs up to 128 nodes) and
 returns them in that sorted order (``NeighborGraph``): the node order and
 two index arrays into it holding each unordered pair once. Each factor of a
 step has one home here: the speed law of both engines, ``speed_law``, which
-``distance_speed`` and ``density.KernelParams.sd`` apply, and the social sum
-``NeighborGraph.hammer_sum``, which runs in the sorted order, so a step
-sorts no edges and maps no pair to node ids. Nothing here keeps mutable state.
+``distance_speed`` and ``density.KernelParams.sd`` apply, and the social
+heading ``NeighborGraph.social_heading``, formed in the sorted order, so a
+step sorts no edges and maps no pair to node ids. Nothing here keeps
+mutable state.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ _MAX_CANDIDATES = 2 ** 26
 # quarter to a third less on a cluster; a sparse swarm favours cells at any n.
 _ALL_PAIRS_MAX = 2 ** 13
 
-# The smallest normal double; ``hammer`` rescales magnitudes below it.
+# The smallest normal double; ``hammer`` and ``_heading`` rescale below it.
 _MIN_NORMAL = 2.0 ** -1022
 
 
@@ -193,20 +194,22 @@ class NeighborGraph:
                 return int(np.count_nonzero(label == nodes))
             label = hooked
 
-    def hammer_sum(self, p: np.ndarray, s: float) -> np.ndarray:
-        """Node i's sum of ``hammer(p_j - p_i, s)`` over its neighbors j,
-        p being the positions the graph was built from. Each pair (a, b) of
-        sorted positions takes one hammer h, adds h to a's sum and -h to b's
-        (hammer is odd bit for bit), and the sums go to node order once."""
-        a, b, order = self.a, self.b, self.order
+    def social_heading(self, p, s: float, w: float, noise) -> np.ndarray:
+        """Node i's unit vector of ``w * mean_j hammer(p_j - p_i, s) +
+        noise[i]`` over its neighbors j (+0 if none), p the build's positions.
+        Each sorted pair (a, b) adds its hammer h to a's sum and -h to b's
+        (hammer is odd bit for bit); one scatter puts them in node order."""
+        a, b, order, n = self.a, self.b, self.order, self.n_nodes
         ps = p[order]
         h = hammer(ps[b] - ps[a], s)
-        acc_sorted = np.zeros(self.n_nodes, dtype=np.complex128)
-        np.add.at(acc_sorted, a, h)
-        np.subtract.at(acc_sorted, b, h)
-        acc = np.empty_like(acc_sorted)
-        acc[order] = acc_sorted
-        return acc
+        acc = np.zeros(n, dtype=np.complex128)
+        np.add.at(acc, a, h)
+        np.subtract.at(acc, b, h)
+        deg = np.bincount(a, minlength=n) + np.bincount(b, minlength=n)
+        arg = np.empty_like(acc)
+        arg[order] = (w / np.maximum(deg, 1)) * acc
+        arg += noise
+        return _heading(arg)
 
 
 def check_finite(p: np.ndarray) -> None:
@@ -368,13 +371,12 @@ def hammer(z, s):
     directly. Only a call holding a zero, subnormal or NaN magnitude takes
     the masked path, which maps a zero to 0, rescales a subnormal, and
     gives a NaN magnitude ``f = 0`` and ``1 / |z| = 1``; both paths give the
-    same bits. A scalar s is checked with one comparison, without a
-    reduction; an array s element by element.
-    """
+    same bits. ParamError unless ``0 <= s < inf`` everywhere."""
     sep = np.asarray(s)
-    # a scalar s, as the engine passes, is checked without a reduction
-    require(bool(sep >= 0) if sep.ndim == 0 else np.all(sep >= 0), "s",
-            "must be >= 0", s, "separation distance ")
+    x = sep.item() if sep.ndim == 0 else sep  # a 0-d s is not reduced
+    ok = (0 <= x) & (x < math.inf)
+    require(ok if sep.ndim == 0 else ok.all(), "s", "must be >= 0 and finite",
+            s, "separation distance ")
     arr = np.asarray(z, dtype=np.complex128)
     mag = np.abs(arr)
     re, im = arr.real, arr.imag
@@ -393,3 +395,27 @@ def hammer(z, s):
     np.multiply(re * inv, f, out=out.real)
     np.multiply(im * inv, f, out=out.imag)
     return out[()]
+
+
+def _heading(arg: np.ndarray) -> np.ndarray:
+    """The unit vector ``arg / |arg|``: 1 for a zero arg, NaN for a NaN
+    part, and for an infinite part the limit that ``exp(1j * angle(arg))``
+    takes, ±1 on its axis."""
+    re, im = arg.real, arg.imag
+    mag = np.hypot(re, im)
+    # routed by >= ... all(), which a NaN fails, as in hammer
+    if not ((mag >= _MIN_NORMAL) & (mag < np.inf)).all():
+        # scale a subnormal magnitude up and one that overflows down; an
+        # infinite part becomes ±1 and a finite one beside it ±0, while a
+        # NaN part stays NaN; a zero arg points along +x
+        inf_part = np.isinf(re) | np.isinf(im)
+        scale = np.select([mag < _MIN_NORMAL, inf_part, mag == np.inf],
+                          [2.0 ** 1022, 0.0, 0.25], 1.0)
+        re = np.where(np.isinf(re), np.copysign(1.0, re), re * scale)
+        im = np.where(np.isinf(im), np.copysign(1.0, im), im * scale)
+        re = np.where(mag == 0.0, 1.0, re)
+        mag = np.hypot(re, im)
+    out = np.empty(arg.shape, dtype=np.complex128)
+    np.divide(re, mag, out=out.real)
+    np.divide(im, mag, out=out.imag)
+    return out

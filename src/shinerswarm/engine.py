@@ -17,13 +17,14 @@ position-dependent part of a step runs per step. A state is therefore just
 and any copy resumes bit for bit, whatever the scheduling. Initial
 placement uses a separate stream (``init_swarm``).
 
-Every step goes through ``_step``, which reports a position that is not
-finite, and every walk of ``run`` and ``first_passage`` through ``_walk``:
-the one home of the set-up, the errstate (entered once per walk, not per
-step at about 2 us each, so it holds across yields), the graph a record
-hands on and the step named in an error. ``move`` (the pure step the tests
-read with draws of their choosing) and ``advance_swarm`` (the public state
-step) stay outside it, and resolve no ``sigma_const``.
+Every step goes through ``_step``, which takes its speed and social heading
+from ``core`` and reports a position that is not finite, and every walk of
+``run`` and ``first_passage`` through ``_walk``: the one home of the set-up,
+the errstate (entered once per walk, not per step at about 2 us each, so it
+holds across yields), the graph a record hands on and the step named in an
+error. ``move`` (the pure step the tests read with draws of their choosing)
+and ``advance_swarm`` (the public state step) stay outside it, and resolve
+no ``sigma_const``.
 """
 
 from __future__ import annotations
@@ -34,9 +35,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (_MIN_NORMAL, BLOCK_BYTES, NeighborGraph, SwarmParams,
-                   build_neighborhood, check_finite, distance_speed, require,
-                   require_int, speed_law)
+from .core import (BLOCK_BYTES, NeighborGraph, SwarmParams, build_neighborhood,
+                   check_finite, distance_speed, require, require_int,
+                   speed_law)
 
 # Seeds and steps are Philox words (key and counter), unsigned 64-bit.
 SEED_LIMIT = 2 ** 64
@@ -206,30 +207,6 @@ def _radius(w: np.ndarray) -> np.ndarray:
     return np.sqrt(r, out=r)
 
 
-def _heading(arg: np.ndarray) -> np.ndarray:
-    """The unit vector ``arg / |arg|``: 1 for a zero arg, NaN for a NaN
-    part, and for an infinite part the limit that ``exp(1j * angle(arg))``
-    takes, ±1 on its axis."""
-    re, im = arg.real, arg.imag
-    mag = np.hypot(re, im)
-    # routed by >= ... all(), which a NaN fails, as in core.hammer
-    if not ((mag >= _MIN_NORMAL) & (mag < np.inf)).all():
-        # scale a subnormal magnitude up and one that overflows down; an
-        # infinite part becomes ±1 and a finite one beside it ±0, while a
-        # NaN part stays NaN; a zero arg points along +x
-        inf_part = np.isinf(re) | np.isinf(im)
-        scale = np.select([mag < _MIN_NORMAL, inf_part, mag == np.inf],
-                          [2.0 ** 1022, 0.0, 0.25], 1.0)
-        re = np.where(np.isinf(re), np.copysign(1.0, re), re * scale)
-        im = np.where(np.isinf(im), np.copysign(1.0, im), im * scale)
-        re = np.where(mag == 0.0, 1.0, re)
-        mag = np.hypot(re, im)
-    out = np.empty(arg.shape, dtype=np.complex128)
-    np.divide(re, mag, out=out.real)
-    np.divide(im, mag, out=out.imag)
-    return out
-
-
 def _draws(master_seed: int, t: int, n: int, n_steps: int, social: bool):
     """The draw factors (see ``step_draws``) of n nodes at steps
     t..t+n_steps-1, one step at a time, computed a block of at most
@@ -266,12 +243,10 @@ def move(positions: np.ndarray, params: SwarmParams, draw) -> np.ndarray:
     """Positions after one synchronous step with the draw factors
     ``draw = (length, heading)`` of ``step_draws(seed, t, n,
     params.social_enabled)``: node i's step is ``sigma * length[i]`` long,
-    along ``heading[i]`` with the social factor off, else along the unit
-    vector of the social term plus the noise ``heading[i]``. Pure: reads the
-    time-t positions only.
-
-    The speed is ``core.distance_speed`` at ``|p_i - rho|``, and node i's
-    social term sums ``hammer(p_j - p_i, s)`` over its neighbors j.
+    sigma being ``core.distance_speed`` at ``|p_i - rho|``, along
+    ``heading[i]`` with the social factor off, else along the unit vector
+    of the social term plus the noise ``heading[i]``
+    (``core.NeighborGraph.social_heading``). Pure: reads time t only.
 
     Raises ValueError, naming the node, if a new position is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -291,10 +266,7 @@ def _step(p: np.ndarray, params: SwarmParams, d: np.ndarray, draw,
     if params.social_enabled:
         if graph is None:
             graph = build_neighborhood(p, params.r)
-        acc = graph.hammer_sum(p, params.s)
-        deg = graph.degrees()
-        # a node with no neighbor has acc = +0, so it steers by its noise
-        heading = _heading((params.w / np.maximum(deg, 1)) * acc + heading)
+        heading = graph.social_heading(p, params.s, params.w, heading)
     p = p + sigma * length * heading
     check_finite(p)
     return p

@@ -9,7 +9,7 @@ take its four normals from an explicit stream argument (anything with a
 (``speed_reference``). The tests compare ``engine.move``, which does
 the same for all nodes at once, against them. ``dense_move`` does so for
 every node with no graph at all. ``heading_angle`` is the angle
-``arctan2`` gives a heading, the reference for ``engine._heading``.
+``arctan2`` gives a heading, the reference for ``core._heading``.
 ``hammer_reference`` keeps the hammer map's complex formula, and
 ``hammer_masked`` the masked real arithmetic that ``core.hammer`` must
 equal byte for byte. ``fresh_step_normals`` draws a step's four normals

@@ -520,6 +520,12 @@ def test_hammer_rejects_nan_separation():
         hammer(1 + 0j, np.nan)
     with pytest.raises(ValueError, match="separation distance"):
         hammer(np.ones(3, dtype=complex), np.array([0.1, np.nan, 0.1]))
+    # an infinite s, which SwarmParams rejects too, as a float, a 0-d array
+    # and one element of an array
+    for s in (math.inf, np.array(math.inf), np.array([0.1, math.inf, 0.1])):
+        with pytest.raises(ValueError, match="separation distance s must be "
+                                             ">= 0 and finite, got"):
+            hammer(np.ones(3, dtype=complex), s)
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,9 @@ from scipy.spatial.distance import pdist
 from conftest import FakeStream
 from oracle import (fresh_step_normals, heading_angle, indices, indptr,
                     mc_sample, node_step, stepped_walk)
-from shinerswarm import engine
+from shinerswarm import core, engine
 from shinerswarm.core import (
     BLOCK_BYTES,
-    NeighborGraph,
     ParamError,
     SwarmParams,
     build_neighborhood,
@@ -789,25 +788,39 @@ def test_first_passage_without_passage_is_the_per_step_walk(
             == [s.positions.tobytes() for s in walk[1:]])
 
 
+def _large_walk_peak(social: bool) -> float:
+    """The traced peak, in units of 16 N bytes, of a 2-step first_passage
+    at N = 1e5 and constant density (seed 5)."""
+    n = 100_000
+    half = 0.5 * math.sqrt(n / 100)
+    box = Box(-half, -half, half, half)
+    params = SwarmParams(n_nodes=n, social_enabled=social)
+    # untraced warm-up: numpy's lazy set-up is not the walk's
+    first_passage(replace(params, n_nodes=10), 0, box, 0.15, 1.0, 2)
+    tracemalloc.start()
+    try:
+        first_passage(params, 5, box, 0.15, 1.0, 2)
+        return tracemalloc.get_traced_memory()[1] / (16 * n)
+    finally:
+        tracemalloc.stop()
+
+
 def test_walk_draws_one_step_at_a_time_at_large_n():
     # Gate: a 2-step environment-only first_passage at N = 1e5 peaks at no
     # more than 5.25 * 16 N bytes (8.4 MB). The walk peaks at 5.04 * 16 N,
     # with one step's Philox words at 2 * 16 N. A heading made through an
     # angle array of its own peaked at 5.54 * 16 N, and a block of two steps
     # would add 2 * 16 N of words alone.
-    n = 100_000
-    half = 0.5 * math.sqrt(n / 100)
-    box = Box(-half, -half, half, half)
-    params = SwarmParams(n_nodes=n, social_enabled=False)
-    # untraced warm-up: numpy's lazy set-up is not the walk's
-    first_passage(replace(params, n_nodes=10), 0, box, 0.15, 1.0, 2)
-    tracemalloc.start()
-    try:
-        first_passage(params, 5, box, 0.15, 1.0, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 5.25 * 16 * n
+    assert _large_walk_peak(social=False) <= 5.25
+
+
+def test_social_walk_keeps_no_extra_pair_array_at_large_n():
+    # Gate: the same walk with the social factor on peaks at no more than
+    # 62.5 * 16 N bytes (100 MB). It peaks at 59.51 * 16 N in the first
+    # step's neighbor build, where the swarm is densest: one more array of
+    # its 1.05e6 candidate pairs kept alive there, 5.2 * 16 N as int64 and
+    # 10.5 * 16 N as complex, fails the gate.
+    assert _large_walk_peak(social=True) <= 62.5
 
 
 def _stepped_passage(walk, rho: complex, eps: float, frac: float):
@@ -897,11 +910,11 @@ def test_heading_is_the_arctan2_heading(arg):
     # there, alone or beside normal magnitudes, which keep their own bits
     normal = np.array([3 - 4j, -1e-300 + 0j, 2e300j])
     want = np.exp(1j * heading_angle(arg))
-    # the caller suppresses overflow and invalid warnings, as _step does
+    # the caller suppresses overflow and invalid warnings, as the walk does
     with np.errstate(over="ignore", invalid="ignore"):
-        got = engine._heading(np.array([arg]))
-        mixed = engine._heading(np.array([arg, *normal]))
-    assert mixed[1:].tobytes() == engine._heading(normal).tobytes()
+        got = core._heading(np.array([arg]))
+        mixed = core._heading(np.array([arg, *normal]))
+    assert mixed[1:].tobytes() == core._heading(normal).tobytes()
     for h in (got[0], mixed[0]):
         assert np.isfinite(h) == np.isfinite(want)
         if np.isfinite(want):
@@ -910,21 +923,26 @@ def test_heading_is_the_arctan2_heading(arg):
 
 
 def test_a_nan_social_sum_is_named_at_its_step(monkeypatch):
-    # a NaN social sum gives a NaN heading, and the step names its node
-    hammer_sum = NeighborGraph.hammer_sum
-    poisoned = []
+    # a NaN hammer gives both nodes of its pair a NaN social sum and so a
+    # NaN heading, and the step names the first of them
+    hammer = core.hammer
+    calls = []
 
-    def nan_sum(graph, p, s):
-        acc = hammer_sum(graph, p, s)
-        poisoned.append(int(np.argmax(graph.degrees() > 0)))
-        acc[poisoned[-1]] = complex(math.nan, 0)
-        return acc
+    def nan_hammer(z, s):
+        h = hammer(z, s)
+        calls.append(h.size)
+        h[0] = complex(math.nan, 0)
+        return h
 
-    monkeypatch.setattr(NeighborGraph, "hammer_sum", nan_sum)
+    params = SwarmParams()
+    graph = build_neighborhood(init_swarm(params, 0, UNIT_BOX).positions,
+                               params.r)
+    poisoned = min(graph.order[graph.a[0]], graph.order[graph.b[0]])
+    monkeypatch.setattr(core, "hammer", nan_hammer)
     with pytest.raises(ValueError) as info:
-        run(SwarmParams(), 0, UNIT_BOX, n_steps=5, snapshot_stride=5)
-    assert len(poisoned) == 1
-    assert str(info.value) == (f"step 1: node {poisoned[0]}: position "
+        run(params, 0, UNIT_BOX, n_steps=5, snapshot_stride=5)
+    assert len(calls) == 1
+    assert str(info.value) == (f"step 1: node {poisoned}: position "
                                f"(nan+nanj) is not finite")
 
 

@@ -212,6 +212,48 @@ def test_pair_list_social_sum_matches_dense_oracle(case, s, w, seed):
                                        atol=1e-12)
 
 
+def summed_then_scattered_heading(graph, p, s, w, noise):
+    """The social heading formed in node order: each node's hammer sum,
+    added over the graph's pairs in their order, weighed by its degree
+    (``degrees``) and with the noise added there, then made a unit vector
+    by ``core._heading``, the step's formula before ``social_heading``."""
+    ps = p[graph.order]
+    h = core.hammer(ps[graph.b] - ps[graph.a], s)
+    acc = np.zeros(p.size, dtype=np.complex128)
+    np.add.at(acc, graph.order[graph.a], h)
+    np.subtract.at(acc, graph.order[graph.b], h)
+    return core._heading((w / np.maximum(graph.degrees(), 1)) * acc + noise)
+
+
+def clusters(n, seed):
+    """n nodes about four random centres, a few of them inside one another's
+    separation distance."""
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
+    return (centers[rng.integers(0, 4, n)]
+            + 0.15 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+
+
+# up to 128 nodes a build tests all pairs, from 129 on its cell list's
+_CLUSTERS = [(n, seed) for n in (100, 128, 129, 400) for seed in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("p", [
+    np.array([0j, 0.1 + 0j, 5 + 5j]),  # node 2 has no neighbor
+    np.array([0.3 + 0.1j, 0.35 + 0.1j, 0.3 + 0.1j]),  # nodes 0 and 2 coincide
+    *(clusters(n, seed) for n, seed in _CLUSTERS),
+], ids=["isolated", "coincident", *(f"n{n}-seed{s}" for n, s in _CLUSTERS)])
+def test_social_heading_is_the_node_order_formula_byte_for_byte(p):
+    # the weighted sums are formed in sorted order and scattered once; every
+    # elementwise operation has the same operands as in node order
+    params = SwarmParams()
+    graph = build_neighborhood(p, params.r)
+    noise = step_draws(3, 0, p.size, True)[1]
+    got = graph.social_heading(p, params.s, params.w, noise)
+    want = summed_then_scattered_heading(graph, p, params.s, params.w, noise)
+    assert got.tobytes() == want.tobytes()
+
+
 def assert_same_graph_bytes(p, r):
     """Both candidate lists give equal int64 arrays, byte for byte, which
     hold the brute-force neighbor pairs."""
