@@ -18,15 +18,19 @@ two index arrays into it holding each unordered pair once. Each factor of a
 step has one home here: the speed law of both engines, ``speed_law``, which
 ``distance_speed`` and ``density.KernelParams.sd`` apply, and the social
 heading ``NeighborGraph.social_heading``, formed in the sorted order, so a
-step sorts no edges and maps no pair to node ids. Nothing here keeps
-mutable state.
+step sorts no edges and maps no pair to node ids. Both O(N^2) loops go in
+the blocks of ``row_blocks``, which ``run_workers`` can share among threads.
+Nothing here keeps mutable state.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,13 +111,6 @@ class SwarmParams:
         require(self.sigma_const is None or 0 <= self.sigma_const < math.inf,
                 "sigma_const", "must be >= 0 and finite", self.sigma_const)
 
-
-# Bytes of pairwise entries that a blocked O(N^2) loop (``density.propagate``,
-# ``engine.compute_metrics``) builds at once: a row block this size stays in
-# a core's L2 cache through its elementwise passes. On a 2-vCPU Xeon with
-# 2 MiB of L2 per core, 2 MiB blocks made a density step about 8% slower.
-# ``propagate`` runs one block per worker thread, each in its own core's L2.
-BLOCK_BYTES = 2 ** 20
 
 # Cells are 2**-20 wider than the larger of r and the swarm's extent times
 # 2**-30. The cell index of a coordinate x is floor((x - mid) * (1 / cell)),
@@ -419,3 +416,54 @@ def _heading(arg: np.ndarray) -> np.ndarray:
     np.divide(re, mag, out=out.real)
     np.divide(im, mag, out=out.imag)
     return out
+
+
+# Bytes of pairwise entries a blocked O(N^2) loop builds at once: a row block
+# this size stays in a core's L2 cache through its elementwise passes. On a
+# 2-vCPU Xeon with 2 MiB of L2 per core, 2 MiB made a density step 8% slower.
+BLOCK_BYTES = 2 ** 20
+
+
+def row_blocks(n: int, itemsize: int) -> range:
+    """First rows of the ``BLOCK_BYTES`` blocks (1 to n rows each) of an
+    n-column loop over itemsize-byte entries; its step is a block's rows."""
+    return range(0, n, min(n, max(1, BLOCK_BYTES // (n * itemsize))))
+
+
+def _cpus() -> int:
+    """CPUs this process may run on, the most workers ``deal`` makes."""
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def deal(blocks: range) -> list[range]:
+    """Each worker's blocks: block i to worker i mod W = min(CPUs, blocks)."""
+    workers = min(_cpus(), len(blocks))
+    return [blocks[i::workers] for i in range(workers)]
+
+
+def run_workers(work, shares: list) -> None:
+    """``work(i, shares[i])`` for each worker i: worker 0 on the caller, each
+    other in a thread started in a copy of the caller's context, so numpy's
+    errstate (modes and ``call`` function) holds in all. Every thread is
+    joined, even if worker 0 raises; then the first thread error is raised."""
+    errors: list[BaseException] = []
+
+    def run(i: int) -> None:
+        try:
+            work(i, shares[i])
+        except BaseException as e:
+            errors.append(e)
+
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(run, i)) for i in range(1, len(shares))]
+    try:
+        for thread in threads:
+            thread.start()
+        work(0, shares[0])
+    finally:
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+    if errors:
+        raise errors[0]

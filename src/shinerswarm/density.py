@@ -8,12 +8,11 @@ pushed forward numerically: starting from the one-step Gaussian, each
 application of ``propagate`` convolves the current grid pdf with the
 location-dependent kernel by trapezoidal quadrature. One step costs O(n^2)
 kernel evaluations on an n-point grid but only O(n) memory: the kernel
-matrix is never stored whole, only one cache-sized block of its rows per
-worker at a time, each in its own core's L2 cache. The blocks are shared
-among one worker thread per CPU the process may run on, and the pdf does
-not depend on how many. Entries whose source lies more than R = 40 kernel
-sds from every row of the block are set to 0 without ``exp``, which would
-round them to +0.0, so the pdf is the same bit for bit.
+matrix is never stored whole, only one row block (``core.row_blocks``)
+per worker at a time, and the pdf does not depend on how many workers
+share them. Entries whose source lies more than R = 40 kernel sds from
+every row of the block are set to 0 without ``exp``, which would round them
+to +0.0, so the pdf is the same bit for bit.
 
 The kernel width is ``c1 * c2`` at the darkest spot and grows without bound
 away from it, so a uniform grid is either too coarse at the origin or too
@@ -36,15 +35,14 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import sys
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import BLOCK_BYTES, check_speed_law, require, require_int, speed_law
+from .core import (check_speed_law, deal, require, require_int, row_blocks,
+                   run_workers, speed_law)
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _SQRT_HALF = np.sqrt(0.5)
@@ -275,16 +273,7 @@ def initial_pdf(x0: float, params: KernelParams,
     return f
 
 
-def _cpus() -> int:
-    """CPUs this process may run on, the most threads ``propagate`` shares
-    its row blocks among."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _row_blocks(z, k, wf, left, right, out, buf, blocks) -> None:
+def _kernel_rows(z, k, wf, left, right, out, buf, blocks) -> None:
     """Rows ``lo:lo + len(buf)`` of ``propagate``'s step, for each lo in
     blocks, into the same rows of out, through the one buffer buf."""
     n = z.size
@@ -311,17 +300,6 @@ def _row_blocks(z, k, wf, left, right, out, buf, blocks) -> None:
         np.matmul(b, wf, out=out[lo:hi])
 
 
-def _worker(errors: list, *args) -> None:
-    """``_row_blocks(*args)`` in a thread of its own, keeping what it raises
-    in errors for the caller. numpy's errstate is per thread, and a new
-    thread starts at "warn", so the worker sets ``propagate``'s own."""
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            _row_blocks(*args)
-    except BaseException as e:
-        errors.append(e)
-
-
 # An overflow in a step goes to its limit: an sd of inf gives a norm of 0 and
 # an infinite reach, an entry of inf exp = 0. Only inf * 0 makes a NaN, where
 # an sd and a node distance both overflow or a kernel is too narrow for a
@@ -334,52 +312,31 @@ def propagate(f: GridPdf, params: KernelParams) -> GridPdf:
     over the grid's weights. The kernel's normalisation is folded into the
     source vector once per call, ``wf_j = w_j f_j norm_j``, and its width
     into ``k_j`` (see ``KernelParams.factors``), so each kernel entry costs
-    one subtract, multiply, square and ``exp(-.)``. Output rows go in blocks
-    of ``core.BLOCK_BYTES`` fixed by the grid size. Block i goes to worker
-    i mod W, W being the CPUs the process may run on (``_cpus``) up to the
-    number of blocks; each worker builds its blocks in a buffer of its own,
-    in its core's L2 cache, and writes only their rows of the output. The
-    caller allocates every buffer and is worker 0; W - 1 threads run the
-    rest, as numpy releases the GIL in each pass, and an error in one is
-    raised here once all have joined. With W = 1 no thread is started. A
-    block's rows, passes and product do not depend on W, so the result is
-    the same bit for bit at every W. Sources farther than ``R_j = 40 sd_j``
-    from every row of a block cannot reach it: their entries are set to 0
-    without ``exp``, which would round them to +0.0 anyway (see
-    ``_REACH_SDS``), so the result is the same bit for bit. On a grid that
-    resolves the kernel, mass can only shrink (tail truncation); the
-    deficit is observable via grid_stats.
+    one subtract, multiply, square and ``exp(-.)``. Output rows go in the
+    grid's ``core.row_blocks``, dealt to ``core.run_workers``; each worker
+    builds its blocks in a buffer of its own, in its core's L2 cache, and
+    writes only their rows, so the result does not depend on how many run.
+    Sources farther than ``R_j = 40 sd_j`` from every row of a block cannot
+    reach it: their entries are set to 0 without ``exp``, which would round
+    them to +0.0 anyway (see ``_REACH_SDS``), so the result is the same bit
+    for bit. On a grid that resolves the kernel, mass can only shrink (tail
+    truncation); the deficit is observable via grid_stats.
     """
     grid = f.grid
     z = grid.z
     n = z.size
     k, norm = params.factors(z)
     wf = grid.w * f.values * norm
-    rows = min(n, max(1, BLOCK_BYTES // (n * z.itemsize)))
-    blocks = range(0, n, rows)
-    workers = min(_cpus(), len(blocks))
-    bufs = [np.empty((rows, n)) for _ in range(workers)]
+    blocks = row_blocks(n, z.itemsize)
+    shares = deal(blocks)
+    bufs = [np.empty((blocks.step, n)) for _ in shares]
     out = np.empty(n)
-    # the reach arrays are made after the buffers: made before them, they
-    # laid out the allocator's heap so that the t = 3 chain, repeated for
-    # 3 s between perfbench probe batches, peaked 1.1-1.3 MB higher in RSS
-    # (41.4-41.5 MB against 40.2-40.5 MB, numpy 2.4.6)
+    # the reach arrays come after the buffers: before them, the allocator's
+    # heap layout raised the repeated t = 3 chain's peak RSS by 1.1-1.3 MB
+    # (41.4-41.5 MB against 40.2-40.5 MB, 3 s runs, numpy 2.4.6)
     reach = _REACH_SDS * params.sd(z)
     args = (z, k, wf, z - reach, z + reach, out)
-    errors: list[BaseException] = []
-    threads = [threading.Thread(target=_worker,
-                                args=(errors, *args, bufs[i], blocks[i::workers]))
-               for i in range(1, workers)]
-    try:
-        for thread in threads:
-            thread.start()
-        _row_blocks(*args, bufs[0], blocks[0::workers])
-    finally:
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
-    if errors:
-        raise errors[0]
+    run_workers(lambda i, share: _kernel_rows(*args, bufs[i], share), shares)
     return GridPdf(grid, out, f.t + 1)
 
 

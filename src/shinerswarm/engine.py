@@ -35,9 +35,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (BLOCK_BYTES, NeighborGraph, SwarmParams, build_neighborhood,
+from .core import (NeighborGraph, SwarmParams, build_neighborhood,
                    check_finite, distance_speed, require, require_int,
-                   speed_law)
+                   row_blocks, speed_law)
 
 # Seeds and steps are Philox words (key and counter), unsigned 64-bit.
 SEED_LIMIT = 2 ** 64
@@ -90,8 +90,8 @@ class Box:
 
 @dataclass
 class SwarmState:
-    """One simulation frame: step index, node positions (complex), and the
-    master seed that keys every draw.
+    """One simulation frame: step index, node positions (a 1-D complex128
+    array, else ParamError), and the master seed that keys every draw.
 
     The draws of a step depend only on (seed, t), so a state is complete on
     its own: ``advance_swarm`` returns a new state and leaves this one as it
@@ -103,6 +103,8 @@ class SwarmState:
     seed: int
 
     def __post_init__(self) -> None:
+        self.positions = p = np.asarray(self.positions, dtype=np.complex128)
+        require(p.ndim == 1, "positions", "must be 1-D", f"shape {p.shape}")
         self.seed = check_seed(self.seed)
 
 
@@ -293,11 +295,11 @@ def compute_metrics(state: SwarmState, params: SwarmParams, eps: float,
     ``graph`` if given, which must be the neighbor graph of
     ``state.positions`` under ``params.r``, else one built here. The
     pairwise mean is over unordered pairs and is 0 for a single node: the
-    sum of ``|p_i - p_j|`` over full rows, which counts each pair twice, over
-    ``n (n - 1)``. Rows go in blocks of ``core.BLOCK_BYTES``, so memory is
-    O(N). ValueError for positions that are not finite, named by the graph
-    built first, and for distance sums that overflow; ParamError unless
-    eps >= 0 and the frame has a node.
+    sum of ``|p_i - p_j|`` over full rows, which counts each pair twice,
+    over ``n (n - 1)``. Rows go in ``core.row_blocks``, one block at a time,
+    so memory is O(N). ValueError for positions that are not finite, named
+    by the graph built first, and for distance sums that overflow;
+    ParamError unless eps >= 0 and the frame has a node.
     """
     check_run_args(eps=eps)
     p = state.positions
@@ -308,12 +310,12 @@ def compute_metrics(state: SwarmState, params: SwarmParams, eps: float,
     elif graph.n_nodes != n:
         raise ValueError(f"the graph has {graph.n_nodes} nodes and the frame "
                          f"{n}")
-    rows = max(1, BLOCK_BYTES // (n * p.itemsize))
+    blocks = row_blocks(n, p.itemsize)
     with np.errstate(over="ignore"):
         d = np.abs(p - params.rho)
         mean_dist = float(d.mean())
-        total = sum(float(np.abs(p[lo:lo + rows, None] - p).sum())
-                    for lo in range(0, n, rows))
+        total = sum(float(np.abs(p[lo:lo + blocks.step, None] - p).sum())
+                    for lo in blocks)
     if not np.isfinite([mean_dist, total]).all():
         raise ValueError(f"distances overflow: mean distance to rho "
                          f"{mean_dist}, sum of pairwise distances {total}")

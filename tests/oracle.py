@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from shinerswarm.core import (BLOCK_BYTES, NeighborGraph, SwarmParams,
-                              check_finite, hammer, require, require_int)
+from shinerswarm.core import (NeighborGraph, SwarmParams, check_finite,
+                              hammer, require, require_int, row_blocks)
 from shinerswarm.density import GridPdf, KernelParams
 from shinerswarm.engine import (SwarmState, init_swarm, move,
                                 resolve_sigma_const, step_draws)
@@ -279,17 +279,18 @@ def propagate_every_entry(f: GridPdf, params: KernelParams) -> GridPdf:
     n = z.size
     k, norm = params.factors(z)
     wf = f.grid.w * f.values * norm
-    rows = min(n, max(1, BLOCK_BYTES // (n * z.itemsize)))
-    buf = np.empty((rows, n))
+    blocks = row_blocks(n, z.itemsize)
+    buf = np.empty((blocks.step, n))
     out = np.empty(n)
-    for lo in range(0, n, rows):
-        b = buf[:min(rows, n - lo)]
-        np.subtract(z[lo:lo + rows, None], z, out=b)
+    for lo in blocks:
+        hi = min(lo + blocks.step, n)
+        b = buf[:hi - lo]
+        np.subtract(z[lo:hi, None], z, out=b)
         np.multiply(b, k, out=b)
         np.square(b, out=b)
         np.negative(b, out=b)
         np.exp(b, out=b)
-        np.matmul(b, wf, out=out[lo:lo + b.shape[0]])
+        np.matmul(b, wf, out=out[lo:hi])
     return GridPdf(f.grid, out, f.t + 1)
 
 

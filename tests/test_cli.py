@@ -813,6 +813,16 @@ def test_render_density_polyline(tmp_path, capsys):
                  "--out", str(out)]) == 5
 
 
+def test_render_density_of_zero_pdf_scales_its_axis_to_1(tmp_path):
+    csv = tmp_path / "density.csv"
+    csv.write_text("t,z,pdf\n2,-1,0\n2,0,0\n2,1,0\n")
+    out = tmp_path / "density.svg"
+    assert main(["render", "--in", str(csv), "--out", str(out)]) == 0
+    labels = re.findall(r'<text [^>]*text-anchor="end">([^<]*)</text>',
+                        read(out))
+    assert labels[-1] == "1"  # the pdf axis's top label, after its 0
+
+
 def test_render_unknown_header_exits_5(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n1,2\n")

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -22,12 +23,14 @@ from oracle import (
     speed_reference,
     step_displacement,
 )
+from shinerswarm import core
 from shinerswarm.core import (
     NeighborGraph,
     SwarmParams,
     build_neighborhood,
     distance_speed,
     hammer,
+    row_blocks,
     speed_law,
 )
 from shinerswarm.density import KernelParams
@@ -728,3 +731,32 @@ def test_step_draw_validation():
         StepDraw(u_raw=-1.0, z=0j, v=0.0, sigma=1.0)
     with pytest.raises(ValueError):
         StepDraw(u_raw=1.0, z=0j, v=0.0, sigma=-1.0)
+
+
+# the block geometry the suite relies on: 1000 nodes of 16 bytes take 15
+# blocks of 65 rows and a partial one of 25, 200 and 1 node fit one block,
+# and the default density grid of 2001 doubles takes 31 blocks of 65 rows
+@pytest.mark.parametrize("n, itemsize, count, step, last", [
+    (1000, 16, 16, 65, 25),
+    (200, 16, 1, 200, 200),
+    (1, 16, 1, 1, 1),
+    (2001, 8, 31, 65, 51),
+])
+def test_row_blocks_geometry(n, itemsize, count, step, last):
+    blocks = row_blocks(n, itemsize)
+    assert (blocks.start, blocks.stop) == (0, n)
+    assert (len(blocks), blocks.step, n - blocks[-1]) == (count, step, last)
+
+
+def test_cpus_are_those_the_process_may_run_on():
+    if hasattr(os, "sched_getaffinity"):
+        assert core._cpus() == len(os.sched_getaffinity(0))
+    else:
+        assert core._cpus() == (os.cpu_count() or 1)
+
+
+def test_cpus_without_affinity_are_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert core._cpus() == (os.cpu_count() or 1)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert core._cpus() == 1

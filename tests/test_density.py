@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import os
 import sys
 import threading
 import warnings
@@ -14,8 +13,8 @@ from scipy.stats import norm
 
 from conftest import REF_KERNEL, REF_X0, trapezoid_weights, tv_distance_to_samples
 from oracle import mc_sample, propagate_every_entry
-from shinerswarm import density
-from shinerswarm.core import BLOCK_BYTES, ParamError
+from shinerswarm import core, density
+from shinerswarm.core import ParamError, row_blocks
 from shinerswarm.density import (
     DEFAULT_N_POINTS,
     GridPdf,
@@ -255,16 +254,12 @@ def test_propagate_equals_every_entry_oracle(x0, params, z_min, z_max,
         f = _same_bits_as_oracle(f, params)
 
 
-def _row_block_count(n: int) -> int:
-    return -(-n // min(n, max(1, BLOCK_BYTES // (8 * n))))
-
-
 @ORACLE_GRIDS
 def test_propagate_equals_every_entry_oracle_at_each_worker_count(
         monkeypatch, x0, params, z_min, z_max, n_points):
     # more workers than blocks start one thread per block, so they are run
     # only on the grids of few blocks
-    counts = [1, 2, 3] + [10 ** 6] * (_row_block_count(n_points) <= 20)
+    counts = [1, 2, 3] + [10 ** 6] * (len(row_blocks(n_points, 8)) <= 20)
     f = initial_pdf(x0, params, z_min, z_max, n_points)
     # threads switch as often as they can, so that a block done in another
     # order or by two workers at once would show
@@ -278,7 +273,7 @@ def test_propagate_equals_every_entry_oracle_at_each_worker_count(
             expected = propagate_every_entry(f, params)
             outs = []
             for workers in counts:
-                monkeypatch.setattr(density, "_cpus", lambda: workers)
+                monkeypatch.setattr(core, "_cpus", lambda: workers)
                 outs.append(propagate(f, params))
                 assert outs[-1].t == f.t + 1
                 assert (outs[-1].values.tobytes()
@@ -288,36 +283,29 @@ def test_propagate_equals_every_entry_oracle_at_each_worker_count(
         sys.setswitchinterval(interval)
 
 
-def test_cpus_are_those_the_process_may_run_on():
-    if hasattr(os, "sched_getaffinity"):
-        assert density._cpus() == len(os.sched_getaffinity(0))
-    else:
-        assert density._cpus() == (os.cpu_count() or 1)
-
-
 def test_propagate_raises_a_worker_error_once_every_worker_has_joined(
         monkeypatch):
     # 12 row blocks; worker 1 reads from the second block on, and fails
     f = initial_pdf(REF_X0, REF_KERNEL, n_points=1237)
-    row_blocks = density._row_blocks
+    kernel_rows = density._kernel_rows
 
     def fail_in_worker_1(*args):
         buf, blocks = args[-2:]
         if blocks[0] == len(buf):
             raise RuntimeError("worker 1 failed")
-        row_blocks(*args)
+        kernel_rows(*args)
 
-    monkeypatch.setattr(density, "_row_blocks", fail_in_worker_1)
+    monkeypatch.setattr(density, "_kernel_rows", fail_in_worker_1)
     before = threading.active_count()
     for workers in (2, 3):
-        monkeypatch.setattr(density, "_cpus", lambda: workers)
+        monkeypatch.setattr(core, "_cpus", lambda: workers)
         with pytest.raises(RuntimeError, match="worker 1 failed"):
             propagate(f, REF_KERNEL)
         assert threading.active_count() == before
     # one worker is the caller, which reads every block from the first and
     # makes no thread
-    monkeypatch.setattr(density, "_cpus", lambda: 1)
-    monkeypatch.setattr(density, "threading", None)
+    monkeypatch.setattr(core, "_cpus", lambda: 1)
+    monkeypatch.setattr(core, "threading", None)
     assert propagate(f, REF_KERNEL).values.tobytes() == (
         propagate_every_entry(f, REF_KERNEL).values.tobytes())
 
@@ -335,7 +323,7 @@ def test_propagate_raises_a_worker_error_once_every_worker_has_joined(
 def test_propagate_on_two_workers_warns_of_no_overflow_in_any_thread(
         monkeypatch, args, message):
     params, z_min, z_max, n_points = args
-    monkeypatch.setattr(density, "_cpus", lambda: 2)
+    monkeypatch.setattr(core, "_cpus", lambda: 2)
     f = initial_pdf(REF_X0, params, z_min, z_max, n_points)
     # numpy's errstate is per thread, while the warnings filter is global
     with warnings.catch_warnings():
@@ -345,6 +333,23 @@ def test_propagate_on_two_workers_warns_of_no_overflow_in_any_thread(
         else:
             with pytest.raises(ValueError, match=message):
                 propagate(f, params)
+
+
+def test_propagate_calls_the_errstate_function_alike_at_each_worker_count(
+        monkeypatch, ref_chain):
+    # the reference t = 1 pdf's step underflows in exp; every worker holds
+    # the caller's errstate, its "call" mode and its function alike, so the
+    # count does not depend on how the blocks are shared
+    calls = []
+    counts = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(core, "_cpus", lambda: workers)
+        calls.clear()
+        with np.errstate(under="call", call=lambda *_: calls.append(1)):
+            propagate(ref_chain[1], REF_KERNEL)
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert counts == counts[:1] * 3
 
 
 @settings(max_examples=100)

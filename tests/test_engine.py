@@ -15,11 +15,11 @@ from oracle import (fresh_step_normals, heading_angle, indices, indptr,
                     mc_sample, node_step, stepped_walk)
 from shinerswarm import core, engine
 from shinerswarm.core import (
-    BLOCK_BYTES,
     ParamError,
     SwarmParams,
     build_neighborhood,
     distance_speed,
+    row_blocks,
 )
 from shinerswarm.density import KernelParams, initial_pdf, pdf_at_time
 from shinerswarm.engine import (
@@ -91,6 +91,21 @@ def test_seed_outside_uint64_rejected(seed):
         init_swarm(params, seed, UNIT_BOX)
     with pytest.raises(ValueError, match="seed"):
         SwarmState(0, np.zeros(3, dtype=complex), seed)
+
+
+def test_swarm_state_holds_one_dimensional_complex_positions():
+    p = _reference_density_state(100).positions
+    assert SwarmState(0, p, 0).positions is p  # the walk's arrays: no copy
+    listed = SwarmState(0, [0.5, 1j], 0).positions
+    assert listed.dtype == np.complex128 and listed.tolist() == [0.5, 1j]
+    # a 2-D frame once gave compute_metrics a wrong pairwise mean (0.0489
+    # for 0.5454: its graph ravelled the array, its row sums broadcast it)
+    # and advance_swarm an IndexError; now neither gets such a state
+    for bad in (p.reshape(10, 10), p[0]):
+        with pytest.raises(ParamError, match="^positions must be 1-D, got "
+                           "shape") as info:
+            SwarmState(0, bad, 0)
+        assert info.value.key == "positions"
 
 
 @pytest.mark.parametrize("t", [-1, 2 ** 64])
@@ -458,12 +473,10 @@ def _reference_density_state(n, seed=0):
     return init_swarm(SwarmParams(n_nodes=n), seed, Box(-half, -half, half, half))
 
 
-# rows of one block are BLOCK_BYTES // (16 n): 200 nodes fit one block, and
-# 1000 nodes take 15 blocks of 65 rows and a partial one of 25
+# 200 nodes fit one row block, and 1000 nodes end in a partial one
 @pytest.mark.parametrize("n", [1, 2, 200, 1000])
 def test_metrics_pairwise_mean_matches_pdist(n):
-    assert (BLOCK_BYTES // (16 * 200) >= 200
-            and 1000 % (BLOCK_BYTES // (16 * 1000)) != 0)
+    assert len(row_blocks(200, 16)) == 1 and 1000 % row_blocks(1000, 16).step
     state = _reference_density_state(n, seed=n)
     p = state.positions
     expected = pdist(np.column_stack([p.real, p.imag])).mean() if n > 1 else 0.0

@@ -90,6 +90,11 @@ def test_density_view_of_zero_mass_is_the_grid():
     assert mass_range(z, np.zeros(11)) == (-2.0, 3.0)
 
 
+def test_density_svg_of_no_curves_is_refused():
+    with pytest.raises(ValueError, match="^no curves to plot$"):
+        density_svg([])
+
+
 def test_reference_t3_curve_fills_the_plot(ref_chain):
     # the README's density --x0 5 --t 3 example, on the +/-1000 log-graded grid
     f = ref_chain[3]
