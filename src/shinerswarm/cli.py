@@ -114,7 +114,7 @@ def cmd_density(args: argparse.Namespace) -> int:
     lines, stats_lines = [DENSITY_HEADER], []
     for t in range(1, args.t + 1):
         if t > 1:
-            f = propagate(f, params)
+            f = propagate(f)
         for z, p in zip(f.z, f.values):
             lines.append(f"{t},{_fmt(z)},{_fmt(p)}")
         stats = grid_stats(f, args.near_eps)

@@ -157,10 +157,14 @@ class NeighborGraph:
     which are the nodes ``order[a[k]]`` and ``order[b[k]]``.
     """
 
-    n_nodes: int
     order: np.ndarray
     a: np.ndarray
     b: np.ndarray
+
+    @property
+    def n_nodes(self) -> int:
+        """The node count, one sorted position per node."""
+        return self.order.size
 
     def degrees(self) -> np.ndarray:
         """Node i's neighbor count at index i."""
@@ -251,7 +255,7 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
     require(r >= 0, "r", "must be >= 0", r, "sensing radius ")
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
-        return NeighborGraph(0, empty, empty, empty)
+        return NeighborGraph(empty, empty, empty)
 
     x, y = p.real, p.imag
     x_lo, x_hi, y_lo, y_hi = (float(x.min()), float(x.max()),
@@ -297,7 +301,7 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
         else:
             close = np.abs(d) <= r
     kept = np.flatnonzero(close)
-    return NeighborGraph(n, order, a[kept], b[kept])
+    return NeighborGraph(order, a[kept], b[kept])
 
 
 @functools.lru_cache(maxsize=4)
@@ -344,7 +348,9 @@ def distance_speed(d: np.ndarray, params: SwarmParams) -> np.ndarray:
         return speed_law(params.c1, params.c2, d, out=d)
     if params.sigma_const is None:
         raise ValueError("sigma_const must be set when the environmental "
-                         "factor is disabled")
+                         "factor is disabled; run sets it to "
+                         "engine.resolve_sigma_const(params, init_swarm("
+                         "params, seed, region).positions)")
     d.fill(params.sigma_const)
     return d
 

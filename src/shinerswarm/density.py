@@ -22,9 +22,10 @@ to ``c2 + |x|`` as the kernel width does, and integrals are taken by the
 trapezoid rule in u with the Jacobian ``dx/du = c2 + |x|``. The origin,
 where the kernel width has its kink, is always a node when the span holds
 it; the rule's only error there makes mass shrink, never grow. Each grid
-is one frozen, cached ``Grid`` of read-only nodes, u nodes and weights; a
-``GridPdf`` owns only its values on a grid and its step, so every pdf on a
-grid is integrated by that grid's one rule.
+is one frozen, cached ``Grid`` of read-only nodes, u nodes and weights,
+which holds the kernel it is graded and checked for; a ``GridPdf`` owns
+only its values on a grid and its step, so every pdf on a grid is
+integrated by that grid's one rule and stepped by that grid's one kernel.
 
 Mass that diffuses past the grid edges is simply lost and shows up as a
 total-mass deficit; it is reported by ``grid_stats`` and never renormalized
@@ -109,37 +110,41 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class Grid:
-    """A log-graded grid, built and checked once by ``_graded_grid``: nodes
-    ``z``, finite and strictly increasing, uniform on each side of the
-    origin in ``u = sign(z) * log1p(|z| / c2)``; finite weights ``w``, the
-    trapezoid rule in u times the Jacobian ``c2 + |z|``, so ``w @ values``
-    is a pdf's mass; and ``du``, the largest node spacing in u. The arrays
-    are read-only and shared by every pdf on the grid."""
+    """A log-graded grid for the transition ``kernel``, built and checked
+    once by ``_graded_grid``: nodes ``z``, finite and strictly increasing,
+    uniform on each side of the origin in ``u = sign(z) * log1p(|z| / c2)``
+    with the kernel's c2; finite weights ``w``, the trapezoid rule in u
+    times the Jacobian ``c2 + |z|``, so ``w @ values`` is a pdf's mass; and
+    ``du``, the largest node spacing in u. The arrays are read-only and
+    shared by every pdf on the grid; ``propagate`` steps each such pdf
+    through ``kernel``, the one ``initial_pdf`` checked the grid for."""
 
     z: np.ndarray
     u: np.ndarray
     w: np.ndarray
-    c2: float
+    kernel: KernelParams
     du: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class GridPdf:
     """Pdf samples ``values``, one per node of ``grid``, at time step t.
     The grid owns the nodes and weights, and the pdf only its values: they
-    must be finite and >= 0, with mass ``grid.w @ values`` at most 1."""
+    must be finite and >= 0, with mass ``grid.w @ values`` at most 1. The
+    fields are checked once, so none can be reassigned."""
 
     grid: Grid
     values: np.ndarray
     t: int
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.grid.z.shape:
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", values)
+        if values.shape != self.grid.z.shape:
             raise ValueError("pdf values must have one entry per grid node")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
+        if not np.all(np.isfinite(values)) or np.any(values < 0):
             raise ValueError(f"t = {self.t}: pdf values must be finite and >= 0")
-        mass = float(self.grid.w @ self.values)
+        mass = float(self.grid.w @ values)
         if mass > 1.0 + 1e-9:
             raise ValueError(f"t = {self.t}: pdf mass {mass} exceeds 1 "
                              f"(unnormalized input?)")
@@ -170,23 +175,25 @@ def _kernel_pdf(mu, z, params: KernelParams):
 # RSS instead of 43.5-43.8 MB, in 3 of 3 pairs of runs.
 @functools.lru_cache(maxsize=8)
 @np.errstate(over="ignore")
-def _graded_grid(z_min: float, z_max: float, n_points: int, c2: float) -> Grid:
-    """The grid of n_points nodes uniform in u = sign(x) * log(1 + |x| / c2)
-    on [z_min, z_max] (see ``Grid``).
+def _graded_grid(z_min: float, z_max: float, n_points: int,
+                 kernel: KernelParams) -> Grid:
+    """The grid for ``kernel`` of n_points nodes uniform in
+    u = sign(x) * log(1 + |x| / c2) on [z_min, z_max] (see ``Grid``).
 
     A span across the origin is split there, each side uniform in u with
     the points shared in proportion to its length, so the origin is a node.
-    Each grid is built and checked once. ParamError unless n_points >= 3,
-    z_min < z_max are finite, and each end's u, node and Jacobian are
-    finite. GridSpanError when all nodes are closer in u than the smallest
-    normal double, and, naming the point count, when the span does not hold
-    n_points distinct nodes or a weight overflows.
+    Each grid is built and checked once per kernel. ParamError unless
+    n_points >= 3, z_min < z_max are finite, and each end's u, node and
+    Jacobian are finite. GridSpanError when all nodes are closer in u than
+    the smallest normal double, and, naming the point count, when the span
+    does not hold n_points distinct nodes or a weight overflows.
     """
     require(require_int("n_points", n_points) >= 3, "n_points",
             "must be >= 3", n_points)
     require(np.isfinite(z_min), "z_min", "must be finite", z_min)
     require(z_min < z_max < np.inf, "z_max",
             f"must be finite and greater than z_min = {z_min}", z_max)
+    c2 = kernel.c2
     u_min, u_max = (float(np.sign(x) * np.log1p(abs(x) / c2)) for x in (z_min, z_max))
     # the build ignores overflow: an end out of range reads +inf here
     bound = min(c2 * _FLOAT_MAX, _FLOAT_MAX - c2)
@@ -225,7 +232,7 @@ def _graded_grid(z_min: float, z_max: float, n_points: int, c2: float) -> Grid:
             f"quadrature weights overflow")
     for a in (z, u, w):
         a.flags.writeable = False
-    return Grid(z, u, w, c2, du_max)
+    return Grid(z, u, w, kernel, du_max)
 
 
 def initial_pdf(x0: float, params: KernelParams,
@@ -242,7 +249,7 @@ def initial_pdf(x0: float, params: KernelParams,
     grid is valid (see ``_graded_grid``).
     """
     require(np.isfinite(x0), "x0", "must be finite", x0)
-    grid = _graded_grid(z_min, z_max, n_points, params.c2)
+    grid = _graded_grid(z_min, z_max, n_points, params)
     width = params.c1 / (1.0 + params.c1)
     if grid.du > _MAX_DU * width:
         raise GridSpanError(
@@ -305,8 +312,9 @@ def _kernel_rows(z, k, wf, left, right, out, buf, blocks) -> None:
 # an sd and a node distance both overflow or a kernel is too narrow for a
 # finite norm, and GridPdf's check refuses it.
 @np.errstate(over="ignore", invalid="ignore")
-def propagate(f: GridPdf, params: KernelParams) -> GridPdf:
-    """Push the pdf one step forward on the same grid.
+def propagate(f: GridPdf) -> GridPdf:
+    """Push the pdf one step forward on the same grid, through the kernel
+    the grid holds (``Grid.kernel``), the one ``initial_pdf`` checked it for.
 
     Output value i is the quadrature ``sum_j w_j f_j kernel(z_j -> z_i)``
     over the grid's weights. The kernel's normalisation is folded into the
@@ -323,9 +331,10 @@ def propagate(f: GridPdf, params: KernelParams) -> GridPdf:
     truncation); the deficit is observable via grid_stats.
     """
     grid = f.grid
+    kernel = grid.kernel
     z = grid.z
     n = z.size
-    k, norm = params.factors(z)
+    k, norm = kernel.factors(z)
     wf = grid.w * f.values * norm
     blocks = row_blocks(n, z.itemsize)
     shares = deal(blocks)
@@ -334,7 +343,7 @@ def propagate(f: GridPdf, params: KernelParams) -> GridPdf:
     # the reach arrays come after the buffers: before them, the allocator's
     # heap layout raised the repeated t = 3 chain's peak RSS by 1.1-1.3 MB
     # (41.4-41.5 MB against 40.2-40.5 MB, 3 s runs, numpy 2.4.6)
-    reach = _REACH_SDS * params.sd(z)
+    reach = _REACH_SDS * kernel.sd(z)
     args = (z, k, wf, z - reach, z + reach, out)
     run_workers(lambda i, share: _kernel_rows(*args, bufs[i], share), shares)
     return GridPdf(grid, out, f.t + 1)
@@ -348,7 +357,7 @@ def pdf_at_time(x0: float, t: int, params: KernelParams,
     require(require_int("t", t) >= 1, "t", "must be >= 1", t)
     f = initial_pdf(x0, params, z_min, z_max, n_points)
     for _ in range(t - 1):
-        f = propagate(f, params)
+        f = propagate(f)
     return f
 
 
@@ -362,13 +371,14 @@ def grid_stats(f: GridPdf, eps: float) -> GridStats:
     truncated tail the grid has lost. ParamError unless eps >= 0."""
     require(eps >= 0, "eps", "must be >= 0", eps)
     grid = f.grid
+    c2 = grid.kernel.c2
     mass = float(grid.w @ f.values)
     if mass <= 0.0:
         raise ValueError("pdf has zero mass")
     mean = float(grid.w @ (grid.z * f.values)) / mass
     u = grid.u
-    u_eps = math.log1p(eps / grid.c2)
-    g = f.values * (grid.c2 + np.abs(grid.z))
+    u_eps = math.log1p(eps / c2)
+    g = f.values * (c2 + np.abs(grid.z))
     lo, hi = max(-u_eps, u[0]), min(u_eps, u[-1])
     near = 0.0
     if lo < hi:

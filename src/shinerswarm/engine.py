@@ -88,10 +88,11 @@ class Box:
                     "region ")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SwarmState:
     """One simulation frame: step index, node positions (a 1-D complex128
-    array, else ParamError), and the master seed that keys every draw.
+    array, else ParamError), and the master seed that keys every draw. The
+    fields are checked once, so none can be reassigned.
 
     The draws of a step depend only on (seed, t), so a state is complete on
     its own: ``advance_swarm`` returns a new state and leaves this one as it
@@ -103,9 +104,10 @@ class SwarmState:
     seed: int
 
     def __post_init__(self) -> None:
-        self.positions = p = np.asarray(self.positions, dtype=np.complex128)
+        p = np.asarray(self.positions, dtype=np.complex128)
         require(p.ndim == 1, "positions", "must be 1-D", f"shape {p.shape}")
-        self.seed = check_seed(self.seed)
+        object.__setattr__(self, "positions", p)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 @dataclass(frozen=True)

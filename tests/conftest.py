@@ -37,7 +37,7 @@ def ref_chain() -> dict[int, GridPdf]:
     f = initial_pdf(REF_X0, REF_KERNEL)
     chain = {1: f}
     for t in (2, 3):
-        f = propagate(f, REF_KERNEL)
+        f = propagate(f)
         chain[t] = f
     _REF_TIMING["seconds"] = time.perf_counter() - t0
     return chain

@@ -261,11 +261,12 @@ def test_neighborhood_over_budget_on_cells_of_side_r_names_no_node():
         build_neighborhood(p, 2.0)
 
 
-def test_neighbor_graph_holds_only_its_four_arrays():
+def test_neighbor_graph_holds_only_its_three_arrays():
     graph = build_neighborhood([0j, 0.1 + 0j, 1 + 0j], r=0.2)
     graph.degrees()
     graph.component_count()
-    assert set(vars(graph)) == {"n_nodes", "order", "a", "b"}
+    assert set(vars(graph)) == {"order", "a", "b"}
+    assert graph.n_nodes == graph.order.size == 3
 
 
 def test_neighborhood_rejects_bad_input():

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import sys
 import threading
@@ -116,7 +117,7 @@ def _uniform_in_u(z_min, z_max, n, c2=0.1) -> GridPdf:
     """The pdf uniform in u on the builder's grid: ``values * (c2 + |z|)``
     is constant, so the weights' rule integrates it exactly, to mass 1, and
     its mass on [a, b] is ``(u(b) - u(a)) / (u(z_max) - u(z_min))``."""
-    grid = _graded_grid(z_min, z_max, n, c2)
+    grid = _graded_grid(z_min, z_max, n, KernelParams(c2=c2))
     u_span = _u(z_max, c2) - _u(z_min, c2)
     return GridPdf(grid, 1.0 / (u_span * (c2 + np.abs(grid.z))), t=1)
 
@@ -127,7 +128,7 @@ def _uniform_in_u(z_min, z_max, n, c2=0.1) -> GridPdf:
 
 def _dirac_at_zero() -> GridPdf:
     """Unit mass at the origin, a node of every span across 0."""
-    grid = _graded_grid(-60.0, 60.0, 6001, REF_KERNEL.c2)
+    grid = _graded_grid(-60.0, 60.0, 6001, REF_KERNEL)
     k = int(np.flatnonzero(grid.z == 0.0)[0])
     values = np.zeros(grid.z.size)
     values[k] = 1.0 / grid.w[k]
@@ -135,7 +136,7 @@ def _dirac_at_zero() -> GridPdf:
 
 
 def test_propagate_point_mass_reproduces_kernel():
-    out = propagate(_dirac_at_zero(), REF_KERNEL)
+    out = propagate(_dirac_at_zero())
     assert out.t == 2
     z = out.z
     expected = _kernel_pdf(0.0, z, REF_KERNEL)
@@ -148,7 +149,7 @@ def test_propagate_point_mass_reproduces_kernel():
 
 
 def test_propagate_point_mass_matches_kernel_away_from_tails():
-    out = propagate(_dirac_at_zero(), REF_KERNEL)
+    out = propagate(_dirac_at_zero())
     expected = _kernel_pdf(0.0, out.z, REF_KERNEL)
     body = expected >= 0.01 * expected.max()
     rel = np.abs(out.values[body] - expected[body]) / expected[body]
@@ -165,7 +166,7 @@ def test_propagate_never_gains_mass(ref_chain):
     masses = [grid_stats(ref_chain[t], eps=1.0).mass for t in (1, 2, 3)]
     assert masses[1] <= masses[0] + 1e-9
     assert masses[2] <= masses[1] + 1e-9
-    out = propagate(_dirac_at_zero(), REF_KERNEL)
+    out = propagate(_dirac_at_zero())
     assert out.grid.w @ out.values <= 1.0 + 1e-9
 
 
@@ -187,7 +188,7 @@ def test_propagate_matches_direct_quadrature_partial_last_block(t):
     # 1237 points: the row blocks do not divide the grid, so the last one is
     # partial
     f = pdf_at_time(REF_X0, t, REF_KERNEL, n_points=1237)
-    np.testing.assert_allclose(propagate(f, REF_KERNEL).values,
+    np.testing.assert_allclose(propagate(f).values,
                                _direct_quadrature(f, REF_KERNEL),
                                rtol=ORACLE_RTOL, atol=ORACLE_ATOL)
 
@@ -195,10 +196,10 @@ def test_propagate_matches_direct_quadrature_partial_last_block(t):
 def test_propagate_matches_direct_quadrature_below_one_block():
     # nodes about 0.35 apart in u against a kernel about 1 wide there
     params = KernelParams(c1=1.0, c2=1.0)
-    grid = _graded_grid(-1.0, 1.0, 5, params.c2)
+    grid = _graded_grid(-1.0, 1.0, 5, params)
     values = norm.pdf(grid.z, loc=0.5, scale=params.sd(0.5))
     f = GridPdf(grid, 0.9 * values / (grid.w @ values), t=1)
-    out = propagate(f, params)
+    out = propagate(f)
     assert out.t == 2
     np.testing.assert_allclose(out.values, _direct_quadrature(f, params),
                                rtol=ORACLE_RTOL, atol=ORACLE_ATOL)
@@ -217,14 +218,14 @@ def test_propagate_matches_oracle_and_never_gains_mass(c1, c2, x0, extra):
     u_max = math.log1p(200.0 / c2)
     n = 2 + math.ceil(u_max / 0.025) + extra
     f = initial_pdf(x0, params, -200.0, 200.0, n)
-    out = propagate(f, params)
+    out = propagate(f)
     np.testing.assert_allclose(out.values, _direct_quadrature(f, params),
                                rtol=ORACLE_RTOL, atol=ORACLE_ATOL)
     assert out.grid.w @ out.values <= f.grid.w @ f.values + 1e-9
 
 
 def _same_bits_as_oracle(f: GridPdf, params: KernelParams) -> GridPdf:
-    out = propagate(f, params)
+    out = propagate(f)
     assert out.t == f.t + 1
     assert out.values.tobytes() == propagate_every_entry(f, params).values.tobytes()
     return out
@@ -274,7 +275,7 @@ def test_propagate_equals_every_entry_oracle_at_each_worker_count(
             outs = []
             for workers in counts:
                 monkeypatch.setattr(core, "_cpus", lambda: workers)
-                outs.append(propagate(f, params))
+                outs.append(propagate(f))
                 assert outs[-1].t == f.t + 1
                 assert (outs[-1].values.tobytes()
                         == expected.values.tobytes()), workers
@@ -300,13 +301,13 @@ def test_propagate_raises_a_worker_error_once_every_worker_has_joined(
     for workers in (2, 3):
         monkeypatch.setattr(core, "_cpus", lambda: workers)
         with pytest.raises(RuntimeError, match="worker 1 failed"):
-            propagate(f, REF_KERNEL)
+            propagate(f)
         assert threading.active_count() == before
     # one worker is the caller, which reads every block from the first and
     # makes no thread
     monkeypatch.setattr(core, "_cpus", lambda: 1)
     monkeypatch.setattr(core, "threading", None)
-    assert propagate(f, REF_KERNEL).values.tobytes() == (
+    assert propagate(f).values.tobytes() == (
         propagate_every_entry(f, REF_KERNEL).values.tobytes())
 
 
@@ -329,10 +330,10 @@ def test_propagate_on_two_workers_warns_of_no_overflow_in_any_thread(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if message is None:
-            assert propagate(f, params).t == 2
+            assert propagate(f).t == 2
         else:
             with pytest.raises(ValueError, match=message):
-                propagate(f, params)
+                propagate(f)
 
 
 def test_propagate_calls_the_errstate_function_alike_at_each_worker_count(
@@ -346,7 +347,7 @@ def test_propagate_calls_the_errstate_function_alike_at_each_worker_count(
         monkeypatch.setattr(core, "_cpus", lambda: workers)
         calls.clear()
         with np.errstate(under="call", call=lambda *_: calls.append(1)):
-            propagate(ref_chain[1], REF_KERNEL)
+            propagate(ref_chain[1])
         counts.append(len(calls))
     assert counts[0] > 0
     assert counts == counts[:1] * 3
@@ -376,6 +377,26 @@ def test_propagate_equals_every_entry_oracle_on_accepted_grids(
         assume(False)
     for _ in range(2):
         f = _same_bits_as_oracle(f, params)
+
+
+def test_a_pdf_steps_only_through_the_kernel_its_grid_was_checked_for():
+    # a kernel passed to propagate beside the pdf could be one its grid was
+    # never checked for: c1 = 0.02 is refused on the default grid, yet a
+    # c1 = 1 pdf stepped through it there to a mass of 0.99999986. So the
+    # grid holds its kernel, one grid per kernel, and propagate takes none.
+    assert list(inspect.signature(propagate).parameters) == ["f"]
+    fields = {field.name for field in dataclasses.fields(density.Grid)}
+    assert "kernel" in fields and "c2" not in fields
+    with pytest.raises(GridSpanError, match="2001 points are too few"):
+        initial_pdf(REF_X0, KernelParams(0.02, 0.1))
+    grids = []
+    for params in (REF_KERNEL, KernelParams(0.5, 0.1)):
+        f = initial_pdf(REF_X0, params)
+        assert f.grid.kernel == params
+        assert (propagate(f).values.tobytes()
+                == propagate_every_entry(f, params).values.tobytes())
+        grids.append(f.grid)
+    assert grids[0] is not grids[1]
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +552,9 @@ def _mass_between(f: GridPdf, a: float, b: float) -> float:
     [-eps, eps]: the integral in u of the linear interpolant of
     ``values * (c2 + |z|)``, partial cells at both ends included."""
     grid = f.grid
-    ua, ub = (_u(x, grid.c2) for x in (a, b))
-    u, g = grid.u, f.values * (grid.c2 + np.abs(grid.z))
+    c2 = grid.kernel.c2
+    ua, ub = (_u(x, c2) for x in (a, b))
+    u, g = grid.u, f.values * (c2 + np.abs(grid.z))
     un = np.concatenate(([ua], u[(ua < u) & (u < ub)], [ub]))
     return float(np.trapezoid(np.interp(un, u, g), un))
 
@@ -568,7 +590,7 @@ def graded_pdfs(draw) -> GridPdf:
         f = initial_pdf(x0, params, z_min, z_max, n)
     except GridSpanError:  # a one-cell side of the origin can be too wide
         assume(False)
-    return propagate(f, params) if draw(st.booleans()) else f
+    return propagate(f) if draw(st.booleans()) else f
 
 
 def _check_mass_near(f: GridPdf, eps: list[float]) -> None:
@@ -593,7 +615,7 @@ def builder_grid_pdfs(draw) -> GridPdf:
     z_min = draw(st.floats(-500.0, 500.0))
     z_max = z_min + draw(st.floats(0.01, 1000.0))
     grid = _graded_grid(z_min, z_max, draw(st.integers(3, 300)),
-                        draw(st.floats(0.01, 2.0)))
+                        KernelParams(c2=draw(st.floats(0.01, 2.0))))
     raw = draw(arrays(np.float64, grid.z.size, elements=st.floats(0.0, 1e6)))
     mass = grid.w @ raw
     assume(mass > 0.0)
@@ -615,7 +637,7 @@ def test_mass_near_on_a_grid_from_the_smallest_subnormal(n, c2):
     # it runs whichever modules a run collects: at c2 <= 0.5 the cell left
     # of the origin is 5e-324 wide, and at c2 = 2 the left end rounds onto
     # the origin
-    grid = _graded_grid(-5e-324, 1.0, n, c2)
+    grid = _graded_grid(-5e-324, 1.0, n, KernelParams(c2=c2))
     raw = np.random.default_rng(n).uniform(0.0, 1e6, n)
     f = GridPdf(grid, raw / max(1.0, grid.w @ raw), t=1)
     for eps in ([0.0, 5e-324], [1e-3, 0.5], [0.5, 1500.0]):
@@ -650,6 +672,21 @@ def test_pdfs_on_one_grid_share_its_read_only_arrays(ref_chain):
     assert g3.values is not f3.values
 
 
+def test_grid_pdf_fields_cannot_be_reassigned():
+    # values assigned to a pdf would pass by GridPdf's checks and give
+    # grid_stats a mass of 10000.07; replace builds a new pdf, which is
+    # checked anew
+    f = initial_pdf(REF_X0, REF_KERNEL)
+    mass = grid_stats(f, eps=1.0).mass
+    five = np.full(f.z.size, 5.0)
+    for field, value in (("values", five), ("grid", f.grid), ("t", 2)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(f, field, value)
+    assert grid_stats(f, eps=1.0).mass == mass
+    with pytest.raises(ValueError, match="mass .* exceeds 1"):
+        dataclasses.replace(f, values=five)
+
+
 @pytest.mark.parametrize("eps", [-1.0, math.nan])
 def test_grid_stats_rejects_an_eps_out_of_range(eps):
     f = pdf_at_time(0.5, 2, KernelParams())
@@ -660,19 +697,19 @@ def test_grid_stats_rejects_an_eps_out_of_range(eps):
 
 
 def test_grid_stats_rejects_zero_mass():
-    f = GridPdf(_graded_grid(-1.0, 1.0, 11, 0.1), np.zeros(11), t=1)
+    f = GridPdf(_graded_grid(-1.0, 1.0, 11, KernelParams()), np.zeros(11), t=1)
     with pytest.raises(ValueError, match="zero mass"):
         grid_stats(f, eps=0.5)
 
 
 def test_grid_pdf_validation():
-    grid = _graded_grid(-1.0, 1.0, 11, 0.1)
+    grid = _graded_grid(-1.0, 1.0, 11, KernelParams())
     with pytest.raises(ValueError):
-        _graded_grid(1.0, -1.0, 11, 0.1)
+        _graded_grid(1.0, -1.0, 11, KernelParams())
     with pytest.raises(ValueError):
         GridPdf(grid, -np.ones(11), t=1)
     with pytest.raises(ValueError):
-        GridPdf(_graded_grid(-1.0, 1.0, 12, 0.1), np.zeros(11), t=1)
+        GridPdf(_graded_grid(-1.0, 1.0, 12, KernelParams()), np.zeros(11), t=1)
     with pytest.raises(ValueError):
         GridPdf(grid, np.full(11, np.nan), t=1)
     with pytest.raises(ValueError, match="mass"):

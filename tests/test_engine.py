@@ -1,8 +1,9 @@
 import math
 import pickle
+import re
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -106,6 +107,24 @@ def test_swarm_state_holds_one_dimensional_complex_positions():
                            "shape") as info:
             SwarmState(0, bad, 0)
         assert info.value.key == "positions"
+
+
+def test_swarm_state_fields_cannot_be_reassigned():
+    # a 2-D frame assigned to a state would pass by the check above and give
+    # compute_metrics the pairwise mean 0.0471 for 0.5262; replace builds a
+    # new state, which is checked anew
+    params = SwarmParams()
+    state = init_swarm(params, 0, UNIT_BOX)
+    p = state.positions
+    before = compute_metrics(state, params, DEFAULT_EPS)
+    for field, value in (("positions", p.reshape(10, 10)), ("seed", -1),
+                         ("t", 1)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(state, field, value)
+    assert state.positions is p
+    assert compute_metrics(state, params, DEFAULT_EPS) == before
+    with pytest.raises(ParamError, match="^positions must be 1-D"):
+        replace(state, positions=p.reshape(10, 10))
 
 
 @pytest.mark.parametrize("t", [-1, 2 ** 64])
@@ -552,14 +571,26 @@ def test_run_is_bit_reproducible():
         assert ma == mb
 
 
-def test_run_snapshots_are_resumable():
-    params = SwarmParams(n_nodes=25)
+@pytest.mark.parametrize("mode", ["both", "env", "social", "none"])
+def test_run_snapshots_are_resumable(mode):
+    # a record resumes under the params the walk stepped with: in modes none
+    # and social, run fills in sigma_const, and the error of a resume
+    # without it names how
+    params = SwarmParams(n_nodes=25, env_enabled=mode in ("both", "env"),
+                         social_enabled=mode in ("both", "social"))
     records = run(params, 13, UNIT_BOX, n_steps=10, snapshot_stride=5)
     mid = records[1][0]
     assert mid.t == 5
+    resolved = resolve_sigma_const(
+        params, init_swarm(params, 13, UNIT_BOX).positions)
+    if not params.env_enabled:
+        with pytest.raises(ValueError, match=re.escape(
+                "engine.resolve_sigma_const(params, init_swarm(params, seed, "
+                "region).positions)")):
+            advance_swarm(mid, params)
     state = mid
     for _ in range(5):
-        state = advance_swarm(state, params)
+        state = advance_swarm(state, resolved)
     assert np.array_equal(state.positions, records[2][0].positions)
 
 

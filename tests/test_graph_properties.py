@@ -163,7 +163,7 @@ def graph_from_edges(n, edges):
         if i != j:
             pairs.setdefault(frozenset((i, j)), (i, j))
     uv = np.array(list(pairs.values()), dtype=np.int64).reshape(-1, 2)
-    return NeighborGraph(n, np.arange(n), uv[:, 0], uv[:, 1])
+    return NeighborGraph(np.arange(n), uv[:, 0], uv[:, 1])
 
 
 @PROPERTY_SETTINGS

@@ -1,5 +1,5 @@
 """The README's contract lists, held to the code they state: the config
-keys, the exit codes and the output headers."""
+keys, the exit codes, the output headers and the flag errors."""
 
 import dataclasses
 import re
@@ -37,3 +37,19 @@ def test_readme_quotes_every_output_header():
     for header in (cli.SNAPSHOT_HEADER, cli.METRICS_HEADER,
                    cli.DENSITY_HEADER):
         assert f"`{header}`" in README
+
+
+def test_readme_flag_errors_are_what_the_commands_print(tmp_path,
+                                                        monkeypatch, capsys):
+    # each quoted simulate or density command that README says "gives" an
+    # error naming a flag or a key prints that line, whitespace folded
+    examples = re.findall(
+        r"`((?:simulate|density) [^`]*)` gives `(error: (?:--|key )[^`]*)`",
+        " ".join(README.split()))
+    assert {command.split()[0] for command, _ in examples} == {"simulate",
+                                                                "density"}
+    monkeypatch.chdir(tmp_path)
+    for command, error in examples:
+        assert cli.main(command.split()) == 2, command
+        assert " ".join(capsys.readouterr().err.split()) == error
+    assert not list(tmp_path.iterdir())
