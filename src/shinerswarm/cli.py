@@ -130,7 +130,8 @@ def cmd_density(args: argparse.Namespace) -> int:
 def _load_csv(path: str, headers) -> tuple[str, list[tuple]]:
     """Header and typed rows of a CSV file whose header is in ``headers``;
     OSError if it cannot be read, ConfigError if its content is wrong,
-    including a snapshot that lists a node twice in one step."""
+    including a snapshot that lists a node twice in one step and a density
+    whose z falls within a t."""
     lines = [line for line in _read_text(path).splitlines() if line]
     if not lines:
         raise ConfigError(f"{path}: empty file")
@@ -153,6 +154,15 @@ def _load_csv(path: str, headers) -> tuple[str, list[tuple]]:
                 raise ConfigError(f"{path}: step {step}: node {node} "
                                   f"appears twice")
             seen.add((step, node))
+    elif header == DENSITY_HEADER:
+        last_z = {}
+        for row, (t, z, _) in zip(rows, table):
+            if not math.isfinite(z):
+                continue  # _draw refuses it, naming its step, if drawn
+            if z < last_z.get(t, z):
+                raise ConfigError(f"{path}: t {t}: row {row} has a z below "
+                                  f"the row before it")
+            last_z[t] = z
     return header, table
 
 

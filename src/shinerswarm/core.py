@@ -12,15 +12,16 @@ neighbor is closer than ``s``, which folds attraction and collision
 avoidance into a single complex-valued function.
 
 Neighbors are the nodes within the sensing radius r. ``build_neighborhood``
-tests the pairs of a sorted cell list (all pairs up to 128 nodes) and
-returns them in that sorted order (``NeighborGraph``): the node order and
-two index arrays into it holding each unordered pair once. Each factor of a
-step has one home here: the speed law of both engines, ``speed_law``, which
-``distance_speed`` and ``density.KernelParams.sd`` apply, and the social
-heading ``NeighborGraph.social_heading``, formed in the sorted order, so a
-step sorts no edges and maps no pair to node ids. Both O(N^2) loops go in
-the blocks of ``row_blocks``, which ``run_workers`` can share among threads.
-Nothing here keeps mutable state.
+tests the pairs of a sorted cell list (all pairs up to 128 nodes) and returns
+them in that sorted order (``NeighborGraph``) with the frame and r they were
+found in: the node order and two index arrays into it holding each unordered
+pair once. Each factor of a step has one home here: the speed law of both
+engines, ``speed_law``, which ``distance_speed`` and
+``density.KernelParams.sd`` apply, and the social heading
+``NeighborGraph.social_heading``, formed in the sorted order of the graph's
+own frame, so a step sorts no edges and maps no pair to node ids. Both O(N^2)
+loops go in the blocks of ``row_blocks``, which ``run_workers`` can share
+among threads. Nothing here keeps mutable state.
 """
 
 from __future__ import annotations
@@ -148,18 +149,20 @@ _MIN_NORMAL = 2.0 ** -1022
 
 @dataclass(frozen=True, eq=False)
 class NeighborGraph:
-    """Symmetric, loop-free neighbor graph under the sensing-radius relation,
-    as a pair list in the sorted order of its build.
+    """Symmetric, loop-free neighbor graph of one frame under the
+    sensing-radius relation r, as a pair list in the sorted order of its build.
 
-    Sorted position k holds node ``order[k]``. Each unordered pair of
-    distinct nodes with ``|p_i - p_j| <= r`` appears exactly once, as the
-    sorted positions ``(a[k], b[k])`` for one k, in no particular order,
-    which are the nodes ``order[a[k]]`` and ``order[b[k]]``.
+    Sorted position k holds node ``order[k]``, at ``positions[k]`` (read-only).
+    Each unordered pair of distinct nodes with ``|p_i - p_j| <= r`` appears
+    exactly once, as the sorted positions ``(a[k], b[k])`` for one k, in no
+    particular order, which are the nodes ``order[a[k]]`` and ``order[b[k]]``.
     """
 
     order: np.ndarray
     a: np.ndarray
     b: np.ndarray
+    positions: np.ndarray
+    r: float
 
     @property
     def n_nodes(self) -> int:
@@ -195,13 +198,13 @@ class NeighborGraph:
                 return int(np.count_nonzero(label == nodes))
             label = hooked
 
-    def social_heading(self, p, s: float, w: float, noise) -> np.ndarray:
+    def social_heading(self, s: float, w: float, noise) -> np.ndarray:
         """Node i's unit vector of ``w * mean_j hammer(p_j - p_i, s) +
-        noise[i]`` over its neighbors j (+0 if none), p the build's positions.
+        noise[i]`` over its neighbors j (+0 if none), p the graph's own frame.
         Each sorted pair (a, b) adds its hammer h to a's sum and -h to b's
         (hammer is odd bit for bit); one scatter puts them in node order."""
         a, b, order, n = self.a, self.b, self.order, self.n_nodes
-        ps = p[order]
+        ps = self.positions
         h = hammer(ps[b] - ps[a], s)
         acc = np.zeros(n, dtype=np.complex128)
         np.add.at(acc, a, h)
@@ -255,7 +258,7 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
     require(r >= 0, "r", "must be >= 0", r, "sensing radius ")
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
-        return NeighborGraph(empty, empty, empty)
+        return NeighborGraph(empty, empty, empty, p, float(r))
 
     x, y = p.real, p.imag
     x_lo, x_hi, y_lo, y_hi = (float(x.min()), float(x.max()),
@@ -287,11 +290,12 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
     order = np.argsort(key, kind="stable")
     a, b = (_all_pairs(n) if n * (n - 1) // 2 <= _ALL_PAIRS_MAX
             else _cell_pairs(key[order], height, p, r, side))
-    # the distance test reads the positions in sorted order, where a
-    # candidate pair sits close together. A difference that overflows is
-    # beyond any finite r, and a square that does is beyond any r < 2**510,
+    # the distance test reads the graph's frame, the positions in sorted order,
+    # where a candidate pair sits close together. A difference that overflows
+    # is beyond any finite r, and a square that does is beyond any r < 2**510,
     # whose own square is finite, so the test stays exact
     ps = p[order]
+    ps.flags.writeable = False
     with np.errstate(over="ignore"):
         d = ps[a] - ps[b]
         if r < 2.0 ** 510:
@@ -301,7 +305,7 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
         else:
             close = np.abs(d) <= r
     kept = np.flatnonzero(close)
-    return NeighborGraph(order, a[kept], b[kept])
+    return NeighborGraph(order, a[kept], b[kept], ps, float(r))
 
 
 @functools.lru_cache(maxsize=4)

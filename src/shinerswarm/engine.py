@@ -270,7 +270,7 @@ def _step(p: np.ndarray, params: SwarmParams, d: np.ndarray, draw,
     if params.social_enabled:
         if graph is None:
             graph = build_neighborhood(p, params.r)
-        heading = graph.social_heading(p, params.s, params.w, heading)
+        heading = graph.social_heading(params.s, params.w, heading)
     p = p + sigma * length * heading
     check_finite(p)
     return p
@@ -294,14 +294,15 @@ def compute_metrics(state: SwarmState, params: SwarmParams, eps: float,
     """Convergence and cohesion summary of one frame.
 
     Clusters are the connected components of the sensing-radius graph:
-    ``graph`` if given, which must be the neighbor graph of
-    ``state.positions`` under ``params.r``, else one built here. The
-    pairwise mean is over unordered pairs and is 0 for a single node: the
-    sum of ``|p_i - p_j|`` over full rows, which counts each pair twice,
-    over ``n (n - 1)``. Rows go in ``core.row_blocks``, one block at a time,
-    so memory is O(N). ValueError for positions that are not finite, named
-    by the graph built first, and for distance sums that overflow;
-    ParamError unless eps >= 0 and the frame has a node.
+    ``graph`` if given, which must hold the frame (by value) and
+    ``params.r``, else one built here. The pairwise mean is over unordered
+    pairs and is 0 for a single node: the sum of ``|p_i - p_j|`` over full
+    rows, which counts each pair twice, over ``n (n - 1)``. Rows go in
+    ``core.row_blocks``, one block at a time, so memory is O(N). ValueError
+    for a graph of another frame, naming its node count, r or the first
+    node that differs; for positions that are not finite, named by the
+    graph built first; and for distance sums that overflow. ParamError
+    unless eps >= 0 and the frame has a node.
     """
     check_run_args(eps=eps)
     p = state.positions
@@ -312,6 +313,11 @@ def compute_metrics(state: SwarmState, params: SwarmParams, eps: float,
     elif graph.n_nodes != n:
         raise ValueError(f"the graph has {graph.n_nodes} nodes and the frame "
                          f"{n}")
+    elif graph.r != params.r:
+        raise ValueError(f"the graph has r = {graph.r!r}, not {params.r!r}")
+    elif np.count_nonzero(graph.positions != p[graph.order]):
+        i = graph.order[graph.positions != p[graph.order]].min()
+        raise ValueError(f"node {i}: not at the graph's position")
     blocks = row_blocks(n, p.itemsize)
     with np.errstate(over="ignore"):
         d = np.abs(p - params.rho)

@@ -672,6 +672,32 @@ def test_render_repeated_node_id_exits_5_naming_step_and_node(tmp_path,
     assert not out.exists()
 
 
+def test_render_density_whose_z_falls_within_a_t_exits_5_naming_the_row(
+        tmp_path, capsys):
+    # the rows of t = 1 reversed drew an x axis from 1000 to 1001, where
+    # the file in order gives -10.76 to 20.76
+    csv = tmp_path / "d.csv"
+    assert main(["density", "--x0", "5", "--t", "1", "--out", str(csv)]) == 0
+    header, *rows = csv.read_text().splitlines()
+    csv.write_text("\n".join([header, *rows[::-1]]) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "d.svg"
+    assert main(["render", "--in", str(csv), "--out", str(out)]) == 5
+    assert (capsys.readouterr().err == f"error: {csv}: t 1: row {rows[-2]} "
+            f"has a z below the row before it\n")
+    assert not out.exists()
+
+
+def test_render_density_reads_a_repeated_z_and_each_t_on_its_own(tmp_path):
+    # nodes closer than 9 digits print the same z; z starts over at each t,
+    # whose rows may be interleaved
+    csv = tmp_path / "d.csv"
+    csv.write_text("t,z,pdf\n1,0,0.5\n1,0,0.5\n2,-1,0\n1,1,0.2\n2,0,1\n")
+    out = tmp_path / "d.svg"
+    assert main(["render", "--in", str(csv), "--out", str(out)]) == 0
+    assert read(out).count("<polyline") == 2
+
+
 def test_node_id_repeated_across_steps_is_read_by_metrics_and_render(
         tmp_path, capsys):
     csv = tmp_path / "two.csv"

@@ -261,12 +261,24 @@ def test_neighborhood_over_budget_on_cells_of_side_r_names_no_node():
         build_neighborhood(p, 2.0)
 
 
-def test_neighbor_graph_holds_only_its_three_arrays():
-    graph = build_neighborhood([0j, 0.1 + 0j, 1 + 0j], r=0.2)
+def test_neighbor_graph_holds_its_three_arrays_frame_and_radius():
+    p = np.array([1 + 0j, 0.1 + 0j, 0j])
+    graph = build_neighborhood(p, r=0.2)
     graph.degrees()
     graph.component_count()
-    assert set(vars(graph)) == {"order", "a", "b"}
+    assert set(vars(graph)) == {"order", "a", "b", "positions", "r"}
     assert graph.n_nodes == graph.order.size == 3
+    assert graph.positions.tobytes() == p[graph.order].tobytes()
+    assert graph.r == 0.2
+
+
+def test_neighbor_graph_frame_is_read_only():
+    p = np.array([0j, 0.1 + 0j, 1 + 0j])
+    graph = build_neighborhood(p, r=0.2)
+    with pytest.raises(ValueError, match="read-only"):
+        graph.positions[0] = 5j
+    p[0] = 5j  # the frame is the build's copy, not the caller's array
+    assert graph.positions[graph.order == 0] == 0j
 
 
 def test_neighborhood_rejects_bad_input():

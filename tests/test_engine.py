@@ -637,6 +637,26 @@ def test_compute_metrics_refuses_the_graph_of_another_frame():
         compute_metrics(state, params, 0.15, graph)
 
 
+def test_compute_metrics_refuses_the_graph_of_another_seed_or_radius():
+    # on seed 0's 50 nodes, the graph of seed 1's frame would count 1
+    # cluster and one built at r = 0.01 would count 50; the frame's own
+    # graph counts 2
+    params = SwarmParams(n_nodes=50)
+    state = init_swarm(params, 0, UNIT_BOX)
+    assert compute_metrics(state, params, 0.15).cluster_count == 2
+    other = build_neighborhood(init_swarm(params, 1, UNIT_BOX).positions,
+                               params.r)
+    assert other.component_count() == 1
+    with pytest.raises(ValueError,
+                       match=r"^node 0: not at the graph's position$"):
+        compute_metrics(state, params, 0.15, other)
+    coarse = build_neighborhood(state.positions, 0.01)
+    assert coarse.component_count() == 50
+    with pytest.raises(ValueError,
+                       match=r"^the graph has r = 0\.01, not 0\.2$"):
+        compute_metrics(state, params, 0.15, coarse)
+
+
 def test_snapshot_resumes_bit_for_bit_from_plain_data():
     params = SwarmParams(n_nodes=25)
     records = run(params, 13, UNIT_BOX, n_steps=10, snapshot_stride=5)
