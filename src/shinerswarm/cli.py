@@ -127,11 +127,11 @@ def cmd_density(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_csv(path: str, headers) -> tuple[str, list[tuple]]:
-    """Header and typed rows of a CSV file whose header is in ``headers``;
-    OSError if it cannot be read, ConfigError if its content is wrong,
-    including a snapshot that lists a node twice in one step and a density
-    whose z falls within a t."""
+def _load_csv(path: str, headers) -> tuple[str, dict[int, list[tuple]]]:
+    """Header of a CSV file whose header is in ``headers``, and its typed
+    rows by step (or t), each step's in file order. OSError if it cannot be
+    read; ConfigError at its first malformed row, else at the first row
+    that repeats a node within a step, or whose z falls within a t."""
     lines = [line for line in _read_text(path).splitlines() if line]
     if not lines:
         raise ConfigError(f"{path}: empty file")
@@ -147,39 +147,35 @@ def _load_csv(path: str, headers) -> tuple[str, list[tuple]]:
         except ValueError as exc:
             raise ConfigError(f"{path}: malformed row {row!r} under "
                               f"{header!r}: {exc}") from None
-    if header == SNAPSHOT_HEADER:
-        seen = set()
-        for step, node, _, _ in table:
-            if (step, node) in seen:
-                raise ConfigError(f"{path}: step {step}: node {node} "
+    steps, seen, last_z = {}, set(), {}
+    for row, typed in zip(rows, table):
+        step = typed[0]
+        if header == SNAPSHOT_HEADER:
+            if typed[:2] in seen:
+                raise ConfigError(f"{path}: step {step}: node {typed[1]} "
                                   f"appears twice")
-            seen.add((step, node))
-    elif header == DENSITY_HEADER:
-        last_z = {}
-        for row, (t, z, _) in zip(rows, table):
-            if not math.isfinite(z):
-                continue  # _draw refuses it, naming its step, if drawn
-            if z < last_z.get(t, z):
-                raise ConfigError(f"{path}: t {t}: row {row} has a z below "
-                                  f"the row before it")
-            last_z[t] = z
-    return header, table
+            seen.add(typed[:2])
+        elif math.isfinite(z := typed[1]):  # _draw refuses it, if drawn
+            if z < last_z.get(step, z):
+                raise ConfigError(f"{path}: t {step}: row {row} has a z "
+                                  f"below the row before it")
+            last_z[step] = z
+        steps.setdefault(step, []).append(typed)
+    return header, steps
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
+    """Print each step's metrics, its positions taken in node-id order."""
     check_run_args(eps=args.eps)
     params = SwarmParams(r=args.r, rho=complex(args.rho_x, args.rho_y))
-    _, table = _load_csv(args.infile, (SNAPSHOT_HEADER,))
-    by_step: dict[int, dict[int, complex]] = {}
-    for step, node, x, y in table:
-        by_step.setdefault(step, {})[node] = complex(x, y)
+    _, steps = _load_csv(args.infile, (SNAPSHOT_HEADER,))
 
     # every row is computed before any is printed, so a step that fails
     # leaves stdout empty
     rows = [METRICS_HEADER]
-    for step in sorted(by_step):
-        positions = np.array([p for _, p in sorted(by_step[step].items())])
-        state = SwarmState(t=step, positions=positions, seed=0)
+    for step in sorted(steps):
+        state = SwarmState(t=step, seed=0, positions=np.array(
+            [complex(x, y) for _, _, x, y in sorted(steps[step])]))
         try:
             metrics = compute_metrics(state, params, args.eps)
         except ValueError as exc:
@@ -189,28 +185,32 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _draw(header: str, table: list[tuple], args: argparse.Namespace) -> str:
+def _draw(header: str, steps: dict[int, list[tuple]],
+          args: argparse.Namespace) -> str:
     """The SVG of the requested step(s) of a loaded CSV; ValueError if the
-    file cannot meet the request or a value to draw is not finite."""
-    present = sorted({row[0] for row in table})
-    steps = present if args.step is None else [args.step]
+    file cannot meet the request, or at the first drawn row, by ascending
+    step, that holds a value that is not finite or a pdf below 0."""
+    present = sorted(steps)
+    drawn = present if args.step is None else [args.step]
     if not present:
         raise ValueError(f"{args.infile}: no data rows")
-    if steps[0] not in present:
+    if drawn[0] not in steps:
         raise ValueError(f"--step {args.step} not in file (has {present})")
-    if header == SNAPSHOT_HEADER and len(steps) > 1:
+    if header == SNAPSHOT_HEADER and len(drawn) > 1:
         raise ValueError(f"file holds steps {present}; --step required")
-    rows = [row for row in table if row[0] in steps]
-    for row in rows:
-        if not (math.isfinite(row[-2]) and math.isfinite(row[-1])):
-            raise ValueError(f"step {row[0]}: row {','.join(map(str, row))} "
-                             f"holds a value that is not finite")
+    for step in drawn:
+        for row in steps[step]:
+            finite = math.isfinite(row[-2]) and math.isfinite(row[-1])
+            if not finite or (header == DENSITY_HEADER and row[-1] < 0):
+                fault = ("a pdf below 0" if finite
+                         else "a value that is not finite")
+                raise ValueError(f"step {step}: row {','.join(map(str, row))} "
+                                 f"holds {fault}")
     if header == SNAPSHOT_HEADER:
-        return snapshot_svg([(x, y) for _, _, x, y in rows],
+        return snapshot_svg([(x, y) for _, _, x, y in steps[drawn[0]]],
                             rho=(args.rho_x, args.rho_y))
-    return density_svg([(t, np.array([z for u, z, _ in rows if u == t]),
-                          np.array([p for u, _, p in rows if u == t]))
-                        for t in steps])
+    return density_svg([(t, *np.array([row[1:] for row in steps[t]]).T)
+                        for t in drawn])
 
 
 def cmd_render(args: argparse.Namespace) -> int:

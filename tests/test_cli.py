@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -698,6 +699,60 @@ def test_render_density_reads_a_repeated_z_and_each_t_on_its_own(tmp_path):
     assert read(out).count("<polyline") == 2
 
 
+def test_render_density_pdf_below_0_exits_5_naming_the_row(tmp_path,
+                                                          capsys):
+    # a pdf of -50 at one node drew an x axis from -12.65 to 22.66, where
+    # the file as written gives -10.76 to 20.76; a pdf of -0 draws as 0
+    csv = tmp_path / "d.csv"
+    assert main(["density", "--x0", "5", "--t", "1", "--out", str(csv)]) == 0
+    header, *rows = csv.read_text().splitlines()
+    capsys.readouterr()
+    t, z, _ = rows[1000].split(",")
+    svgs = {}
+    for pdf in ("-50", "-0", "0"):
+        rows[1000] = f"{t},{z},{pdf}"
+        csv.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / f"{pdf}.svg"
+        code = main(["render", "--in", str(csv), "--out", str(out)])
+        svgs[pdf] = (code, capsys.readouterr().err,
+                     read(out) if out.exists() else None)
+    assert svgs["-50"] == (5, f"error: step 1: row 1,{float(z)},-50.0 holds "
+                           f"a pdf below 0\n", None)
+    assert svgs["-0"] == svgs["0"] and svgs["0"][:2] == (0, "")
+
+
+def test_render_names_the_first_bad_row_of_the_lowest_bad_step(tmp_path,
+                                                               capsys):
+    # the drawn steps are checked in ascending order, whatever the row order
+    csv = tmp_path / "d.csv"
+    csv.write_text("t,z,pdf\n2,-1,0.1\n2,0,nan\n1,-1,0.1\n1,0,nan\n"
+                   "1,1,nan\n")
+    out = tmp_path / "d.svg"
+    assert main(["render", "--in", str(csv), "--out", str(out)]) == 5
+    assert capsys.readouterr().err == (
+        "error: step 1: row 1,0.0,nan holds a value that is not finite\n")
+    assert not out.exists()
+
+
+REPEATED_NODE = "step,node_id,x,y\n0,1,0,0\n0,1,0,0\n"
+
+
+@pytest.mark.parametrize("argv, code, body", [
+    (["metrics", "--eps", "0.1"], 2, REPEATED_NODE),
+    (["render", "--out", os.devnull], 5, REPEATED_NODE),
+    (["render", "--out", os.devnull], 5, "t,z,pdf\n1,1,0.5\n1,0,0.5\n"),
+])
+def test_csv_malformed_row_is_reported_before_an_earlier_repeat(
+        tmp_path, capsys, argv, code, body):
+    # a repeated node, or a falling z, before a row that does not parse
+    bad = tmp_path / "bad.csv"
+    header = body.split("\n")[0]
+    bad.write_text(body + "1,x,0\n")
+    assert main([*argv, "--in", str(bad)]) == code
+    assert capsys.readouterr().err.startswith(
+        f"error: {bad}: malformed row '1,x,0' under {header!r}: ")
+
+
 def test_node_id_repeated_across_steps_is_read_by_metrics_and_render(
         tmp_path, capsys):
     csv = tmp_path / "two.csv"
@@ -787,6 +842,36 @@ def test_metrics_failing_at_its_second_step_prints_no_row(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: step 1: node 1")
+
+
+def test_metrics_takes_each_step_positions_in_node_id_order(sim_out,
+                                                           monkeypatch):
+    # at 9 digits the metrics seldom show the order in which the nodes were
+    # summed, so the positions are read where they reach compute_metrics
+    header, *rows = lines(sim_out / "snapshots.csv")
+    by_step = {}
+    for row in rows:
+        by_step.setdefault(int(row.split(",")[0]), []).append(row)
+    rng = np.random.default_rng(5)
+    shuffled = [step_rows[i] for step_rows in by_step.values()
+                for i in rng.permutation(len(step_rows))]
+    assert shuffled != rows
+    csv = sim_out / "shuffled.csv"
+    csv.write_text("\n".join([header, *shuffled]) + "\n")
+    reached, compute_metrics = [], cli.compute_metrics
+
+    def spy(state, *args, **kwargs):
+        reached.append((state.t, state.positions.copy()))
+        return compute_metrics(state, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "compute_metrics", spy)
+    argv = ["metrics", "--in", str(csv), "--eps", "0.15"]
+    assert quiet_main(argv) == (0, "")
+    assert [t for t, _ in reached] == list(by_step)
+    for t, positions in reached:
+        # simulate writes each step's nodes in node-id order
+        assert positions.tolist() == [complex(*map(float, row.split(",")[2:]))
+                                      for row in by_step[t]]
 
 
 # ---------------------------------------------------------------------------
@@ -1055,3 +1140,68 @@ def test_no_csv_escapes_metrics_or_render(body, step):
         if code == 0:
             with open(svg) as fh:
                 assert not holds_nan_or_inf(fh.read())
+
+
+@pytest.fixture(scope="module")
+def step_files(tmp_path_factory):
+    """A 30-node snapshot of 3 recorded steps and a 3-t density file, as
+    written: each file's header, its rows by step, and the outputs of
+    ``file_outputs``."""
+    tmp = tmp_path_factory.mktemp("steps")
+    cfg = tmp / "run.cfg"
+    cfg.write_text("steps = 6\nstride = 3\nseed = 4\nn_nodes = 30\n")
+    assert quiet_main(["simulate", "--config", str(cfg), "--out",
+                       str(tmp)]) == (0, "")
+    assert quiet_main(["density", "--x0", "5", "--t", "3",
+                       "--out", str(tmp / "density.csv")]) == (0, "")
+    files = {}
+    for name in ("snapshots.csv", "density.csv"):
+        header, *rows = lines(tmp / name)
+        by_step = {}
+        for row in rows:
+            by_step.setdefault(row.split(",")[0], []).append(row)
+        assert len(by_step) == 3
+        files[name] = header, by_step, file_outputs(tmp / name, by_step)
+    return files
+
+
+def file_outputs(csv, steps):
+    """The exit code, stderr, stdout and SVG (None if none is written) of
+    each command that reads the CSV: metrics of a snapshot or render of all
+    the ts of a density, then render of each step."""
+    first = (["metrics", "--eps", "0.15"] if csv.name == "snapshots.csv"
+             else ["render"])
+    argvs = [first, *(["render", "--step", step] for step in steps)]
+    outputs = []
+    for k, argv in enumerate(argvs):
+        svg = csv.with_suffix(f".{k}.svg")
+        if argv[0] == "render":
+            argv = [*argv, "--out", str(svg)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*argv, "--in", str(csv)])
+        outputs.append((code, err.getvalue(), out.getvalue(),
+                        read(svg) if svg.exists() else None))
+    return outputs
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), run=st.integers(1, 40),
+       name=st.sampled_from(["snapshots.csv", "density.csv"]))
+def test_interleaved_steps_change_no_output(step_files, seed, run, name):
+    # each step's rows are cut into runs of `run` rows, and the runs of all
+    # the steps are dealt out in a random order that keeps each step's own
+    # rows in file order
+    header, by_step, want = step_files[name]
+    runs = {step: [rows[i:i + run] for i in range(0, len(rows), run)]
+            for step, rows in by_step.items()}
+    owners = [step for step, step_runs in runs.items() for _ in step_runs]
+    np.random.default_rng(seed).shuffle(owners)
+    order = {step: iter(step_runs) for step, step_runs in runs.items()}
+    rows = [row for step in owners for row in next(order[step])]
+    with tempfile.TemporaryDirectory() as tmp:
+        csv = pathlib.Path(tmp) / name
+        csv.write_text("\n".join([header, *rows]) + "\n")
+        got = file_outputs(csv, by_step)
+    assert got == want
+    assert all(code == 0 for code, *_ in want)
