@@ -3,7 +3,8 @@
 One ``key = value`` per line, ``#`` starts a comment, unknown keys are
 rejected. Defaults reproduce the reference swarm scenario: the model keys
 take SwarmParams' defaults and nodes are placed on [-0.5, 0.5]^2.
-Command-line flags override file values, which override defaults.
+Command-line flags override file values, which override defaults. A
+``RunConfig`` checks itself when made, in code or by ``parse_config``.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's settings, checked when made: ParamError names the first
+    field out of range, such as ``steps`` (the model's ``n_steps``)."""
+
     n_nodes: int = SwarmParams.n_nodes
     steps: int = 70
     stride: int = 35
@@ -44,6 +48,17 @@ class RunConfig:
     region_max_y: float = 0.5
     out_dir: str = "out"
 
+    def __post_init__(self) -> None:
+        try:
+            check_run_args(self.steps, self.stride, self.eps)
+            require(self.mode in MODES, "mode",
+                    f"must be one of {'|'.join(MODES)}", repr(self.mode))
+            check_seed(self.seed)
+            self.swarm_params()
+            self.region()
+        except ParamError as exc:
+            raise ParamError(config_key(exc.key), exc.rule) from None
+
     def swarm_params(self) -> SwarmParams:
         return SwarmParams(
             n_nodes=self.n_nodes, c1=self.c1, c2=self.c2, r=self.r,
@@ -62,14 +77,6 @@ _PARSERS = {f.name: {"int": int, "str": str}.get(f.type, float)
             for f in fields(RunConfig)}
 
 
-def _parse_value(key: str, raw: str, line_no: int):
-    try:
-        return _PARSERS[key](raw)
-    except ValueError:
-        raise ConfigError(
-            f"line {line_no}: cannot parse value {raw!r} for key '{key}'") from None
-
-
 # Model rules report the model's names; these keys are spelled differently
 # in the config and, as flags, on the command line.
 _CONFIG_KEYS = {"rho.real": "rho_x", "rho.imag": "rho_y",
@@ -84,30 +91,10 @@ def config_key(key: str) -> str:
     return _CONFIG_KEYS.get(key, key)
 
 
-def validate(cfg: RunConfig, lines: dict[str, int] | None = None) -> RunConfig:
-    """Raise ConfigError on any invariant violation, citing the source line
-    of the offending key when known. Only the mode is checked here; every
-    other key is checked by the code that owns it (check_run_args,
-    check_seed, SwarmParams and Box)."""
-    try:
-        check_run_args(cfg.steps, cfg.stride, cfg.eps)
-        require(cfg.mode in MODES, "mode", f"must be one of {'|'.join(MODES)}",
-                repr(cfg.mode))
-        check_seed(cfg.seed)
-        cfg.swarm_params()
-        cfg.region()
-    except ParamError as exc:
-        key = config_key(exc.key)
-        line = (lines or {}).get(key)
-        where = f"line {line}: " if line is not None else ""
-        raise ConfigError(f"{where}key '{key}' {exc.rule}") from None
-    return cfg
-
-
 def parse_config(text: str, **overrides) -> RunConfig:
     """Parse key=value text into a RunConfig whose absent keys take the
     documented defaults. Non-None overrides (the command-line flags) replace
-    file values that parse, in range or not, before the one validation."""
+    file values that parse, in range or not, before RunConfig's one check."""
     values: dict[str, object] = {}
     lines: dict[str, int] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -123,7 +110,11 @@ def parse_config(text: str, **overrides) -> RunConfig:
         if key in lines:
             raise ConfigError(f"line {line_no}: duplicate key '{key}' "
                               f"(first set on line {lines[key]})")
-        values[key] = _parse_value(key, raw, line_no)
+        try:
+            values[key] = _PARSERS[key](raw)
+        except ValueError:
+            raise ConfigError(f"line {line_no}: cannot parse value {raw!r} "
+                              f"for key '{key}'") from None
         lines[key] = line_no
     changes = {k: v for k, v in overrides.items() if v is not None}
     unknown = changes.keys() - _PARSERS.keys()
@@ -131,4 +122,8 @@ def parse_config(text: str, **overrides) -> RunConfig:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
     for key in changes:
         lines.pop(key, None)
-    return validate(RunConfig(**{**values, **changes}), lines)
+    try:
+        return RunConfig(**{**values, **changes})
+    except ParamError as exc:
+        where = f"line {lines[exc.key]}: " if exc.key in lines else ""
+        raise ConfigError(f"{where}key '{exc.key}' {exc.rule}") from None

@@ -80,6 +80,7 @@ def speed_law(c1: float, c2: float, d, out: np.ndarray | None = None):
 class SwarmParams:
     """Model constants shared by every node.
 
+    A factor switch equal to neither True nor False (say "no") is a ParamError.
     ``sigma_const`` is the fixed speed used when the environmental factor is
     disabled; it may be left as None and resolved later from the initial
     placement (see ``engine.resolve_sigma_const``).
@@ -105,10 +106,12 @@ class SwarmParams:
                 self.w, "social weight ")
         require(0 <= self.s < math.inf, "s", "must be >= 0 and finite",
                 self.s, "separation distance ")
-        require(math.isfinite(self.rho.real), "rho.real", "must be finite",
-                self.rho.real)
-        require(math.isfinite(self.rho.imag), "rho.imag", "must be finite",
-                self.rho.imag)
+        for key, part in (("rho.real", self.rho.real),
+                          ("rho.imag", self.rho.imag)):
+            require(math.isfinite(part), key, "must be finite", part)
+        for key in ("env_enabled", "social_enabled"):
+            on = getattr(self, key)
+            require(on in (True, False), key, "must be True or False", repr(on))
         require(self.sigma_const is None or 0 <= self.sigma_const < math.inf,
                 "sigma_const", "must be >= 0 and finite", self.sigma_const)
 
@@ -227,6 +230,15 @@ def check_finite(p: np.ndarray) -> None:
         raise ValueError(f"node {i}: position {p[i]} is not finite")
 
 
+def check_frame(positions) -> np.ndarray:
+    """``positions`` as a 1-D complex128 array, itself if it is one; ParamError
+    for any other shape, such as an (N, 2) xy array or a 0-d position."""
+    p = np.asarray(positions, dtype=np.complex128)
+    if p.ndim != 1:  # require would format the shape on each call, +0.4 us
+        raise ParamError("positions", f"must be 1-D, got shape {p.shape}")
+    return p
+
+
 def build_neighborhood(positions, r: float) -> NeighborGraph:
     """Fixed-radius neighbor search with a sorted cell list (Allen &
     Tildesley, *Computer Simulation of Liquids*) on cells of side just over
@@ -247,13 +259,13 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
     magnitudes, so exactly-representable boundary pairs are classified
     without a sqrt round trip.
 
-    Raises ValueError, naming the node, when a position is not finite, and
-    before any candidate list is made when there would be more than
-    ``_MAX_CANDIDATES`` candidates, naming the node farthest from the
-    coordinate-wise median when it is the swarm's extent that widens the
-    cells.
+    ParamError unless the positions are 1-D (``check_frame``); ValueError,
+    naming the node, when a position is not finite, and before any candidate
+    list is made when there would be more than ``_MAX_CANDIDATES``
+    candidates, naming the node farthest from the coordinate-wise median
+    when it is the swarm's extent that widens the cells.
     """
-    p = np.asarray(positions, dtype=np.complex128).ravel()
+    p = check_frame(positions)
     n = p.size
     require(r >= 0, "r", "must be >= 0", r, "sensing radius ")
     if n == 0:

@@ -29,15 +29,14 @@ no ``sigma_const``.
 
 from __future__ import annotations
 
-import functools
 from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (NeighborGraph, SwarmParams, build_neighborhood,
-                   check_finite, distance_speed, require, require_int,
-                   row_blocks, speed_law)
+                   check_finite, check_frame, distance_speed, require,
+                   require_int, row_blocks, speed_law)
 
 # Seeds and steps are Philox words (key and counter), unsigned 64-bit.
 SEED_LIMIT = 2 ** 64
@@ -90,8 +89,8 @@ class Box:
 
 @dataclass(frozen=True)
 class SwarmState:
-    """One simulation frame: step index, node positions (a 1-D complex128
-    array, else ParamError), and the master seed that keys every draw. The
+    """One simulation frame: step index, node positions (a frame, see
+    ``core.check_frame``), and the master seed that keys every draw. The
     fields are checked once, so none can be reassigned.
 
     The draws of a step depend only on (seed, t), so a state is complete on
@@ -104,9 +103,7 @@ class SwarmState:
     seed: int
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.positions, dtype=np.complex128)
-        require(p.ndim == 1, "positions", "must be 1-D", f"shape {p.shape}")
-        object.__setattr__(self, "positions", p)
+        object.__setattr__(self, "positions", check_frame(self.positions))
         object.__setattr__(self, "seed", check_seed(self.seed))
 
 
@@ -152,25 +149,16 @@ def step_draws(master_seed: int, t: int, n: int, social: bool):
     n = require_int("n", n)
     require(n >= 0, "n", "must be >= 0", n)
     length, heading = _block_draws(master_seed, t, n, 1, social,
-                                   np.random.Philox(_any_seed()))
+                                   np.random.Philox(0))
     return length[0], heading[0]
-
-
-@functools.cache
-def _any_seed() -> np.random.SeedSequence:
-    """The seed of every Philox generator made here, hashed once, on first
-    use (made at import, it loaded numpy.random there): a block sets its
-    generator's key and counter, so any seed will do, and hashing a new one
-    took about 40% of a 100-node ``step_draws``."""
-    return np.random.SeedSequence(0)
 
 
 def _block_draws(master_seed: int, t: int, n: int, k: int, social: bool,
                  bitgen: np.random.Philox):
     """The (k, n) draw factors of steps t..t+k-1: row j of each is that of
     ``step_draws(master_seed, t + j, n, social)``, read from ``bitgen``,
-    whose whole state each row sets, so what it drew before is of no
-    account."""
+    whose whole state each row sets, so neither its seed nor what it drew
+    before is of any account."""
     state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0),
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     key = (check_seed(master_seed), 0)
@@ -219,7 +207,7 @@ def _draws(master_seed: int, t: int, n: int, n_steps: int, social: bool):
     alive."""
     k_max = max(1, _DRAW_BYTES // (32 * n))
     end = t + n_steps
-    bitgen = np.random.Philox(_any_seed())
+    bitgen = np.random.Philox(0)
     for t0 in range(t, end, k_max):
         # a caller that passes each step's factors on without keeping them
         # holds no more than one block at a time
@@ -230,11 +218,13 @@ def _draws(master_seed: int, t: int, n: int, n_steps: int, social: bool):
 def resolve_sigma_const(params: SwarmParams, positions) -> SwarmParams:
     """Fill in ``sigma_const`` when it is needed but unset: ``speed_law``
     at the placement's mean distance to rho, so both modes start comparably
-    fast; ValueError, naming that distance, if the speed is not finite. The
-    caller suppresses overflow warnings."""
+    fast; ValueError, naming that distance, if the speed is not finite, and
+    ParamError unless the positions are 1-D (``core.check_frame``), needed
+    or not. The caller suppresses overflow warnings."""
+    p = check_frame(positions)
     if params.env_enabled or params.sigma_const is not None:
         return params
-    d = np.abs(np.asarray(positions, dtype=np.complex128) - params.rho)
+    d = np.abs(p - params.rho)
     mean = float(d.mean())
     sigma = float(speed_law(params.c1, params.c2, mean))
     if not sigma < np.inf:

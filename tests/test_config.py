@@ -1,8 +1,14 @@
 import dataclasses
+import math
+import re
+import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shinerswarm.config import ConfigError, RunConfig, parse_config
+from shinerswarm.config import MODES, ConfigError, RunConfig, parse_config
+from shinerswarm.core import ParamError
 
 
 def test_empty_text_gives_full_defaults():
@@ -188,3 +194,69 @@ def test_unknown_override_rejected():
 def test_run_config_is_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         RunConfig().seed = 3
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mode", "Both"), ("steps", -1), ("stride", 0), ("eps", -1.0),
+    ("seed", 2 ** 64), ("n_nodes", 0), ("region_max_x", -1.0), ("c1", 0.0),
+    ("sigma_const", -1.0)])
+def test_run_config_refuses_an_out_of_range_field_when_built(field, value):
+    # RunConfig(mode="Both") was once made without a word, and its
+    # swarm_params() turned both factors off: a pure random walk
+    with pytest.raises(ParamError, match=f"^{field} must ") as info:
+        RunConfig(**{field: value})
+    assert info.value.key == field
+
+
+def test_replace_checks_the_run_config_it_makes():
+    rule = "must be one of none|env|social|both, got 'x'"
+    with pytest.raises(ParamError, match=f"^mode {re.escape(rule)}$"):
+        dataclasses.replace(RunConfig(), mode="x")
+
+
+_NEGATIVE = st.floats(max_value=-5e-324)  # excludes -0.0, which is >= 0
+_NAN = st.just(math.nan)
+_INF = st.just(math.inf)
+# an out-of-range value for each field with a rule (out_dir takes any string);
+# a region minimum out of range is blamed on the maximum it meets
+_OUT_OF_RANGE = {
+    "n_nodes": st.integers(max_value=0),
+    "steps": st.integers(max_value=-1),
+    "stride": st.integers(max_value=0),
+    "c1": st.floats(max_value=0.0) | _INF | _NAN,
+    "c2": st.floats(max_value=0.0) | _INF | _NAN,
+    "r": _NEGATIVE | _NAN,
+    "w": _NEGATIVE | _INF | _NAN,
+    "s": _NEGATIVE | _INF | _NAN,
+    "rho_x": st.sampled_from([math.inf, -math.inf, math.nan]),
+    "rho_y": st.sampled_from([math.inf, -math.inf, math.nan]),
+    "seed": st.integers(max_value=-1) | st.integers(min_value=2 ** 64),
+    "mode": st.text(string.ascii_letters + "_", min_size=1).filter(
+        lambda mode: mode not in MODES),
+    "sigma_const": _NEGATIVE | _INF | _NAN,
+    "eps": _NEGATIVE | _NAN,
+    "region_min_x": st.floats(min_value=0.5) | _NAN,
+    "region_min_y": st.floats(min_value=0.5) | _NAN,
+    "region_max_x": st.floats(max_value=-0.5) | _NAN,
+    "region_max_y": st.floats(max_value=-0.5) | _NAN,
+}
+
+
+def test_every_field_but_out_dir_has_an_out_of_range_case():
+    fields = [f.name for f in dataclasses.fields(RunConfig)]
+    assert sorted(_OUT_OF_RANGE) == sorted(set(fields) - {"out_dir"})
+
+
+@settings(max_examples=300)
+@given(case=st.one_of([st.tuples(st.just(key), values)
+                       for key, values in _OUT_OF_RANGE.items()]))
+def test_a_file_value_meets_the_check_of_a_value_made_in_code(case):
+    key, value = case
+    with pytest.raises(ParamError) as built:
+        RunConfig(**{key: value})
+    fault = built.value.key
+    assert fault == key or fault == key.replace("_min_", "_max_")
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(f"{key} = {value}")
+    where = "line 1: " if fault == key else ""
+    assert str(parsed.value) == f"{where}key '{fault}' {built.value.rule}"

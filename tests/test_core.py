@@ -26,6 +26,7 @@ from oracle import (
 from shinerswarm import core
 from shinerswarm.core import (
     NeighborGraph,
+    ParamError,
     SwarmParams,
     build_neighborhood,
     distance_speed,
@@ -34,7 +35,7 @@ from shinerswarm.core import (
     speed_law,
 )
 from shinerswarm.density import KernelParams
-from shinerswarm.engine import resolve_sigma_const
+from shinerswarm.engine import SwarmState, resolve_sigma_const
 
 
 def brute_force_adjacency(positions, r):
@@ -286,6 +287,23 @@ def test_neighborhood_rejects_bad_input():
         build_neighborhood([0j, complex(np.nan, 0)], 0.1)
     with pytest.raises(ValueError):
         build_neighborhood([0j], -1.0)
+
+
+@pytest.mark.parametrize("bad, shape", [
+    ([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0]], "(3, 2)"), (0.1 + 0.2j, "()")])
+def test_a_frame_that_is_not_one_dimensional_is_refused_everywhere(bad, shape):
+    # the (3, 2) xy array once gave a graph of 6 nodes, its coordinates read
+    # as positions, and resolve_sigma_const averaged its 6 entries
+    with pytest.raises(ParamError) as state:
+        SwarmState(0, bad, 0)
+    assert str(state.value) == f"positions must be 1-D, got shape {shape}"
+    with pytest.raises(ParamError) as info:
+        build_neighborhood(bad, 0.2)
+    assert (info.value.key, str(info.value)) == ("positions", str(state.value))
+    for params in (SwarmParams(env_enabled=False), SwarmParams()):
+        with pytest.raises(ParamError) as info:  # whether it averages or not
+            resolve_sigma_const(params, bad)
+        assert str(info.value) == str(state.value)
 
 
 def test_neighborhood_rejects_nan_radius():
@@ -729,6 +747,29 @@ def test_swarm_params_name_the_non_finite_part_of_rho(rho, key):
     with pytest.raises(ValueError, match="must be finite") as info:
         SwarmParams(rho=rho)
     assert info.value.key == key
+
+
+@pytest.mark.parametrize("key", ["env_enabled", "social_enabled"])
+@pytest.mark.parametrize("switch", ["false", "no", "", None, 2, 0.5])
+def test_swarm_params_refuse_a_switch_that_is_not_true_or_false(key, switch):
+    # a string once switched its factor on: "false" and "no" are truthy
+    with pytest.raises(ParamError) as info:
+        SwarmParams(**{key: switch})
+    assert info.value.key == key
+    assert str(info.value) == f"{key} must be True or False, got {switch!r}"
+
+
+def test_swarm_params_name_the_first_switch_at_fault():
+    with pytest.raises(ParamError, match="^env_enabled must be True or False, "
+                       "got 'no'$"):
+        SwarmParams(social_enabled="false", env_enabled="no")
+
+
+@pytest.mark.parametrize("on, off", [(True, False), (np.True_, np.False_),
+                                     (1, 0)])
+def test_swarm_params_take_a_switch_equal_to_true_or_false(on, off):
+    params = SwarmParams(env_enabled=on, social_enabled=off)
+    assert (params.env_enabled, params.social_enabled) == (True, False)
 
 
 @pytest.mark.parametrize("key", ["c1", "c2"])
