@@ -13,9 +13,9 @@ avoidance into a single complex-valued function.
 
 Neighbors are the nodes within the sensing radius r. ``build_neighborhood``
 tests the pairs of a sorted cell list (all pairs up to 128 nodes) and returns
-them in that sorted order (``NeighborGraph``) with the frame and r they were
-found in: the node order and two index arrays into it holding each unordered
-pair once. Each factor of a step has one home here: the speed law of both
+them in that sorted order (``NeighborGraph``) with the frame they were found
+in: the node order and two index arrays into it holding each unordered pair
+once. Each factor of a step has one home here: the speed law of both
 engines, ``speed_law``, which ``distance_speed`` and
 ``density.KernelParams.sd`` apply, and the social heading
 ``NeighborGraph.social_heading``, formed in the sorted order of the graph's
@@ -80,7 +80,8 @@ def speed_law(c1: float, c2: float, d, out: np.ndarray | None = None):
 class SwarmParams:
     """Model constants shared by every node.
 
-    A factor switch equal to neither True nor False (say "no") is a ParamError.
+    A factor switch equal to neither True nor False (say "no"), or an array of
+    one or more dimensions (say ``np.array([True])``), is a ParamError.
     ``sigma_const`` is the fixed speed used when the environmental factor is
     disabled; it may be left as None and resolved later from the initial
     placement (see ``engine.resolve_sigma_const``).
@@ -111,7 +112,9 @@ class SwarmParams:
             require(math.isfinite(part), key, "must be finite", part)
         for key in ("env_enabled", "social_enabled"):
             on = getattr(self, key)
-            require(on in (True, False), key, "must be True or False", repr(on))
+            # an array's == is elementwise, so its truth is not the switch's
+            require(getattr(on, "ndim", 0) == 0 and on in (True, False), key,
+                    "must be True or False", repr(on))
         require(self.sigma_const is None or 0 <= self.sigma_const < math.inf,
                 "sigma_const", "must be >= 0 and finite", self.sigma_const)
 
@@ -165,7 +168,6 @@ class NeighborGraph:
     a: np.ndarray
     b: np.ndarray
     positions: np.ndarray
-    r: float
 
     @property
     def n_nodes(self) -> int:
@@ -270,7 +272,7 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
     require(r >= 0, "r", "must be >= 0", r, "sensing radius ")
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
-        return NeighborGraph(empty, empty, empty, p, float(r))
+        return NeighborGraph(empty, empty, empty, p)
 
     x, y = p.real, p.imag
     x_lo, x_hi, y_lo, y_hi = (float(x.min()), float(x.max()),
@@ -317,7 +319,7 @@ def build_neighborhood(positions, r: float) -> NeighborGraph:
         else:
             close = np.abs(d) <= r
     kept = np.flatnonzero(close)
-    return NeighborGraph(order, a[kept], b[kept], ps, float(r))
+    return NeighborGraph(order, a[kept], b[kept], ps)
 
 
 @functools.lru_cache(maxsize=4)

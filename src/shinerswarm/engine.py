@@ -21,10 +21,11 @@ Every step goes through ``_step``, which takes its speed and social heading
 from ``core`` and reports a position that is not finite, and every walk of
 ``run`` and ``first_passage`` through ``_walk``: the one home of the set-up,
 the errstate (entered once per walk, not per step at about 2 us each, so it
-holds across yields), the graph a record hands on and the step named in an
-error. ``move`` (the pure step the tests read with draws of their choosing)
-and ``advance_swarm`` (the public state step) stay outside it, and resolve
-no ``sigma_const``.
+holds across yields), the records, whose metrics (``_metrics``) read the
+walk's own frame, its distances to rho and its graph, which a record hands on
+to the next step, and the step named in an error. ``move`` (the pure step the
+tests read with draws of their choosing) and ``advance_swarm`` (the public
+state step) stay outside it, and resolve no ``sigma_const``.
 """
 
 from __future__ import annotations
@@ -279,46 +280,43 @@ def advance_swarm(state: SwarmState, params: SwarmParams) -> SwarmState:
     return SwarmState(t=state.t + 1, positions=p, seed=state.seed)
 
 
-def compute_metrics(state: SwarmState, params: SwarmParams, eps: float,
-                    graph: NeighborGraph | None = None) -> Metrics:
+def compute_metrics(state: SwarmState, params: SwarmParams,
+                    eps: float) -> Metrics:
     """Convergence and cohesion summary of one frame.
 
-    Clusters are the connected components of the sensing-radius graph:
-    ``graph`` if given, which must hold the frame (by value) and
-    ``params.r``, else one built here. The pairwise mean is over unordered
-    pairs and is 0 for a single node: the sum of ``|p_i - p_j|`` over full
-    rows, which counts each pair twice, over ``n (n - 1)``. Rows go in
+    Clusters are the connected components of the frame's sensing-radius
+    graph, built here. The pairwise mean is over unordered pairs and is 0
+    for a single node: the sum of ``|p_i - p_j|`` over full rows, which
+    counts each pair twice, over ``n (n - 1)``. Rows go in
     ``core.row_blocks``, one block at a time, so memory is O(N). ValueError
-    for a graph of another frame, naming its node count, r or the first
-    node that differs; for positions that are not finite, named by the
-    graph built first; and for distance sums that overflow. ParamError
-    unless eps >= 0 and the frame has a node.
+    for positions that are not finite, named by the graph built first, and
+    for distance sums that overflow. ParamError unless eps >= 0 and the
+    frame has a node.
     """
     check_run_args(eps=eps)
     p = state.positions
-    n = p.size
-    require(n >= 1, "n_nodes", "must be >= 1", n)
-    if graph is None:
-        graph = build_neighborhood(p, params.r)
-    elif graph.n_nodes != n:
-        raise ValueError(f"the graph has {graph.n_nodes} nodes and the frame "
-                         f"{n}")
-    elif graph.r != params.r:
-        raise ValueError(f"the graph has r = {graph.r!r}, not {params.r!r}")
-    elif np.count_nonzero(graph.positions != p[graph.order]):
-        i = graph.order[graph.positions != p[graph.order]].min()
-        raise ValueError(f"node {i}: not at the graph's position")
-    blocks = row_blocks(n, p.itemsize)
+    require(p.size >= 1, "n_nodes", "must be >= 1", p.size)
+    graph = build_neighborhood(p, params.r)
     with np.errstate(over="ignore"):
-        d = np.abs(p - params.rho)
-        mean_dist = float(d.mean())
-        total = sum(float(np.abs(p[lo:lo + blocks.step, None] - p).sum())
-                    for lo in blocks)
+        return _metrics(state.t, p, np.abs(p - params.rho), graph, eps)
+
+
+def _metrics(t: int, p: np.ndarray, d: np.ndarray, graph: NeighborGraph,
+             eps: float) -> Metrics:
+    """``compute_metrics`` of frame p at step t, from its distances
+    d = ``|p - rho|`` and its own graph: the one home of a record's
+    metrics. The caller checks eps and the node count, and suppresses
+    numpy's overflow warnings."""
+    n = p.size
+    blocks = row_blocks(n, p.itemsize)
+    mean_dist = float(d.mean())
+    total = sum(float(np.abs(p[lo:lo + blocks.step, None] - p).sum())
+                for lo in blocks)
     if not np.isfinite([mean_dist, total]).all():
         raise ValueError(f"distances overflow: mean distance to rho "
                          f"{mean_dist}, sum of pairwise distances {total}")
     return Metrics(
-        t=state.t,
+        t=t,
         mean_dist_to_rho=mean_dist,
         frac_within_eps=float((d <= eps).mean()),
         mean_pairwise_dist=total / max(n * (n - 1), 1),
@@ -338,9 +336,10 @@ def _walk(params: SwarmParams, master_seed: int, region: Box, n_steps: int,
     d = ``|p - rho|`` after step t, which the next step turns into its
     speed in place, and record = (state, metrics) at t = 0, every ``stride``
     steps and the last step, else None (always, for stride = 0). A record's
-    graph is built once, for its metrics, and handed on to the next step.
-    Numpy's overflow and invalid warnings are off until the walk ends or is
-    closed. A ValueError names its step (``step_error``), the set-up's 0."""
+    metrics read this d and the frame's graph, which is built once and
+    handed on to the next step. Numpy's overflow and invalid warnings are
+    off until the walk ends or is closed. A ValueError names its step
+    (``step_error``), the set-up's 0."""
     p = init_swarm(params, master_seed, region).positions
     draws = _draws(master_seed, 0, p.size, n_steps, params.social_enabled)
     graph = None
@@ -356,9 +355,9 @@ def _walk(params: SwarmParams, master_seed: int, region: Box, n_steps: int,
                     graph = None
                 record = None
                 if stride and (t % stride == 0 or t == n_steps):
-                    state = SwarmState(t=t, positions=p, seed=master_seed)
                     graph = build_neighborhood(p, params.r)
-                    record = state, compute_metrics(state, params, eps, graph)
+                    record = (SwarmState(t=t, positions=p, seed=master_seed),
+                              _metrics(t, p, d, graph, eps))
                 yield t, d, record
     except ValueError as exc:
         raise step_error(t, exc) from exc

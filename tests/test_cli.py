@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import pathlib
 import re
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from shinerswarm import cli
 from shinerswarm.cli import main
+from shinerswarm.config import MODES
 from shinerswarm.density import DEFAULT_N_POINTS
 
 
@@ -1143,10 +1145,9 @@ def test_no_csv_escapes_metrics_or_render(body, step):
 
 
 @pytest.fixture(scope="module")
-def step_files(tmp_path_factory):
-    """A 30-node snapshot of 3 recorded steps and a 3-t density file, as
-    written: each file's header, its rows by step, and the outputs of
-    ``file_outputs``."""
+def written_files(tmp_path_factory):
+    """The directory of a 30-node snapshots.csv of steps 0, 3 and 6 and a
+    density.csv of t = 1, 2 and 3, as written."""
     tmp = tmp_path_factory.mktemp("steps")
     cfg = tmp / "run.cfg"
     cfg.write_text("steps = 6\nstride = 3\nseed = 4\nn_nodes = 30\n")
@@ -1154,6 +1155,14 @@ def step_files(tmp_path_factory):
                        str(tmp)]) == (0, "")
     assert quiet_main(["density", "--x0", "5", "--t", "3",
                        "--out", str(tmp / "density.csv")]) == (0, "")
+    return tmp
+
+
+@pytest.fixture(scope="module")
+def step_files(written_files):
+    """The files of ``written_files``: each file's header, its rows by step,
+    and the outputs of ``file_outputs``."""
+    tmp = written_files
     files = {}
     for name in ("snapshots.csv", "density.csv"):
         header, *rows = lines(tmp / name)
@@ -1205,3 +1214,98 @@ def test_interleaved_steps_change_no_output(step_files, seed, run, name):
         got = file_outputs(csv, by_step)
     assert got == want
     assert all(code == 0 for code, *_ in want)
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract: README's commands with one or two extreme values
+
+EXTREME_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300,
+                     -1e300, 1.7e308, -1.7e308, math.inf, -math.inf,
+                     math.nan]),
+    st.floats()).map(repr)
+
+
+def int_values(*values):
+    return st.sampled_from([str(v) for v in values])
+
+
+# each command's base, README's command with its sizes bounded (steps <= 6,
+# t <= 3), and the values each flag, or simulate's config key, may take in
+# its place: no value allocates a large array (n_nodes <= 300, grid points
+# <= 4001). A flag's value None drops the flag
+CONTRACT = {
+    "simulate": ({"--seed": "0", "--steps": "6", "--stride": "3",
+                  "--mode": "both"},
+                 {"--seed": int_values(-1, 0, 2 ** 64 - 1, 2 ** 64),
+                  "--steps": int_values(-2 ** 64, -1, 0, 1, 6),
+                  "--stride": int_values(-1, 0, 1, 2 ** 70),
+                  "--mode": st.sampled_from(MODES),
+                  "n_nodes": int_values(-1, 0, 1, 300),
+                  "mode": st.sampled_from(["Both", ""]),
+                  **{key: EXTREME_FLOATS for key in (
+                      "c1", "c2", "r", "w", "s", "rho_x", "rho_y",
+                      "sigma_const", "eps", "region_min_x", "region_min_y",
+                      "region_max_x", "region_max_y")}}),
+    "density": ({"--x0": "5", "--t": "3"},
+                {"--t": int_values(-2 ** 64, -1, 0, 1, 3),
+                 "--grid-points": int_values(-1, 0, 1, 2, 3, 4001),
+                 **{flag: EXTREME_FLOATS for flag in (
+                     "--x0", "--c1", "--c2", "--grid-min", "--grid-max",
+                     "--near-eps")}}),
+    "metrics": ({"--in": "snapshots.csv", "--eps": "0.15"},
+                {flag: EXTREME_FLOATS
+                 for flag in ("--eps", "--r", "--rho-x", "--rho-y")}),
+    "render": ({"--in": "snapshots.csv", "--step": "6"},
+               {"--in": st.just("density.csv"),
+                "--step": st.none() | int_values(-1, 0, 3, 2 ** 70),
+                "--rho-x": EXTREME_FLOATS, "--rho-y": EXTREME_FLOATS}),
+}
+
+
+@st.composite
+def contract_args(draw, command):
+    """README's ``command`` with one or two of its flags or config keys
+    replaced, as (flags, config keys)."""
+    base, values = CONTRACT[command]
+    args = dict(base)
+    for name in draw(st.lists(st.sampled_from(sorted(values)), min_size=1,
+                              max_size=2, unique=True)):
+        args[name] = draw(values[name], label=name)
+    flags = {k: v for k, v in args.items() if k.startswith("--")}
+    keys = {k: v for k, v in args.items() if not k.startswith("--")}
+    return flags, keys
+
+
+@pytest.mark.parametrize("command", sorted(CONTRACT))
+@settings(max_examples=100)
+@given(data=st.data())
+def test_every_command_keeps_the_exit_code_contract(written_files, command,
+                                                    data):
+    # every exit code is one README documents, a non-zero one comes with one
+    # stderr line that starts "error: ", and nothing escapes main, not even
+    # a warning
+    flags, keys = data.draw(contract_args(command), label="args")
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command]
+        for flag, value in flags.items():
+            if flag == "--in":
+                value = str(written_files / value)
+            if value is not None:
+                argv += [flag, value]
+        if command == "simulate":
+            cfg = os.path.join(tmp, "run.cfg")
+            with open(cfg, "w") as fh:
+                fh.writelines(f"{k} = {v}\n" for k, v in keys.items())
+            argv += ["--config", cfg]
+        if command != "metrics":
+            argv += ["--out", os.path.join(tmp, "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = quiet_main(argv)
+    assert code in (0, 2, 3, 4, 5)
+    lines = err.splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -262,15 +262,14 @@ def test_neighborhood_over_budget_on_cells_of_side_r_names_no_node():
         build_neighborhood(p, 2.0)
 
 
-def test_neighbor_graph_holds_its_three_arrays_frame_and_radius():
+def test_neighbor_graph_holds_its_three_arrays_and_frame():
     p = np.array([1 + 0j, 0.1 + 0j, 0j])
     graph = build_neighborhood(p, r=0.2)
     graph.degrees()
     graph.component_count()
-    assert set(vars(graph)) == {"order", "a", "b", "positions", "r"}
+    assert set(vars(graph)) == {"order", "a", "b", "positions"}
     assert graph.n_nodes == graph.order.size == 3
     assert graph.positions.tobytes() == p[graph.order].tobytes()
-    assert graph.r == 0.2
 
 
 def test_neighbor_graph_frame_is_read_only():
@@ -750,9 +749,13 @@ def test_swarm_params_name_the_non_finite_part_of_rho(rho, key):
 
 
 @pytest.mark.parametrize("key", ["env_enabled", "social_enabled"])
-@pytest.mark.parametrize("switch", ["false", "no", "", None, 2, 0.5])
+@pytest.mark.parametrize("switch", ["false", "no", "", None, 2, 0.5,
+                                    np.array([True, False]), np.array([True]),
+                                    np.array([[False]])])
 def test_swarm_params_refuse_a_switch_that_is_not_true_or_false(key, switch):
-    # a string once switched its factor on: "false" and "no" are truthy
+    # a string once switched its factor on: "false" and "no" are truthy. An
+    # array is compared elementwise: one of two entries raised numpy's "truth
+    # value is ambiguous" error, and one of one entry was taken as the switch
     with pytest.raises(ParamError) as info:
         SwarmParams(**{key: switch})
     assert info.value.key == key
@@ -766,7 +769,7 @@ def test_swarm_params_name_the_first_switch_at_fault():
 
 
 @pytest.mark.parametrize("on, off", [(True, False), (np.True_, np.False_),
-                                     (1, 0)])
+                                     (1, 0), (np.array(True), np.array(False))])
 def test_swarm_params_take_a_switch_equal_to_true_or_false(on, off):
     params = SwarmParams(env_enabled=on, social_enabled=off)
     assert (params.env_enabled, params.social_enabled) == (True, False)

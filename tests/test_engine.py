@@ -1,3 +1,4 @@
+import inspect
 import math
 import pickle
 import re
@@ -616,45 +617,28 @@ def test_run_builds_each_state_graph_once(monkeypatch, mode, n_steps, stride,
     assert len({id(p) for p in built}) == builds
 
 
-def test_a_passed_graph_gives_the_step_and_metrics_of_a_built_one():
-    params = SwarmParams(n_nodes=40)
-    state = init_swarm(params, 8, UNIT_BOX)
-    graph = build_neighborhood(state.positions, params.r)
-    assert (compute_metrics(state, params, 0.15, graph)
-            == compute_metrics(state, params, 0.15))
-
-
-def test_compute_metrics_refuses_the_graph_of_another_frame():
-    # the graph of the first 3 nodes would report 2 clusters; the frame's
-    # own graph counts 4
+def test_compute_metrics_counts_the_clusters_of_its_own_frame():
+    # a graph passed beside the frame could be another frame's: the graph of
+    # the first 3 nodes would report 2 clusters, the frame's own counts 4.
+    # So compute_metrics takes none and builds the frame's own
+    assert list(inspect.signature(compute_metrics).parameters) == [
+        "state", "params", "eps"]
     params = SwarmParams(n_nodes=5)
     p = np.array([0, 0.1, 1, 2, 3], dtype=np.complex128)
     state = SwarmState(t=0, positions=p, seed=0)
     assert compute_metrics(state, params, 0.15).cluster_count == 4
-    graph = build_neighborhood(p[:3], params.r)
-    with pytest.raises(ValueError,
-                       match=r"^the graph has 3 nodes and the frame 5$"):
-        compute_metrics(state, params, 0.15, graph)
 
 
-def test_compute_metrics_refuses_the_graph_of_another_seed_or_radius():
-    # on seed 0's 50 nodes, the graph of seed 1's frame would count 1
-    # cluster and one built at r = 0.01 would count 50; the frame's own
-    # graph counts 2
+def test_compute_metrics_counts_the_clusters_of_each_seed_and_radius():
+    # seed 0's 50 nodes form 2 clusters at r = 0.2 and 50 at r = 0.01;
+    # seed 1's form 1 at r = 0.2
     params = SwarmParams(n_nodes=50)
     state = init_swarm(params, 0, UNIT_BOX)
     assert compute_metrics(state, params, 0.15).cluster_count == 2
-    other = build_neighborhood(init_swarm(params, 1, UNIT_BOX).positions,
-                               params.r)
-    assert other.component_count() == 1
-    with pytest.raises(ValueError,
-                       match=r"^node 0: not at the graph's position$"):
-        compute_metrics(state, params, 0.15, other)
-    coarse = build_neighborhood(state.positions, 0.01)
-    assert coarse.component_count() == 50
-    with pytest.raises(ValueError,
-                       match=r"^the graph has r = 0\.01, not 0\.2$"):
-        compute_metrics(state, params, 0.15, coarse)
+    other = init_swarm(params, 1, UNIT_BOX)
+    assert compute_metrics(other, params, 0.15).cluster_count == 1
+    coarse = replace(params, r=0.01)
+    assert compute_metrics(state, coarse, 0.15).cluster_count == 50
 
 
 def test_snapshot_resumes_bit_for_bit_from_plain_data():
@@ -782,16 +766,21 @@ _K = _block_steps(100)  # steps 1.._K of a 100-node walk take its first block
 @pytest.mark.parametrize("n_steps, stride", [(0, 5), (2 * _K + 7, 10),
                                              (2 * _K, _K)])
 def test_run_is_the_per_step_walk(env, social, n_steps, stride):
-    params = SwarmParams(env_enabled=env, social_enabled=social)
-    walk = list(stepped_walk(params, 5, UNIT_BOX, n_steps))
-    resolved = resolve_sigma_const(params, walk[0].positions)
-    records = run(params, 5, UNIT_BOX, n_steps, stride)
-    assert [s.t for s, _ in records] == [
-        t for t in range(n_steps + 1) if t % stride == 0 or t == n_steps]
-    for state, metrics in records:
-        want = walk[state.t]
-        assert state.positions.tobytes() == want.positions.tobytes()
-        assert metrics == compute_metrics(want, resolved, DEFAULT_EPS)
+    # the reference swarm, then 300 nodes, whose graphs come from the cell
+    # list, about a darkest spot off the origin: a record's metrics must read
+    # its own frame's distances to rho and its own graph
+    for n, rho in ((100, 0j), (300, 0.3 - 0.2j)):
+        params = SwarmParams(n_nodes=n, rho=rho, env_enabled=env,
+                             social_enabled=social)
+        walk = list(stepped_walk(params, 5, UNIT_BOX, n_steps))
+        resolved = resolve_sigma_const(params, walk[0].positions)
+        records = run(params, 5, UNIT_BOX, n_steps, stride)
+        assert [s.t for s, _ in records] == [
+            t for t in range(n_steps + 1) if t % stride == 0 or t == n_steps]
+        for state, metrics in records:
+            want = walk[state.t]
+            assert state.positions.tobytes() == want.positions.tobytes()
+            assert metrics == compute_metrics(want, resolved, DEFAULT_EPS)
 
 
 def _passage_inputs(walk, target: int, rho: complex):

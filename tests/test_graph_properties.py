@@ -10,7 +10,6 @@ checked on both lists (``graphs``), and the two must give the same arrays.
 """
 
 import contextlib
-import re
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from oracle import (dense_move, directed_edges, fresh_step_normals, indices,
                     indptr, neighbors, node_pairs)
 from shinerswarm import core
 from shinerswarm.core import NeighborGraph, SwarmParams, build_neighborhood
-from shinerswarm.engine import SwarmState, compute_metrics, move, step_draws
+from shinerswarm.engine import move, step_draws
 
 PROPERTY_SETTINGS = settings(max_examples=150)
 
@@ -159,14 +158,14 @@ def graph_from_edges(n, edges):
     """Pair-list graph of the undirected simple graph on n nodes with these
     edges: each unordered pair once, in the order and orientation first
     listed, with the nodes in their own order. Its frame is node i at i on
-    the real axis, with r = 0, which no test of these graphs reads."""
+    the real axis, which no test of these graphs reads."""
     pairs = {}
     for i, j in edges:
         if i != j:
             pairs.setdefault(frozenset((i, j)), (i, j))
     uv = np.array(list(pairs.values()), dtype=np.int64).reshape(-1, 2)
     return NeighborGraph(np.arange(n), uv[:, 0], uv[:, 1],
-                         np.arange(n, dtype=np.complex128), 0.0)
+                         np.arange(n, dtype=np.complex128))
 
 
 @PROPERTY_SETTINGS
@@ -256,34 +255,6 @@ def test_social_heading_is_the_node_order_formula_byte_for_byte(p):
     got = graph.social_heading(params.s, params.w, noise)
     want = summed_then_scattered_heading(graph, p, params.s, params.w, noise)
     assert got.tobytes() == want.tobytes()
-
-
-@PROPERTY_SETTINGS
-@given(st.sampled_from(_SIZES), st.integers(0, 2 ** 32 - 1), st.data())
-def test_compute_metrics_holds_a_graph_to_its_frame(n, seed, data):
-    # up to 128 nodes the graphs come from all pairs, from 129 on from the
-    # cell list: a graph of an equal copy of the frame is the frame's, and
-    # one node or r one ulp away is refused, by name
-    p = clusters(n, seed)
-    params = SwarmParams(n_nodes=n)
-    state = SwarmState(t=0, positions=p, seed=0)
-    want = compute_metrics(state, params, 0.15)
-    graph = build_neighborhood(p.copy(), params.r)
-    assert compute_metrics(state, params, 0.15, graph) == want
-    i = data.draw(st.integers(0, n - 1), label="node")
-    part = data.draw(st.sampled_from(["real", "imag"]), label="part")
-    toward = data.draw(st.sampled_from([-np.inf, np.inf]), label="toward")
-    moved = p.copy()
-    getattr(moved, part)[i] = np.nextafter(getattr(p, part)[i], toward)
-    graph = build_neighborhood(moved, params.r)
-    with pytest.raises(ValueError,
-                       match=rf"^node {i}: not at the graph's position$"):
-        compute_metrics(state, params, 0.15, graph)
-    r = float(np.nextafter(params.r, toward))
-    graph = build_neighborhood(p, r)
-    with pytest.raises(ValueError, match=rf"^the graph has r = "
-                       rf"{re.escape(repr(r))}, not 0\.2$"):
-        compute_metrics(state, params, 0.15, graph)
 
 
 def assert_same_graph_bytes(p, r):
