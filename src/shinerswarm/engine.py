@@ -3,14 +3,12 @@
 Each step, all nodes read the same time-t snapshot, draw two factors each
 (the step length factor and the heading, or with the social factor on the
 heading noise), and move simultaneously. The factors of node i at step t
-are a pure function of (master seed, i, t): they are made from the
-Philox4x64 block (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-3", SC'11) with key (master seed, 0) at counter (i, t, 0, 0)
-(``step_draws``); the heading is ``cos + i sin`` of the angle 2 pi u3, the
-bits of ``exp(2j pi u3)``. A walk owns one Philox generator and reads the
-factors a block of consecutive steps at a time: for each step t it sets the
-generator's counter to (0, t, 0, 0), so a block row equals ``step_draws`` of
-its step bit for bit. Blocks hold at most 64 KiB of Philox words, so they
+are a pure function of (master seed, i, t), read from one Philox4x64 block
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) whose
+key and counter ``step_draws`` gives. ``_draws`` is their one reader: a
+walk reads them a block of consecutive steps at a time from one generator,
+and ``step_draws`` is one step of it, so a block row equals ``step_draws``
+of its step bit for bit. Blocks hold at most 64 KiB of Philox words, so they
 span many steps of a small swarm and one step of a large one; only the
 position-dependent part of a step runs per step. A state is therefore just
 (t, positions, seed): it owns no generator, advancing it mutates nothing,
@@ -135,60 +133,21 @@ def step_draws(master_seed: int, t: int, n: int, social: bool):
     on, ``heading[i]`` is the noise added to the social term.
 
     Node i's factors come from the four 64-bit words w0..w3 of the
-    Philox4x64 block with key (master_seed, 0) and counter (i, t, 0, 0), so
-    they depend on neither n nor the order of evaluation; the step is the
-    counter's second word. With the 53-bit uniforms
-    ``u = (w >> 11) * 2**-53`` in [0, 1), the length is the chi-2 radius
-    ``sqrt(-2 log1p(-u0))`` (Box and Muller 1958), the heading
+    Philox4x64-10 block with key (master_seed, 0) and counter
+    (i + 1, t, 0, 0), so they depend on neither n nor the order of
+    evaluation; the step is the counter's second word. With the 53-bit
+    uniforms ``u = (w >> 11) * 2**-53`` in [0, 1), the length is the chi-2
+    radius ``sqrt(-2 log1p(-u0))`` (Box and Muller 1958), the heading
     ``exp(2j pi u3)`` and the noise ``sqrt(-2 log1p(-u2)) * exp(2j pi u3)``,
-    a standard complex normal; every value is finite. A walk reads the same
-    rows a block of steps at a time (``_block_draws``). ParamError unless t
-    is an integer in [0, 2**64) and n an integer >= 0.
+    a standard complex normal; every value is finite. This is the first
+    step of ``_draws``, which a walk reads a block of steps at a time.
+    ParamError unless t is an integer in [0, 2**64) and n an integer >= 0.
     """
     t = require_int("t", t)
     require(0 <= t < SEED_LIMIT, "t", "must be in [0, 2**64)", t)
     n = require_int("n", n)
     require(n >= 0, "n", "must be >= 0", n)
-    length, heading = _block_draws(master_seed, t, n, 1, social,
-                                   np.random.Philox(0))
-    return length[0], heading[0]
-
-
-def _block_draws(master_seed: int, t: int, n: int, k: int, social: bool,
-                 bitgen: np.random.Philox):
-    """The (k, n) draw factors of steps t..t+k-1: row j of each is that of
-    ``step_draws(master_seed, t + j, n, social)``, read from ``bitgen``,
-    whose whole state each row sets, so neither its seed nor what it drew
-    before is of any account."""
-    state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0),
-             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    key = (check_seed(master_seed), 0)
-    rows = []
-    for j in range(k):
-        # counter (0, t + j, 0, 0), and an empty buffer, so that no word
-        # left from the last row is read first
-        state["state"] = {"counter": (0, t + j, 0, 0), "key": key}
-        bitgen.state = state
-        rows.append(bitgen.random_raw(4 * n))
-    # one step's words, the usual case at large n, need no copy
-    raw = rows[0] if k == 1 else np.concatenate(rows)
-    del rows
-    raw >>= 11
-    w = raw.reshape(k, n, 4)
-    length = _radius(w[..., 0])
-    # exp(2j pi u3) as cos + i sin, in the heading's own memory: the angle
-    # goes into the real part, sin reads it into the imaginary part, and
-    # cos overwrites it. numpy's complex exp is a scalar loop; cos and sin
-    # gave its bits at the AVX512, AVX2 and X86_V2 levels. w * (2 pi 2**-53)
-    # is 2 pi u bit for bit: a power-of-two scale commutes with rounding
-    heading = np.empty((k, n), dtype=np.complex128)
-    angle = heading.real
-    np.multiply(w[..., 3], 2.0 * np.pi * 2.0 ** -53, out=angle)
-    np.sin(angle, out=heading.imag)
-    np.cos(angle, out=angle)
-    if social:
-        heading *= _radius(w[..., 2])
-    return length, heading
+    return next(_draws(master_seed, t, n, 1, social))
 
 
 def _radius(w: np.ndarray) -> np.ndarray:
@@ -202,18 +161,52 @@ def _radius(w: np.ndarray) -> np.ndarray:
 
 def _draws(master_seed: int, t: int, n: int, n_steps: int, social: bool):
     """The draw factors (see ``step_draws``) of n nodes at steps
-    t..t+n_steps-1, one step at a time, computed a block of at most
-    ``_DRAW_BYTES`` of Philox words at a time from the one generator of the
-    walk. It takes no state, which would keep the walk's first positions
-    alive."""
-    k_max = max(1, _DRAW_BYTES // (32 * n))
-    end = t + n_steps
+    t..t+n_steps-1, one step at a time: the one reader of the Philox words.
+    Its one generator reads a block of k steps, at most ``_DRAW_BYTES`` of
+    words, at a time, and sets its whole state for each step, so a row reads
+    neither the generator's seed nor a word the last row left. It takes no
+    state, which would keep the walk's first positions alive."""
     bitgen = np.random.Philox(0)
+    state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0),
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    key = (check_seed(master_seed), 0)
+    k_max = max(1, _DRAW_BYTES // (32 * n or 1))
+    end = t + n_steps
     for t0 in range(t, end, k_max):
-        # a caller that passes each step's factors on without keeping them
-        # holds no more than one block at a time
-        yield from zip(*_block_draws(master_seed, t0, n,
-                                     min(k_max, end - t0), social, bitgen))
+        k = min(k_max, end - t0)
+        rows = []
+        for step in range(t0, t0 + k):
+            # numpy adds 1 to the counter before each Philox block, so node
+            # i reads counter (i + 1, step, 0, 0); the buffer is empty, so
+            # no word left from the last row is read first
+            state["state"] = {"counter": (0, step, 0, 0), "key": key}
+            bitgen.state = state
+            rows.append(bitgen.random_raw(4 * n))
+        # one step's words, the usual case at large n, need no copy
+        w = rows[0] if k == 1 else np.concatenate(rows)
+        del rows
+        w >>= 11
+        w = w.reshape(k, n, 4)
+        length = _radius(w[..., 0])
+        # exp(2j pi u3) as cos + i sin, in the heading's own memory: the
+        # angle goes into the real part, sin reads it into the imaginary
+        # part, and cos overwrites it. numpy's complex exp is a scalar loop;
+        # cos and sin gave its bits at the AVX512, AVX2 and X86_V2 levels.
+        # w * (2 pi 2**-53) is 2 pi u bit for bit: a power-of-two scale
+        # commutes with rounding
+        heading = np.empty((k, n), dtype=np.complex128)
+        angle = heading.real
+        np.multiply(w[..., 3], 2.0 * np.pi * 2.0 ** -53, out=angle)
+        np.sin(angle, out=heading.imag)
+        np.cos(angle, out=angle)
+        if social:
+            heading *= _radius(w[..., 2])
+        # the words go before a step runs and the factors before the next
+        # block is drawn, so a caller that passes each step's factors on
+        # without keeping them holds no more than one block at a time
+        del w, angle
+        yield from zip(length, heading)
+        del length, heading
 
 
 def resolve_sigma_const(params: SwarmParams, positions) -> SwarmParams:

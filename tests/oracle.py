@@ -16,7 +16,10 @@ equal byte for byte. ``fresh_step_normals`` draws a step's four normals
 from a Philox generator of its own by Box-Muller, the reference for the
 factors of ``engine.step_draws``, and ``stepped_walk`` steps a walk one
 ``step_draws`` and ``move`` at a time: the reference for the engine's block
-draws. ``propagate_every_entry`` is the density step
+draws. ``philox4x64_10`` is the Philox block function of the published
+spec, the reference for the words ``step_draws`` reads, and
+``radial_within_eps`` the radial chain that predicts the environment-only
+walk's distances to rho. ``propagate_every_entry`` is the density step
 that evaluates ``exp`` on every kernel entry, the reference for
 ``density.propagate``, and ``mc_sample`` simulates the density's chain
 walker by walker, the grid-free cross-check of the propagated pdf.
@@ -29,9 +32,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid
+from scipy.special import i0e
 
 from shinerswarm.core import (NeighborGraph, SwarmParams, check_finite,
-                              hammer, require, require_int, row_blocks)
+                              hammer, require, require_int, row_blocks,
+                              speed_law)
 from shinerswarm.density import GridPdf, KernelParams
 from shinerswarm.engine import (SwarmState, init_swarm, move,
                                 resolve_sigma_const, step_draws)
@@ -255,6 +261,63 @@ def fresh_step_normals(seed: int, t: int, n: int) -> np.ndarray:
     u = (raw >> 11).reshape(n, 2, 2) * 2.0 ** -53
     g = np.sqrt(-2.0 * np.log1p(-u[..., 0])) * np.exp(2j * np.pi * u[..., 1])
     return g.view(np.float64)
+
+
+_WORD = 2 ** 64 - 1
+
+
+def philox4x64_10(counter, key) -> tuple[int, int, int, int]:
+    """The Philox4x64-10 block (Salmon et al., "Parallel random numbers: as
+    easy as 1, 2, 3", SC'11) of a counter of four 64-bit words and a key of
+    two, in Python integers: ten rounds, each multiplying words 0 and 2
+    into their high and low halves, the key bumped by the Weyl constants
+    between rounds."""
+    c0, c1, c2, c3 = counter
+    k0, k1 = key
+    for r in range(10):
+        if r:
+            k0 = (k0 + 0x9E3779B97F4A7C15) & _WORD
+            k1 = (k1 + 0xBB67AE8584CAA73B) & _WORD
+        p0 = 0xD2E7470EE14C6C93 * c0
+        p1 = 0xCA5A826395121157 * c2
+        c0, c1, c2, c3 = ((p1 >> 64) ^ c1 ^ k0, p1 & _WORD,
+                          (p0 >> 64) ^ c3 ^ k1, p0 & _WORD)
+    return c0, c1, c2, c3
+
+
+def radial_within_eps(c1: float, c2: float, r0: float, eps: float,
+                      n_steps: int, r_max: float = 5.0,
+                      points: int = 601) -> np.ndarray:
+    """P(R_t <= eps) for t = 1..n_steps, R being a node's distance to rho in
+    the environment-only walk from R_0 = r0. A step adds an isotropic
+    Gaussian of per-axis sd ``sigma = speed_law(c1, c2, R)``, so
+    ``R' | R ~ Rice(nu = R, sigma)``, whose pdf is
+    ``(r / sigma**2) exp(-(r - nu)**2 / 2 sigma**2) i0e(r nu / sigma**2)``.
+    R's pdf is propagated on ``points`` nodes over [0, r_max], graded in
+    u = log1p(r / c2) so that sigma spans the same number of nodes
+    everywhere, with trapezoid-in-u weights; the mass that leaves
+    [0, r_max] is dropped. Each P is the pdf's cumulative integral in u,
+    interpolated at u(eps)."""
+    u = np.linspace(0.0, math.log1p(r_max / c2), points)
+    r = c2 * np.expm1(u)
+    w = np.full(points, u[1])
+    w[[0, -1]] /= 2
+    w *= c2 + r  # dr = (c2 + r) du
+
+    def rice(nu):
+        """The Rice pdf at every r (rows) given each R = nu (columns)."""
+        var = speed_law(c1, c2, nu) ** 2
+        return (r[:, None] / var * np.exp(-(r[:, None] - nu) ** 2 / (2 * var))
+                * i0e(r[:, None] * nu / var))
+
+    kernel = rice(r[None, :]) * w
+    f = rice(np.array([r0]))[:, 0]
+    within = np.empty(n_steps)
+    for t in range(n_steps):
+        cdf = cumulative_trapezoid(f * (c2 + r), u, initial=0.0)
+        within[t] = np.interp(math.log1p(eps / c2), u, cdf)
+        f = kernel @ f
+    return within
 
 
 def stepped_walk(params: SwarmParams, seed: int, region, n_steps: int):
