@@ -184,24 +184,21 @@ class NeighborGraph:
     def component_count(self) -> int:
         """Number of connected components (isolated nodes count as one each).
 
-        Min-label propagation with pointer jumping: each round, the node
-        that i points at takes the smallest label of i's neighbors, then
-        every node jumps one pointer further. At the fixed point each
-        component is labelled by its smallest node, the only node that
-        labels itself. It runs on node ids: sorted positions, being
-        spatially local labels, took 10 rounds instead of 8 at N = 1e5.
+        Hook-and-shrink on the sorted pairs (Shiloach & Vishkin, 1982, in
+        outline): each round hooks the larger root of every remaining pair
+        onto the smaller, jumps pointers until every node points at a root,
+        and drops the pairs whose ends now share one. The count does not
+        depend on the labels, so it runs on sorted positions.
         """
-        i_idx = self.order[np.concatenate([self.a, self.b])]
-        j_idx = self.order[np.concatenate([self.b, self.a])]
-        nodes = np.arange(self.n_nodes, dtype=np.int64)
-        label = nodes
-        while True:
-            hooked = label.copy()
-            np.minimum.at(hooked, label[i_idx], label[j_idx])
-            hooked = hooked[hooked]
-            if np.array_equal(hooked, label):
-                return int(np.count_nonzero(label == nodes))
-            label = hooked
+        root, a, b = np.arange(self.n_nodes), self.a, self.b
+        while a.size:
+            ra, rb = root[a], root[b]
+            np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+            while not np.array_equal(up := root[root], root):
+                root = up
+            keep = root[a] != root[b]
+            a, b = a[keep], b[keep]
+        return int(np.count_nonzero(root == np.arange(self.n_nodes)))
 
     def social_heading(self, s: float, w: float, noise) -> np.ndarray:
         """Node i's unit vector of ``w * mean_j hammer(p_j - p_i, s) +

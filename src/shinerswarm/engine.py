@@ -23,7 +23,8 @@ holds across yields), the records, whose metrics (``_metrics``) read the
 walk's own frame, its distances to rho and its graph, which a record hands on
 to the next step, and the step named in an error. ``move`` (the pure step the
 tests read with draws of their choosing) and ``advance_swarm`` (the public
-state step) stay outside it, and resolve no ``sigma_const``.
+state step, which names its step in an error as a walk does) stay outside
+it, and resolve no ``sigma_const``.
 """
 
 from __future__ import annotations
@@ -265,11 +266,16 @@ def advance_swarm(state: SwarmState, params: SwarmParams) -> SwarmState:
     step-t draw factors, and move together (``move``); returns the t+1
     state.
 
-    Raises ValueError, naming the node, when a new position overflows to a
-    non-finite value, so a diverging walk stops at the step it diverges."""
+    Raises ValueError, naming the step and the node, when a new position
+    overflows to a non-finite value, so a diverging walk stops at the step
+    it diverges, e.g. ``step 42: node 0: position (-inf-infj) is not
+    finite`` from t = 41."""
     p = state.positions
-    p = move(p, params, step_draws(state.seed, state.t, p.size,
-                                   params.social_enabled))
+    draw = step_draws(state.seed, state.t, p.size, params.social_enabled)
+    try:
+        p = move(p, params, draw)
+    except ValueError as exc:
+        raise step_error(state.t + 1, exc) from exc
     return SwarmState(t=state.t + 1, positions=p, seed=state.seed)
 
 

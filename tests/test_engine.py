@@ -411,6 +411,16 @@ def test_advance_env_off_requires_sigma_const():
         advance_swarm(state, params)
 
 
+def test_advance_swarm_names_the_step_it_diverges_at():
+    # the step from t = 41 is step 42, as a walk names the step that
+    # reaches t; the node and position follow as in move's error
+    state = SwarmState(41, np.array([1e300 + 0j, 1, 2]), 1)
+    params = SwarmParams(n_nodes=3, c1=1e300, social_enabled=False)
+    with pytest.raises(ValueError, match=r"^step 42: node 0: position "
+                       r"\(-inf-infj\) is not finite$"):
+        advance_swarm(state, params)
+
+
 # ---------------------------------------------------------------------------
 # compute_metrics
 
@@ -719,8 +729,8 @@ def test_first_passage_names_the_step_as_run_does():
 
 def test_env_only_divergence_is_named_at_the_step_it_happens():
     # no graph is built with the social factor off; the step that first
-    # overflows a position is caught by advance_swarm, and numpy's overflow
-    # warnings (errors under this suite's settings) stay inside it
+    # overflows a position is caught by the walk's step, and numpy's
+    # overflow warnings (errors under this suite's settings) stay inside it
     params = SwarmParams(c1=3.0, social_enabled=False)
     message = r"^step 558: node 88: position \(inf-infj\) is not finite$"
     with pytest.raises(ValueError, match=message):

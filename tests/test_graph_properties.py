@@ -176,13 +176,22 @@ def test_component_count_matches_scipy_on_any_graph(case):
 
 
 def test_component_count_on_shuffled_long_path():
-    # a path whose labels decrease away from one end is the slow case of
-    # min-label propagation; pointer jumping must still reach one component
+    # hook-and-shrink takes 7, 1, 2 and 3 rounds on a shuffled path, a path
+    # whose labels decrease away from one end, the zig-zag path 0, n - 1, 1,
+    # n - 2, ... and a binary tree labelled in reverse BFS order; a count
+    # that stops after one round reads 989, 1, 1500 and 1500
     n = 3000
     order = np.random.default_rng(17).permutation(n)
-    for path in (order, np.arange(n)[::-1]):
+    zigzag = np.empty(n, dtype=np.int64)
+    zigzag[0::2] = np.arange((n + 1) // 2)
+    zigzag[1::2] = np.arange(n - 1, (n - 1) // 2, -1)
+    for path in (order, np.arange(n)[::-1], zigzag):
         graph = graph_from_edges(n, zip(path[:-1].tolist(), path[1:].tolist()))
         assert graph.component_count() == 1
+    child = np.arange(1, n)
+    tree = graph_from_edges(n, zip((n - 1 - (child - 1) // 2).tolist(),
+                                   (n - 1 - child).tolist()))
+    assert tree.component_count() == 1
 
 
 @PROPERTY_SETTINGS
