@@ -21,16 +21,16 @@ from ``core`` and reports a position that is not finite, and every walk of
 the errstate (entered once per walk, not per step at about 2 us each, so it
 holds across yields), the records, whose metrics (``_metrics``) read the
 walk's own frame, its distances to rho and its graph, which a record hands on
-to the next step, and the step named in an error. ``move`` (the pure step the
-tests read with draws of their choosing) and ``advance_swarm`` (the public
-state step, which names its step in an error as a walk does) stay outside
-it, and resolve no ``sigma_const``.
+to the next step, and the step named in an error. ``advance_swarm``, the
+public state step, which names its step in an error as a walk does, stays
+outside it and resolves no ``sigma_const``.
 """
 
 from __future__ import annotations
 
 from contextlib import closing
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -49,6 +49,14 @@ DEFAULT_EPS = 0.15
 # that make the factors of 19 steps; two at N = 683-1024, and one from
 # N = 1025 on, where more steps would only add memory.
 _DRAW_BYTES = 2 ** 16
+
+
+@cache
+def _philox_seed() -> np.random.SeedSequence:
+    """The seed of ``_draws``' generator, whose state each row overwrites:
+    hashed once, at the first draw, since at import it would load
+    numpy.random; only read, so threads may share it."""
+    return np.random.SeedSequence(0)
 
 
 def check_seed(seed) -> int:
@@ -109,6 +117,8 @@ class SwarmState:
 
 @dataclass(frozen=True)
 class Metrics:
+    """A record's summary of the frame at step t (``compute_metrics``)."""
+
     t: int
     mean_dist_to_rho: float
     frac_within_eps: float
@@ -167,7 +177,7 @@ def _draws(master_seed: int, t: int, n: int, n_steps: int, social: bool):
     words, at a time, and sets its whole state for each step, so a row reads
     neither the generator's seed nor a word the last row left. It takes no
     state, which would keep the walk's first positions alive."""
-    bitgen = np.random.Philox(0)
+    bitgen = np.random.Philox(_philox_seed())
     state = {"bit_generator": "Philox", "buffer": (0, 0, 0, 0),
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     key = (check_seed(master_seed), 0)
@@ -228,25 +238,12 @@ def resolve_sigma_const(params: SwarmParams, positions) -> SwarmParams:
     return replace(params, sigma_const=sigma)
 
 
-def move(positions: np.ndarray, params: SwarmParams, draw) -> np.ndarray:
-    """Positions after one synchronous step with the draw factors
-    ``draw = (length, heading)`` of ``step_draws(seed, t, n,
-    params.social_enabled)``: node i's step is ``sigma * length[i]`` long,
-    sigma being ``core.distance_speed`` at ``|p_i - rho|``, along
-    ``heading[i]`` with the social factor off, else along the unit vector
-    of the social term plus the noise ``heading[i]``
-    (``core.NeighborGraph.social_heading``). Pure: reads time t only.
-
-    Raises ValueError, naming the node, if a new position is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _step(positions, params, np.abs(positions - params.rho), draw)
-
-
 def _step(p: np.ndarray, params: SwarmParams, d: np.ndarray, draw,
           graph: NeighborGraph | None = None) -> np.ndarray:
-    """``move`` from p with the distances d = ``|p - rho|``, which become
-    the speed in place, and the step's draw factors ``draw`` (see
-    ``step_draws``): the one function that moves positions. The caller
+    """Positions after one synchronous step from p, reading time t only:
+    the one function that moves positions. d = ``|p - rho|`` becomes the
+    speed sigma in place, and each node steps as the step's factors
+    ``draw = (length, heading)`` say (``step_draws``). The caller
     suppresses numpy's overflow and invalid warnings; a position that
     overflows raises ValueError here, naming the node, so a diverging walk
     stops at the step it diverges."""
@@ -263,7 +260,7 @@ def _step(p: np.ndarray, params: SwarmParams, d: np.ndarray, draw,
 
 def advance_swarm(state: SwarmState, params: SwarmParams) -> SwarmState:
     """One synchronous step: all nodes read the time-t snapshot, draw their
-    step-t draw factors, and move together (``move``); returns the t+1
+    step-t draw factors, and move together (``_step``); returns the t+1
     state.
 
     Raises ValueError, naming the step and the node, when a new position
@@ -273,7 +270,8 @@ def advance_swarm(state: SwarmState, params: SwarmParams) -> SwarmState:
     p = state.positions
     draw = step_draws(state.seed, state.t, p.size, params.social_enabled)
     try:
-        p = move(p, params, draw)
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = _step(p, params, np.abs(p - params.rho), draw)
     except ValueError as exc:
         raise step_error(state.t + 1, exc) from exc
     return SwarmState(t=state.t + 1, positions=p, seed=state.seed)

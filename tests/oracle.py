@@ -6,8 +6,8 @@ node's neighbors one slice at a time from the graph's compressed sparse row
 take its four normals from an explicit stream argument (anything with a
 ``standard_normal`` method, such as ``conftest.FakeStream`` or a
 ``numpy.random.Generator``), and its speed from the model's formula
-(``speed_reference``). The tests compare ``engine.move``, which does
-the same for all nodes at once, against them. ``dense_move`` does so for
+(``speed_reference``). The tests compare ``engine.advance_swarm``, which
+does the same for all nodes at once, against them. ``dense_move`` does so for
 every node with no graph at all. ``heading_angle`` is the angle
 ``arctan2`` gives a heading, the reference for ``core._heading``.
 ``hammer_reference`` keeps the hammer map's complex formula, and
@@ -15,11 +15,12 @@ every node with no graph at all. ``heading_angle`` is the angle
 equal byte for byte. ``fresh_step_normals`` draws a step's four normals
 from a Philox generator of its own by Box-Muller, the reference for the
 factors of ``engine.step_draws``, and ``stepped_walk`` steps a walk one
-``step_draws`` and ``move`` at a time: the reference for the engine's block
-draws. ``philox4x64_10`` is the Philox block function of the published
-spec, the reference for the words ``step_draws`` reads, and
+``advance_swarm`` at a time, each drawing its step alone: the reference for
+the engine's block draws. ``philox4x64_10`` is the Philox block function of
+the published spec, the reference for the words ``step_draws`` reads, and
 ``radial_within_eps`` the radial chain that predicts the environment-only
-walk's distances to rho. ``propagate_every_entry`` is the density step
+walk's distances to rho, from a point or from the uniform box's
+``unit_box_radius_pdf``. ``propagate_every_entry`` is the density step
 that evaluates ``exp`` on every kernel entry, the reference for
 ``density.propagate``, and ``mc_sample`` simulates the density's chain
 walker by walker, the grid-free cross-check of the propagated pdf.
@@ -35,12 +36,11 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.special import i0e
 
-from shinerswarm.core import (NeighborGraph, SwarmParams, check_finite,
-                              hammer, require, require_int, row_blocks,
-                              speed_law)
+from shinerswarm.core import (NeighborGraph, SwarmParams, hammer, require,
+                              require_int, row_blocks, speed_law)
 from shinerswarm.density import GridPdf, KernelParams
-from shinerswarm.engine import (SwarmState, init_swarm, move,
-                                resolve_sigma_const, step_draws)
+from shinerswarm.engine import (advance_swarm, init_swarm,
+                                resolve_sigma_const)
 
 
 def node_pairs(graph: NeighborGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -169,10 +169,11 @@ def hammer_masked(z, s):
 
 
 def dense_move(positions, params: SwarmParams, g: np.ndarray) -> np.ndarray:
-    """``engine.move`` without a neighbor graph or draw factors: node i's
-    neighbors are read from the full squared-distance matrix, its social
-    term sums ``hammer_reference(p_j - p_i, s)`` over them in ascending j,
-    and it steps with the four normals ``g[i]`` as in ``node_step``."""
+    """The step of ``engine.advance_swarm`` without a neighbor graph or draw
+    factors: node i's neighbors are read from the full squared-distance
+    matrix, its social term sums ``hammer_reference(p_j - p_i, s)`` over
+    them in ascending j, and it steps with the four normals ``g[i]`` as in
+    ``node_step``."""
     p = np.asarray(positions, dtype=np.complex128)
     d = p[None, :] - p[:, None]
     close = d.real * d.real + d.imag * d.imag <= params.r * params.r
@@ -243,7 +244,7 @@ def node_step(i: int, positions, graph: NeighborGraph, params: SwarmParams,
     displacement together with the realized draw.
 
     The engine computes the same step for every node at once
-    (``engine.move``).
+    (``engine.advance_swarm``).
     """
     u_raw = sample_u(stream)
     z = sample_z(stream)
@@ -285,11 +286,20 @@ def philox4x64_10(counter, key) -> tuple[int, int, int, int]:
     return c0, c1, c2, c3
 
 
-def radial_within_eps(c1: float, c2: float, r0: float, eps: float,
+def unit_box_radius_pdf(r: np.ndarray) -> np.ndarray:
+    """The pdf of the distance r to the centre of a point uniform in the box
+    [-0.5, 0.5]**2: the circle's length in the box, 2 pi r out to 0.5, then
+    r (2 pi - 8 arccos(0.5 / r)) out to the corners at sqrt(0.5)."""
+    arc = 2 * np.pi - 8 * np.arccos(0.5 / np.maximum(r, 0.5))
+    return np.where(r < math.sqrt(0.5), r * arc, 0.0)
+
+
+def radial_within_eps(c1: float, c2: float, r0, eps: float,
                       n_steps: int, r_max: float = 5.0,
                       points: int = 601) -> np.ndarray:
     """P(R_t <= eps) for t = 1..n_steps, R being a node's distance to rho in
-    the environment-only walk from R_0 = r0. A step adds an isotropic
+    the environment-only walk from R_0 = r0, a distance, or from R_0 of the
+    pdf r0, a function of an array of distances. A step adds an isotropic
     Gaussian of per-axis sd ``sigma = speed_law(c1, c2, R)``, so
     ``R' | R ~ Rice(nu = R, sigma)``, whose pdf is
     ``(r / sigma**2) exp(-(r - nu)**2 / 2 sigma**2) i0e(r nu / sigma**2)``.
@@ -311,7 +321,7 @@ def radial_within_eps(c1: float, c2: float, r0: float, eps: float,
                 * i0e(r[:, None] * nu / var))
 
     kernel = rice(r[None, :]) * w
-    f = rice(np.array([r0]))[:, 0]
+    f = kernel @ r0(r) if callable(r0) else rice(np.array([r0]))[:, 0]
     within = np.empty(n_steps)
     for t in range(n_steps):
         cdf = cumulative_trapezoid(f * (c2 + r), u, initial=0.0)
@@ -322,17 +332,13 @@ def radial_within_eps(c1: float, c2: float, r0: float, eps: float,
 
 def stepped_walk(params: SwarmParams, seed: int, region, n_steps: int):
     """The states of ``engine.run``'s walk at t = 0, 1, ..., n_steps, each
-    step a plain ``step_draws``, ``move`` and ``check_finite``."""
+    step a plain ``advance_swarm``."""
     state = init_swarm(params, seed, region)
     params = resolve_sigma_const(params, state.positions)
     yield state
-    p = state.positions
-    for t in range(n_steps):
-        with np.errstate(over="ignore", invalid="ignore"):
-            p = move(p, params,
-                     step_draws(seed, t, p.size, params.social_enabled))
-        check_finite(p)
-        yield SwarmState(t=t + 1, positions=p, seed=seed)
+    for _ in range(n_steps):
+        state = advance_swarm(state, params)
+        yield state
 
 
 def propagate_every_entry(f: GridPdf, params: KernelParams) -> GridPdf:

@@ -22,7 +22,7 @@ from oracle import (dense_move, directed_edges, fresh_step_normals, indices,
                     indptr, neighbors, node_pairs)
 from shinerswarm import core
 from shinerswarm.core import NeighborGraph, SwarmParams, build_neighborhood
-from shinerswarm.engine import move, step_draws
+from shinerswarm.engine import SwarmState, advance_swarm, step_draws
 
 PROPERTY_SETTINGS = settings(max_examples=150)
 
@@ -216,11 +216,10 @@ def test_pair_list_social_sum_matches_dense_oracle(case, s, w, seed):
     p, r = case
     params = SwarmParams(r=r, s=s, w=w)
     want = dense_move(p, params, fresh_step_normals(seed, 0, p.size))
-    draw = step_draws(seed, 0, p.size, True)
     for name in CANDIDATE_LISTS:
         with candidate_list(name):
-            np.testing.assert_allclose(move(p, params, draw), want, rtol=0,
-                                       atol=1e-12)
+            got = advance_swarm(SwarmState(0, p, seed), params).positions
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def summed_then_scattered_heading(graph, p, s, w, noise):

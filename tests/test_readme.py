@@ -1,10 +1,12 @@
 """The README's contract lists, held to the code they state: the config
-keys, the exit codes, the output headers and the flag errors."""
+keys, the exit codes, the output headers, the flag errors and the package's
+top-level names."""
 
 import dataclasses
 import re
 from pathlib import Path
 
+import shinerswarm
 from shinerswarm import RunConfig, cli
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
@@ -53,3 +55,29 @@ def test_readme_flag_errors_are_what_the_commands_print(tmp_path,
         assert cli.main(command.split()) == 2, command
         assert " ".join(capsys.readouterr().err.split()) == error
     assert not list(tmp_path.iterdir())
+
+
+def readme_code() -> str:
+    """README's code: its fenced blocks and its inline code spans."""
+    fence = re.compile(r"^```\w*\n(.*?)^```", re.M | re.S)
+    return "\n".join(fence.findall(README)
+                     + re.findall(r"`([^`]+)`", fence.sub("", README)))
+
+
+def test_the_top_level_is_the_names_readme_uses():
+    # each top-level name is written in README's code, not as a module's
+    # attribute such as `core.hammer`; README imports no other name from
+    # the package, and the package holds no other public attribute than
+    # its submodules
+    code = readme_code()
+    top = shinerswarm.__all__
+    assert [name for name in top
+            if not re.search(rf"(?<![\w.]){name}\b", code)] == []
+    imported = {name for names in re.findall(
+        r"from shinerswarm import (\([^)]*\)|.*)", code)
+        for name in re.findall(r"\w+", names)}
+    assert imported and imported <= set(top)
+    public = [name for name, value in vars(shinerswarm).items()
+              if not name.startswith("_")
+              and getattr(value, "__name__", None) != f"shinerswarm.{name}"]
+    assert sorted(public) == sorted(top)
