@@ -16,7 +16,7 @@ tests the pairs of a sorted cell list (all pairs up to 128 nodes) and returns
 them in that sorted order (``NeighborGraph``) with the frame they were found
 in: the node order and two index arrays into it holding each unordered pair
 once. Each factor of a step has one home here: the speed law of both
-engines, ``speed_law``, which ``distance_speed`` and
+engines, ``speed_law``, which the swarm step ``engine._step`` and
 ``density.KernelParams.sd`` apply, and the social heading
 ``NeighborGraph.social_heading``, formed in the sorted order of the graph's
 own frame, so a step sorts no edges and maps no pair to node ids. Both O(N^2)
@@ -82,9 +82,9 @@ class SwarmParams:
 
     A factor switch equal to neither True nor False (say "no"), or an array of
     one or more dimensions (say ``np.array([True])``), is a ParamError.
-    ``sigma_const`` is the fixed speed used when the environmental factor is
-    disabled; it may be left as None and resolved later from the initial
-    placement (see ``engine.resolve_sigma_const``).
+    ``sigma_const`` is the fixed speed that the step, ``engine._step``, gives
+    every node when the environmental factor is disabled; it may be left as
+    None, and a walk fills it in from its initial placement.
     """
 
     n_nodes: int = 100
@@ -353,21 +353,6 @@ def _cell_pairs(sorted_key, height: int, p, r: float, side: float):
     b = np.arange(total) + (
         start.ravel() - (np.cumsum(counts) - counts)).repeat(counts)
     return a, b
-
-
-def distance_speed(d: np.ndarray, params: SwarmParams) -> np.ndarray:
-    """The speed scale over the distances d from the darkest spot, written
-    into d and returned: ``speed_law`` when the environmental factor is on,
-    else the constant ``sigma_const``."""
-    if params.env_enabled:
-        return speed_law(params.c1, params.c2, d, out=d)
-    if params.sigma_const is None:
-        raise ValueError("sigma_const must be set when the environmental "
-                         "factor is disabled; run sets it to "
-                         "engine.resolve_sigma_const(params, init_swarm("
-                         "params, seed, region).positions)")
-    d.fill(params.sigma_const)
-    return d
 
 
 def hammer(z, s):

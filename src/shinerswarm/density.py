@@ -161,14 +161,6 @@ class GridStats(NamedTuple):
     mass_near: float
 
 
-def _kernel_pdf(mu, z, params: KernelParams):
-    """Transition density: normal pdf with mean mu and standard deviation
-    ``c1 * (c2 + |mu|)``, evaluated at z. Broadcasts over mu and z."""
-    mu = np.asarray(mu)
-    k, norm = params.factors(mu)
-    return (norm * np.exp(-np.square(k * (np.asarray(z) - mu))))[()]
-
-
 # The cache stays because it measures: without it each initial_pdf builds
 # its grid anew, and the repeated t = 3 density chain (perfbench's
 # density-chain, 5 s runs, numpy 2.4.6 on 2 vCPUs) peaked at 47.0-47.3 MB
@@ -238,8 +230,9 @@ def _graded_grid(z_min: float, z_max: float, n_points: int,
 def initial_pdf(x0: float, params: KernelParams,
                 z_min: float = DEFAULT_Z_MIN, z_max: float = DEFAULT_Z_MAX,
                 n_points: int = DEFAULT_N_POINTS) -> GridPdf:
-    """Pdf after the first step: the kernel from x0 sampled on the
-    log-graded grid of n_points nodes spanning [z_min, z_max].
+    """Pdf after the first step: the kernel from x0, the normal pdf with
+    mean x0 and sd ``params.sd(x0)`` (see ``KernelParams.factors``), sampled
+    on the log-graded grid of n_points nodes spanning [z_min, z_max].
 
     Raises GridSpanError, naming the point count, when nodes are more than
     ``_MAX_DU`` kernel widths apart in u, on which the quadrature can gain
@@ -262,8 +255,9 @@ def initial_pdf(x0: float, params: KernelParams,
     # makes inf * 0, a NaN that GridPdf's check refuses
     with np.errstate(over="ignore", invalid="ignore"):
         sd = float(params.sd(x0))
-        values = (_kernel_pdf(x0, grid.z, params) if sd < math.inf
-                  else np.zeros(n_points))
+        k, norm = params.factors(x0)
+        values = (norm * np.exp(-np.square(k * (grid.z - x0)))
+                  if sd < math.inf else np.zeros(n_points))
     f = GridPdf(grid, values, t=1)
     mass = float(grid.w @ f.values)
     # Once the nodes resolve the kernel, only a span too narrow loses this

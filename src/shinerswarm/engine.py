@@ -15,15 +15,17 @@ position-dependent part of a step runs per step. A state is therefore just
 and any copy resumes bit for bit, whatever the scheduling. Initial
 placement uses a separate stream (``init_swarm``).
 
-Every step goes through ``_step``, which takes its speed and social heading
-from ``core`` and reports a position that is not finite, and every walk of
-``run`` and ``first_passage`` through ``_walk``: the one home of the set-up,
-the errstate (entered once per walk, not per step at about 2 us each, so it
-holds across yields), the records, whose metrics (``_metrics``) read the
-walk's own frame, its distances to rho and its graph, which a record hands on
-to the next step, and the step named in an error. ``advance_swarm``, the
-public state step, which names its step in an error as a walk does, stays
-outside it and resolves no ``sigma_const``.
+Every step goes through ``_step``, which applies the speed law
+(``core.speed_law``) or the constant ``sigma_const``, takes its social
+heading from ``core`` and reports a position that is not finite, and every
+walk of ``run`` and ``first_passage`` through ``_walk``: the one home of the
+set-up, the errstate (entered once per walk, not per step at about 2 us
+each, so it holds across yields), the records, whose metrics (``_metrics``)
+read the walk's own frame, its distances to rho and its graph, which a
+record hands on to the next step, and the step named in an error.
+``advance_swarm``, the public state step, which names its step in an error
+as a walk does, stays outside it: it resolves no ``sigma_const`` and
+refuses one left unset.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from functools import cache
 import numpy as np
 
 from .core import (NeighborGraph, SwarmParams, build_neighborhood,
-                   check_finite, check_frame, distance_speed, require,
-                   require_int, row_blocks, speed_law)
+                   check_finite, check_frame, require, require_int,
+                   row_blocks, speed_law)
 
 # Seeds and steps are Philox words (key and counter), unsigned 64-bit.
 SEED_LIMIT = 2 ** 64
@@ -242,18 +244,22 @@ def _step(p: np.ndarray, params: SwarmParams, d: np.ndarray, draw,
           graph: NeighborGraph | None = None) -> np.ndarray:
     """Positions after one synchronous step from p, reading time t only:
     the one function that moves positions. d = ``|p - rho|`` becomes the
-    speed sigma in place, and each node steps as the step's factors
-    ``draw = (length, heading)`` say (``step_draws``). The caller
-    suppresses numpy's overflow and invalid warnings; a position that
-    overflows raises ValueError here, naming the node, so a diverging walk
-    stops at the step it diverges."""
+    speed sigma in place: ``speed_law`` when the environmental factor is on,
+    else the constant ``sigma_const``, which the caller has set. Each node
+    steps as the step's factors ``draw = (length, heading)`` say
+    (``step_draws``). The caller suppresses numpy's overflow and invalid
+    warnings; a position that overflows raises ValueError here, naming the
+    node, so a diverging walk stops at the step it diverges."""
     length, heading = draw
-    sigma = distance_speed(d, params)
+    if params.env_enabled:
+        speed_law(params.c1, params.c2, d, out=d)
+    else:
+        d.fill(params.sigma_const)
     if params.social_enabled:
         if graph is None:
             graph = build_neighborhood(p, params.r)
         heading = graph.social_heading(params.s, params.w, heading)
-    p = p + sigma * length * heading
+    p = p + d * length * heading
     check_finite(p)
     return p
 
@@ -266,10 +272,17 @@ def advance_swarm(state: SwarmState, params: SwarmParams) -> SwarmState:
     Raises ValueError, naming the step and the node, when a new position
     overflows to a non-finite value, so a diverging walk stops at the step
     it diverges, e.g. ``step 42: node 0: position (-inf-infj) is not
-    finite`` from t = 41."""
+    finite`` from t = 41; and, naming the step, when the environmental
+    factor is off and ``sigma_const`` is unset, which a walk fills in
+    (``resolve_sigma_const``) but a single step cannot."""
     p = state.positions
     draw = step_draws(state.seed, state.t, p.size, params.social_enabled)
     try:
+        if not params.env_enabled and params.sigma_const is None:
+            raise ValueError(
+                "sigma_const must be set when the environmental factor is "
+                "disabled; run sets it to engine.resolve_sigma_const(params, "
+                "init_swarm(params, seed, region).positions)")
         with np.errstate(over="ignore", invalid="ignore"):
             p = _step(p, params, np.abs(p - params.rho), draw)
     except ValueError as exc:
@@ -312,10 +325,11 @@ def _metrics(t: int, p: np.ndarray, d: np.ndarray, graph: NeighborGraph,
     if not np.isfinite([mean_dist, total]).all():
         raise ValueError(f"distances overflow: mean distance to rho "
                          f"{mean_dist}, sum of pairwise distances {total}")
+    # count / n is mean() of d <= eps bit for bit, without a reduction's set-up
     return Metrics(
         t=t,
         mean_dist_to_rho=mean_dist,
-        frac_within_eps=float((d <= eps).mean()),
+        frac_within_eps=float(np.count_nonzero(d <= eps) / d.size),
         mean_pairwise_dist=total / max(n * (n - 1), 1),
         cluster_count=graph.component_count(),
     )
@@ -384,8 +398,7 @@ def first_passage(params: SwarmParams, master_seed: int, region: Box,
             "must be >= 0", max_steps)
     with closing(_walk(params, master_seed, region, max_steps)) as walk:
         for t, d, _ in walk:
-            # count / n is the fraction that mean() of d <= eps gives,
-            # bit for bit, without a reduction's set-up
+            # the fraction a record reads (``_metrics``)
             if t > 0 and np.count_nonzero(d <= eps) / d.size >= frac:
                 return t
     return None

@@ -3,6 +3,7 @@ import os
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,19 +24,18 @@ from oracle import (
     speed_reference,
     step_displacement,
 )
-from shinerswarm import core
+from shinerswarm import core, engine
 from shinerswarm.core import (
     NeighborGraph,
     ParamError,
     SwarmParams,
     build_neighborhood,
-    distance_speed,
     hammer,
     row_blocks,
     speed_law,
 )
 from shinerswarm.density import KernelParams
-from shinerswarm.engine import SwarmState, resolve_sigma_const
+from shinerswarm.engine import SwarmState, advance_swarm, resolve_sigma_const
 
 
 def brute_force_adjacency(positions, r):
@@ -317,13 +317,26 @@ def test_component_count():
 
 
 # ---------------------------------------------------------------------------
-# distance_speed: the speed at position(s) p is distance_speed(|p - rho|),
-# written over a 1-d copy of the distances
+# the step's speed: engine._step from zero positions with unit draws moves
+# each node by its speed along +x, bit for bit, and the distances d it is
+# given become that speed in place
+
+
+def step_speed(d: np.ndarray, params: SwarmParams) -> np.ndarray:
+    """The speed ``engine._step`` gives the nodes at distances d (a 1-d
+    array, overwritten by the speed) from the darkest spot."""
+    n = d.size
+    moved = engine._step(np.zeros(n, complex),
+                         replace(params, social_enabled=False), d,
+                         (np.ones(n), np.ones(n, complex)))
+    assert not moved.imag.any()
+    return moved.real
 
 
 def speed_at(p, params):
-    return distance_speed(np.array(np.abs(np.asarray(p) - params.rho),
-                                   ndmin=1), params)
+    """The step's speed at position(s) p, from a 1-d copy of ``|p - rho|``."""
+    return step_speed(np.array(np.abs(np.asarray(p) - params.rho), ndmin=1),
+                      params)
 
 
 def test_env_speed_at_darkest_spot():
@@ -345,9 +358,14 @@ def test_env_speed_constant_mode_ignores_position():
 
 
 def test_env_speed_requires_sigma_const_when_env_off():
+    # a walk fills in sigma_const before its first step, so only the public
+    # step can reach the step without one, and it refuses, naming its step
     params = SwarmParams(env_enabled=False, sigma_const=None)
-    with pytest.raises(ValueError, match="sigma_const"):
-        speed_at(0j, params)
+    message = ("step 1: sigma_const must be set when the environmental "
+               "factor is disabled; run sets it to engine.resolve_sigma_const"
+               "(params, init_swarm(params, seed, region).positions)")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        advance_swarm(SwarmState(0, np.array([0j]), 0), params)
 
 
 _coordinates = st.floats(-1e6, 1e6, allow_nan=False)
@@ -359,8 +377,8 @@ _coordinates = st.floats(-1e6, 1e6, allow_nan=False)
        scalar=st.booleans(), c1=st.floats(1e-3, 1e3), c2=st.floats(1e-3, 1e3),
        rho=st.tuples(_coordinates, _coordinates), env=st.booleans(),
        sigma_const=st.none() | st.floats(0.0, 1e3))
-def test_distance_speed_is_env_speed_bit_for_bit(points, scalar, c1, c2, rho,
-                                                 env, sigma_const):
+def test_step_speed_is_env_speed_bit_for_bit(points, scalar, c1, c2, rho, env,
+                                             sigma_const):
     params = SwarmParams(c1=c1, c2=c2, rho=complex(*rho), env_enabled=env,
                          sigma_const=sigma_const)
     p = complex(*points[0]) if scalar else np.array([complex(*z)
@@ -369,10 +387,10 @@ def test_distance_speed_is_env_speed_bit_for_bit(points, scalar, c1, c2, rho,
     buf = np.array(d, ndmin=1)
     if not env and sigma_const is None:
         with pytest.raises(ValueError, match="sigma_const"):
-            distance_speed(buf, params)
+            advance_swarm(SwarmState(0, np.array(p, ndmin=1), 0), params)
         return
-    # in place: the distances' own buffer becomes the speed
-    assert distance_speed(buf, params) is buf
+    # in place: the distances' own buffer becomes the speed the step moves by
+    assert step_speed(buf, params).tobytes() == buf.tobytes()
     np.testing.assert_allclose(
         buf, [speed_reference(z, params) for z in np.ravel(p)],
         rtol=1e-15, atol=0)
@@ -387,7 +405,7 @@ def test_both_engines_read_one_speed_law_bit_for_bit(c1, c2, d):
     placement = np.array([complex(d, 0.0), complex(0.0, -d)])
     speeds = [speed_law(c1, c2, d), speed_law(c1, c2, np.array([d]))[0],
               KernelParams(c1, c2).sd(d), KernelParams(c1, c2).sd(-d),
-              distance_speed(np.array([d]), SwarmParams(c1=c1, c2=c2))[0],
+              step_speed(np.array([d]), SwarmParams(c1=c1, c2=c2))[0],
               resolve_sigma_const(env_off, placement).sigma_const]
     assert {np.float64(v).tobytes() for v in speeds} == {
         np.float64(c1 * (c2 + d)).tobytes()}

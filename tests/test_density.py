@@ -26,17 +26,25 @@ from shinerswarm.density import (
     pdf_at_time,
     propagate,
     _graded_grid,
-    _kernel_pdf,
 )
 
 
 # ---------------------------------------------------------------------------
-# _kernel_pdf
+# the transition kernel
+
+
+def _kernel_pdf(mu, z, params: KernelParams):
+    """The kernel's normal pdf from mu at z, ``norm * exp(-(k (z - mu))**2)``
+    with ``KernelParams.factors`` at mu: the values ``initial_pdf`` samples
+    (see ``test_initial_pdf_is_the_kernel_from_x0_bit_for_bit``)."""
+    k, norm = params.factors(mu)
+    return norm * np.exp(-np.square(k * (np.asarray(z) - mu)))
 
 
 def test_kernel_peak_at_origin():
-    # 1 / (0.1 * sqrt(2*pi))
-    assert _kernel_pdf(0.0, 0.0, REF_KERNEL) == pytest.approx(3.98942280, rel=1e-8)
+    # 1 / (0.1 * sqrt(2*pi)), read at the origin, a node of the default grid
+    f = initial_pdf(0.0, REF_KERNEL)
+    assert f.values[f.z == 0.0] == pytest.approx([3.98942280], rel=1e-8)
 
 
 def test_kernel_peak_at_five():
@@ -59,6 +67,15 @@ def test_kernel_positive_and_matches_scipy():
     ref = norm.pdf(z, loc=3.0, scale=REF_KERNEL.sd(3.0))
     assert np.all(mine > 0)
     np.testing.assert_allclose(mine, ref, rtol=1e-12)
+
+
+@pytest.mark.parametrize("x0, c1, c2", [
+    (REF_X0, REF_KERNEL.c1, REF_KERNEL.c2), (0.0, 1.0, 0.1), (-3.25, 0.5, 2.0),
+    (7, 3.0, 0.01)])
+def test_initial_pdf_is_the_kernel_from_x0_bit_for_bit(x0, c1, c2):
+    params = KernelParams(c1, c2)
+    f = initial_pdf(x0, params)
+    assert f.values.tobytes() == _kernel_pdf(x0, f.z, params).tobytes()
 
 
 def test_kernel_params_validation():

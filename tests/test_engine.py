@@ -25,8 +25,8 @@ from shinerswarm.core import (
     ParamError,
     SwarmParams,
     build_neighborhood,
-    distance_speed,
     row_blocks,
+    speed_law,
 )
 from shinerswarm.density import KernelParams, initial_pdf, pdf_at_time
 from shinerswarm.engine import (
@@ -414,7 +414,8 @@ def test_move_without_social_term_is_the_step_formula(env):
                                  env_enabled=env), sigma_const=0.07)
     p = init_swarm(params, 4, UNIT_BOX).positions
     length, heading = step_draws(4, 9, p.size, False)
-    sigma = distance_speed(np.abs(p - params.rho), params)
+    sigma = (speed_law(params.c1, params.c2, np.abs(p - params.rho))
+             if env else params.sigma_const)
     step = (sigma * length) * heading
     after = advance_swarm(SwarmState(9, p, 4), params)
     assert after.positions.tobytes() == (p + step).tobytes()
@@ -438,9 +439,12 @@ def test_move_nodes_a_subnormal_distance_apart():
 
 
 def test_advance_env_off_requires_sigma_const():
+    # the refusal names the step it would take, as a diverging step does
     params = SwarmParams(n_nodes=3, env_enabled=False, sigma_const=None)
-    state = init_swarm(params, 1, UNIT_BOX)
-    with pytest.raises(ValueError, match="sigma_const"):
+    state = replace(init_swarm(params, 1, UNIT_BOX), t=4)
+    with pytest.raises(ValueError,
+                       match=r"^step 5: sigma_const must be set when the "
+                             r"environmental factor is disabled; "):
         advance_swarm(state, params)
 
 
