@@ -443,7 +443,9 @@ def _cpus() -> int:
 
 
 def deal(blocks: range) -> list[range]:
-    """Each worker's blocks: block i to worker i mod W = min(CPUs, blocks)."""
+    """Each worker's blocks: block i to worker i mod W = min(CPUs, blocks).
+    A share's ``.stop`` can pass the row count, so bound a block by the row
+    count, never by it: ``range(0, 1001, 65)[1::2].stop == 1040``."""
     workers = min(_cpus(), len(blocks))
     return [blocks[i::workers] for i in range(workers)]
 

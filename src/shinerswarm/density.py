@@ -7,12 +7,7 @@ The location pdf after t steps has no closed form for t >= 2, so it is
 pushed forward numerically: starting from the one-step Gaussian, each
 application of ``propagate`` convolves the current grid pdf with the
 location-dependent kernel by trapezoidal quadrature. One step costs O(n^2)
-kernel evaluations on an n-point grid but only O(n) memory: the kernel
-matrix is never stored whole, only one row block (``core.row_blocks``)
-per worker at a time, and the pdf does not depend on how many workers
-share them. Entries whose source lies more than R = 40 kernel sds from
-every row of the block are set to 0 without ``exp``, which would round them
-to +0.0, so the pdf is the same bit for bit.
+kernel evaluations on an n-point grid, in O(n) memory (see ``propagate``).
 
 The kernel width is ``c1 * c2`` at the darkest spot and grows without bound
 away from it, so a uniform grid is either too coarse at the origin or too
@@ -21,11 +16,12 @@ in ``u = sign(x) * log(1 + |x| / c2)``, so the spacing grows in proportion
 to ``c2 + |x|`` as the kernel width does, and integrals are taken by the
 trapezoid rule in u with the Jacobian ``dx/du = c2 + |x|``. The origin,
 where the kernel width has its kink, is always a node when the span holds
-it; the rule's only error there makes mass shrink, never grow. Each grid
-is one frozen, cached ``Grid`` of read-only nodes, u nodes and weights,
-which holds the kernel it is graded and checked for; a ``GridPdf`` owns
-only its values on a grid and its step, so every pdf on a grid is
-integrated by that grid's one rule and stepped by that grid's one kernel.
+it; the rule's only error there makes mass shrink, never grow. Each grid is
+one frozen, cached ``Grid``: read-only nodes, u nodes and weights, the
+kernel it is graded and checked for, and that kernel's per-node factors and
+reach bounds, which ``propagate`` reads. A ``GridPdf`` owns only its values
+on a grid and its step, so every pdf on a grid is integrated by that grid's
+one rule and stepped by its one kernel.
 
 Mass that diffuses past the grid edges is simply lost and shows up as a
 total-mass deficit; it is reported by ``grid_stats`` and never renormalized
@@ -114,14 +110,20 @@ class Grid:
     once by ``_graded_grid``: nodes ``z``, finite and strictly increasing,
     uniform on each side of the origin in ``u = sign(z) * log1p(|z| / c2)``
     with the kernel's c2; finite weights ``w``, the trapezoid rule in u
-    times the Jacobian ``c2 + |z|``, so ``w @ values`` is a pdf's mass; and
-    ``du``, the largest node spacing in u. The arrays are read-only and
-    shared by every pdf on the grid; ``propagate`` steps each such pdf
-    through ``kernel``, the one ``initial_pdf`` checked the grid for."""
+    times the Jacobian ``c2 + |z|``, so ``w @ values`` is a pdf's mass;
+    ``du``, the largest node spacing in u; and the kernel's factors ``k``,
+    ``norm`` and reach bounds ``left``, ``right`` at each node. The arrays
+    are read-only and shared by every pdf on the grid; ``propagate`` steps
+    each such pdf by them, through ``kernel``, the one ``initial_pdf``
+    checked the grid for."""
 
     z: np.ndarray
     u: np.ndarray
     w: np.ndarray
+    k: np.ndarray
+    norm: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
     kernel: KernelParams
     du: float
 
@@ -161,12 +163,11 @@ class GridStats(NamedTuple):
     mass_near: float
 
 
-# The cache stays because it measures: without it each initial_pdf builds
-# its grid anew, and the repeated t = 3 density chain (perfbench's
-# density-chain, 5 s runs, numpy 2.4.6 on 2 vCPUs) peaked at 47.0-47.3 MB
-# RSS instead of 43.5-43.8 MB, in 3 of 3 pairs of runs.
+# The cache stays because it measures: without it, the repeated t = 3 chain
+# (perfbench's density-chain, 5 s runs, numpy 2.4.6, 2 vCPUs) peaked at
+# 47.0-47.3 MB RSS, not 43.5-43.8 MB, in 3 of 3 pairs of runs.
 @functools.lru_cache(maxsize=8)
-@np.errstate(over="ignore")
+@np.errstate(over="ignore", divide="ignore")
 def _graded_grid(z_min: float, z_max: float, n_points: int,
                  kernel: KernelParams) -> Grid:
     """The grid for ``kernel`` of n_points nodes uniform in
@@ -222,9 +223,12 @@ def _graded_grid(z_min: float, z_max: float, n_points: int,
         raise GridSpanError(
             f"grid [{z_min}, {z_max}]: {n_points} points are too few: their "
             f"quadrature weights overflow")
-    for a in (z, u, w):
+    # an sd of 0, only on grids initial_pdf refuses, gives k = norm = inf
+    reach = _REACH_SDS * kernel.sd(z)
+    arrays = (z, u, w, *kernel.factors(z), z - reach, z + reach)
+    for a in arrays:
         a.flags.writeable = False
-    return Grid(z, u, w, kernel, du_max)
+    return Grid(*arrays, kernel, du_max)
 
 
 def initial_pdf(x0: float, params: KernelParams,
@@ -274,9 +278,10 @@ def initial_pdf(x0: float, params: KernelParams,
     return f
 
 
-def _kernel_rows(z, k, wf, left, right, out, buf, blocks) -> None:
+def _kernel_rows(grid, wf, out, buf, blocks) -> None:
     """Rows ``lo:lo + len(buf)`` of ``propagate``'s step, for each lo in
     blocks, into the same rows of out, through the one buffer buf."""
+    z, k, left, right = grid.z, grid.k, grid.left, grid.right
     n = z.size
     for lo in blocks:
         hi = min(lo + len(buf), n)
@@ -301,45 +306,37 @@ def _kernel_rows(z, k, wf, left, right, out, buf, blocks) -> None:
         np.matmul(b, wf, out=out[lo:hi])
 
 
-# An overflow in a step goes to its limit: an sd of inf gives a norm of 0 and
-# an infinite reach, an entry of inf exp = 0. Only inf * 0 makes a NaN, where
-# an sd and a node distance both overflow or a kernel is too narrow for a
-# finite norm, and GridPdf's check refuses it.
+# An overflow goes to its limit: an sd of inf gives the grid a norm of 0 and
+# an infinite reach, and in a step an entry of inf exp = 0. Only inf * 0
+# makes a NaN, where an sd and a node distance both overflow or a kernel is
+# too narrow for a finite norm, and GridPdf's check refuses it.
 @np.errstate(over="ignore", invalid="ignore")
 def propagate(f: GridPdf) -> GridPdf:
     """Push the pdf one step forward on the same grid, through the kernel
     the grid holds (``Grid.kernel``), the one ``initial_pdf`` checked it for.
 
     Output value i is the quadrature ``sum_j w_j f_j kernel(z_j -> z_i)``
-    over the grid's weights. The kernel's normalisation is folded into the
-    source vector once per call, ``wf_j = w_j f_j norm_j``, and its width
-    into ``k_j`` (see ``KernelParams.factors``), so each kernel entry costs
-    one subtract, multiply, square and ``exp(-.)``. Output rows go in the
-    grid's ``core.row_blocks``, dealt to ``core.run_workers``; each worker
-    builds its blocks in a buffer of its own, in its core's L2 cache, and
-    writes only their rows, so the result does not depend on how many run.
-    Sources farther than ``R_j = 40 sd_j`` from every row of a block cannot
-    reach it: their entries are set to 0 without ``exp``, which would round
-    them to +0.0 anyway (see ``_REACH_SDS``), so the result is the same bit
-    for bit. On a grid that resolves the kernel, mass can only shrink (tail
-    truncation); the deficit is observable via grid_stats.
+    over the grid's weights, by the kernel arrays the grid holds: its
+    normalisation is folded into the source vector once per call,
+    ``wf_j = w_j f_j norm_j``, and its width into ``k_j``, so each kernel
+    entry costs one subtract, multiply, square and ``exp(-.)``. Output rows
+    go in the grid's ``core.row_blocks``, dealt to ``core.run_workers``;
+    each worker builds its blocks in a buffer of its own, in its core's L2
+    cache, and writes only their rows, so the result does not depend on how
+    many run. A source whose reach bounds miss every row of a block gets
+    entries of 0 there without ``exp``, the +0.0 ``exp`` would give (see
+    ``_REACH_SDS``). On a grid that resolves the kernel, mass can only
+    shrink: tail mass is lost, and ``grid_stats`` shows the deficit.
     """
     grid = f.grid
-    kernel = grid.kernel
-    z = grid.z
-    n = z.size
-    k, norm = kernel.factors(z)
-    wf = grid.w * f.values * norm
-    blocks = row_blocks(n, z.itemsize)
+    n = grid.z.size
+    wf = grid.w * f.values * grid.norm
+    blocks = row_blocks(n, grid.z.itemsize)
     shares = deal(blocks)
     bufs = [np.empty((blocks.step, n)) for _ in shares]
     out = np.empty(n)
-    # the reach arrays come after the buffers: before them, the allocator's
-    # heap layout raised the repeated t = 3 chain's peak RSS by 1.1-1.3 MB
-    # (41.4-41.5 MB against 40.2-40.5 MB, 3 s runs, numpy 2.4.6)
-    reach = _REACH_SDS * kernel.sd(z)
-    args = (z, k, wf, z - reach, z + reach, out)
-    run_workers(lambda i, share: _kernel_rows(*args, bufs[i], share), shares)
+    run_workers(lambda i, share: _kernel_rows(grid, wf, out, bufs[i], share),
+                shares)
     return GridPdf(grid, out, f.t + 1)
 
 

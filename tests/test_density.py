@@ -117,6 +117,18 @@ def test_initial_pdf_coarse_grid_names_point_count():
     assert "span at least" not in str(info.value)
 
 
+def test_a_grid_whose_kernel_sd_rounds_to_zero_is_refused_without_a_warning():
+    # c1 = 5e-324 rounds the sd to 0 within about 0.4 of the origin, where
+    # the grid's k and norm read inf; initial_pdf refuses it by its spacing
+    params = KernelParams(5e-324, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridSpanError, match="2001 points are too few"):
+            initial_pdf(REF_X0, params)
+    grid = _graded_grid(-1000.0, 1000.0, DEFAULT_N_POINTS, params)
+    assert np.isinf(grid.k).any() and np.isinf(grid.norm).any()
+
+
 def test_initial_pdf_rejects_nodes_too_far_apart_for_the_kernel():
     # nodes 0.26 apart in u against a kernel 0.17 wide there: one propagation
     # of this grid gains 1e-4 of mass
@@ -416,6 +428,25 @@ def test_a_pdf_steps_only_through_the_kernel_its_grid_was_checked_for():
     assert grids[0] is not grids[1]
 
 
+def test_propagate_reads_its_grid_not_its_kernel(monkeypatch):
+    # the kernel's per-node factors and reach bounds are made once, with the
+    # grid: a step reads them from there, asks the kernel for nothing and
+    # steps a pdf alike on a copy of its grid that holds no kernel
+    def refuse(*_):
+        raise AssertionError("propagate asked the kernel")
+
+    for params in (REF_KERNEL, KernelParams(0.5, 0.1)):
+        f = initial_pdf(REF_X0, params)
+        expected = propagate_every_entry(f, params)
+        bare = GridPdf(dataclasses.replace(f.grid, kernel=None), f.values, f.t)
+        with monkeypatch.context() as patch:
+            patch.setattr(KernelParams, "sd", refuse)
+            patch.setattr(KernelParams, "factors", refuse)
+            outs = propagate(f), propagate(bare)
+        for out in outs:
+            assert out.values.tobytes() == expected.values.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # pdf_at_time
 
@@ -678,8 +709,8 @@ def test_pdfs_on_one_grid_share_its_read_only_arrays(ref_chain):
     f1, f3 = ref_chain[1], ref_chain[3]
     grid = f3.grid
     assert f1.grid is grid and f3.z is grid.z
-    assert not (grid.z.flags.writeable or grid.u.flags.writeable
-                or grid.w.flags.writeable)
+    for name in ("z", "u", "w", "k", "norm", "left", "right"):
+        assert not getattr(grid, name).flags.writeable, name
     with pytest.raises(dataclasses.FrozenInstanceError):
         grid.w = np.ones(grid.z.size)
     # across calls too, and each pdf still owns its values
