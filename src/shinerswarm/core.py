@@ -437,38 +437,34 @@ def row_blocks(n: int, itemsize: int) -> range:
 
 
 def _cpus() -> int:
-    """CPUs this process may run on, the most workers ``deal`` makes."""
+    """CPUs this process may run on, the most workers ``run_workers`` uses."""
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def deal(blocks: range) -> list[range]:
-    """Each worker's blocks: block i to worker i mod W = min(CPUs, blocks).
+def run_workers(work, blocks: range) -> None:
+    """``work(share)`` for each worker's share of the row blocks: block i goes
+    to worker i mod W, W = min(CPUs, blocks). Worker 0 runs on the caller, each
+    other in a thread started in a copy of the caller's context, so numpy's
+    errstate (modes and ``call`` function) holds in all. Every thread is
+    joined, even if worker 0 raises; then the first thread error is raised.
     A share's ``.stop`` can pass the row count, so bound a block by the row
     count, never by it: ``range(0, 1001, 65)[1::2].stop == 1040``."""
     workers = min(_cpus(), len(blocks))
-    return [blocks[i::workers] for i in range(workers)]
-
-
-def run_workers(work, shares: list) -> None:
-    """``work(i, shares[i])`` for each worker i: worker 0 on the caller, each
-    other in a thread started in a copy of the caller's context, so numpy's
-    errstate (modes and ``call`` function) holds in all. Every thread is
-    joined, even if worker 0 raises; then the first thread error is raised."""
     errors: list[BaseException] = []
 
     def run(i: int) -> None:
         try:
-            work(i, shares[i])
+            work(blocks[i::workers])
         except BaseException as e:
             errors.append(e)
 
     threads = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(run, i)) for i in range(1, len(shares))]
+                                args=(run, i)) for i in range(1, workers)]
     try:
         for thread in threads:
             thread.start()
-        work(0, shares[0])
+        work(blocks[::workers])
     finally:
         for thread in threads:
             if thread.ident is not None:

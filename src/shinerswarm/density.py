@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (check_speed_law, deal, require, require_int, row_blocks,
+from .core import (check_speed_law, require, require_int, row_blocks,
                    run_workers, speed_law)
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
@@ -320,23 +320,22 @@ def propagate(f: GridPdf) -> GridPdf:
     normalisation is folded into the source vector once per call,
     ``wf_j = w_j f_j norm_j``, and its width into ``k_j``, so each kernel
     entry costs one subtract, multiply, square and ``exp(-.)``. Output rows
-    go in the grid's ``core.row_blocks``, dealt to ``core.run_workers``;
-    each worker builds its blocks in a buffer of its own, in its core's L2
-    cache, and writes only their rows, so the result does not depend on how
-    many run. A source whose reach bounds miss every row of a block gets
-    entries of 0 there without ``exp``, the +0.0 ``exp`` would give (see
-    ``_REACH_SDS``). On a grid that resolves the kernel, mass can only
-    shrink: tail mass is lost, and ``grid_stats`` shows the deficit.
+    go in the grid's ``core.row_blocks``, which ``core.run_workers`` deals
+    out; each worker makes a buffer of its own and builds its blocks there,
+    in its core's L2 cache, and writes only their rows, so the result does
+    not depend on how many run. A source whose reach bounds miss every row
+    of a block gets entries of 0 there without ``exp``, the +0.0 ``exp``
+    would give (see ``_REACH_SDS``). On a grid that resolves the kernel,
+    mass can only shrink: tail mass is lost, and ``grid_stats`` shows the
+    deficit.
     """
     grid = f.grid
     n = grid.z.size
     wf = grid.w * f.values * grid.norm
     blocks = row_blocks(n, grid.z.itemsize)
-    shares = deal(blocks)
-    bufs = [np.empty((blocks.step, n)) for _ in shares]
     out = np.empty(n)
-    run_workers(lambda i, share: _kernel_rows(grid, wf, out, bufs[i], share),
-                shares)
+    run_workers(lambda share: _kernel_rows(
+        grid, wf, out, np.empty((blocks.step, n)), share), blocks)
     return GridPdf(grid, out, f.t + 1)
 
 

@@ -1,6 +1,8 @@
 import math
 import os
 import re
+import threading
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -835,3 +837,56 @@ def test_cpus_without_affinity_are_the_cpu_count(monkeypatch):
     assert core._cpus() == (os.cpu_count() or 1)
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert core._cpus() == 1
+
+
+@pytest.mark.parametrize("blocks", [range(0, 7), range(0, 2001, 65)],
+                         ids=["7x1", "2001x65"])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+def test_run_workers_deals_block_i_to_worker_i_mod_w(monkeypatch, blocks,
+                                                     cpus):
+    monkeypatch.setattr(core, "_cpus", lambda: cpus)
+    workers = min(cpus, len(blocks))
+    calls = []  # list.append is atomic, so threads may share it
+    core.run_workers(
+        lambda share: calls.append((share, threading.current_thread())),
+        blocks)
+    calls.sort(key=lambda call: call[0][0])
+    shares = [share for share, _ in calls]
+    assert shares == [blocks[i::workers] for i in range(workers)]
+    assert sorted(b for share in shares for b in share) == list(blocks)
+    # the list holds every thread, so no two of them can share an id
+    threads = [thread for _, thread in calls]
+    assert threads[0] is threading.current_thread()
+    assert threading.current_thread() not in threads[1:]
+    assert len({id(thread) for thread in threads}) == workers
+
+
+def _failing_work(blocks, failing, done):
+    """Work whose shares in ``failing`` raise at once, naming their worker,
+    and whose others finish after 50 ms, adding their worker to done."""
+    def work(share):
+        i = blocks.index(share[0])
+        if i in failing:
+            raise RuntimeError(f"worker {i} failed")
+        time.sleep(0.05)
+        done.append(i)
+    return work
+
+
+@pytest.mark.parametrize("failing, raised", [
+    ({1}, 1), ({2}, 2), ({1, 2}, None), ({0, 2}, 0), ({0}, 0)])
+def test_run_workers_raises_once_every_thread_has_joined(
+        monkeypatch, failing, raised):
+    # worker 0's own error wins; of the threads', the first raised wins
+    monkeypatch.setattr(core, "_cpus", lambda: 3)
+    blocks = range(0, 7)
+    done = []
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        core.run_workers(_failing_work(blocks, failing, done), blocks)
+    assert sorted(done) == sorted({0, 1, 2} - failing)
+    assert threading.active_count() == before
+    if raised is None:
+        assert str(info.value) in {f"worker {i} failed" for i in failing}
+    else:
+        assert str(info.value) == f"worker {raised} failed"
