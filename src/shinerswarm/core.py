@@ -442,14 +442,13 @@ def _cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def run_workers(work, blocks: range) -> None:
-    """``work(share)`` for each worker's share of the row blocks: block i goes
-    to worker i mod W, W = min(CPUs, blocks). Worker 0 runs on the caller, each
-    other in a thread started in a copy of the caller's context, so numpy's
-    errstate (modes and ``call`` function) holds in all. Every thread is
-    joined, even if worker 0 raises; then the first thread error is raised.
-    A share's ``.stop`` can pass the row count, so bound a block by the row
-    count, never by it: ``range(0, 1001, 65)[1::2].stop == 1040``."""
+def run_workers(work, blocks: tuple | range) -> None:
+    """``work(share)`` for each worker's share of the blocks: block i goes to
+    worker i mod W, W = min(CPUs, blocks), and a share is ``blocks[i::W]``.
+    Worker 0 runs on the caller, each other in a thread started in a copy of
+    the caller's context, so numpy's errstate (modes and ``call`` function)
+    holds in all. Every thread is joined, even if worker 0 raises; then the
+    first thread error is raised."""
     workers = min(_cpus(), len(blocks))
     errors: list[BaseException] = []
 

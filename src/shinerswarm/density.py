@@ -18,10 +18,10 @@ trapezoid rule in u with the Jacobian ``dx/du = c2 + |x|``. The origin,
 where the kernel width has its kink, is always a node when the span holds
 it; the rule's only error there makes mass shrink, never grow. Each grid is
 one frozen, cached ``Grid``: read-only nodes, u nodes and weights, the
-kernel it is graded and checked for, and that kernel's per-node factors and
-reach bounds, which ``propagate`` reads. A ``GridPdf`` owns only its values
-on a grid and its step, so every pdf on a grid is integrated by that grid's
-one rule and stepped by its one kernel.
+kernel it is graded and checked for, that kernel's per-node factors, and
+the plan of its step's row blocks, which ``propagate`` reads. A ``GridPdf``
+owns only its values on a grid and its step, so every pdf on a grid is
+integrated by that grid's one rule and stepped by its one kernel.
 
 Mass that diffuses past the grid edges is simply lost and shows up as a
 total-mass deficit; it is reported by ``grid_stats`` and never renormalized
@@ -65,12 +65,12 @@ DEFAULT_N_POINTS = 2001
 # over two propagations, had a spacing of at least 0.66 widths.
 _MAX_DU = 0.25
 
-# Sources that reach a row block in ``propagate``: those within 40 kernel sds
-# of one of its rows. Beyond that, k_j |z_i - z_j| >= sqrt(0.5) * 40 = 28.28,
-# so the exponent is -t with t >= 800, past the 745.14 at which exp(-t)
-# underflows to +0.0 in float64. The rounding of z_j +/- R_j and of the
-# differences cannot move t across that gap. This is a fact of float64, not
-# an accuracy knob: the entries skipped are exactly those exp makes 0.
+# A source is dead for a ``Grid.plan`` block when its reach, 40 kernel sds,
+# ends before the block's first row or starts past its last. Beyond it, k_j
+# |z_i - z_j| >= sqrt(0.5) * 40 = 28.28, so the exponent is -t with t >= 800,
+# past the 745.14 at which exp(-t) underflows to +0.0 in float64. Rounding
+# cannot move t across that gap. It is a fact of float64, not an accuracy
+# knob: the entries of the dead runs are exactly those exp makes 0.
 _REACH_SDS = 40.0
 
 
@@ -111,19 +111,19 @@ class Grid:
     uniform on each side of the origin in ``u = sign(z) * log1p(|z| / c2)``
     with the kernel's c2; finite weights ``w``, the trapezoid rule in u
     times the Jacobian ``c2 + |z|``, so ``w @ values`` is a pdf's mass;
-    ``du``, the largest node spacing in u; and the kernel's factors ``k``,
-    ``norm`` and reach bounds ``left``, ``right`` at each node. The arrays
-    are read-only and shared by every pdf on the grid; ``propagate`` steps
-    each such pdf by them, through ``kernel``, the one ``initial_pdf``
-    checked the grid for."""
+    ``du``, the largest node spacing in u; the kernel's factors ``k`` and
+    ``norm`` at each node; and ``plan``, one ``(lo, hi, runs)`` per block of
+    ``core.row_blocks``: its rows lo:hi and the ``(s, e, live)`` runs of
+    columns s:e, each live or dead for it (see ``_REACH_SDS``). All are
+    read-only and shared by every pdf on the grid; ``propagate`` steps each
+    by them, through the ``kernel`` they are for."""
 
     z: np.ndarray
     u: np.ndarray
     w: np.ndarray
     k: np.ndarray
     norm: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    plan: tuple
     kernel: KernelParams
     du: float
 
@@ -225,10 +225,17 @@ def _graded_grid(z_min: float, z_max: float, n_points: int,
             f"quadrature weights overflow")
     # an sd of 0, only on grids initial_pdf refuses, gives k = norm = inf
     reach = _REACH_SDS * kernel.sd(z)
-    arrays = (z, u, w, *kernel.factors(z), z - reach, z + reach)
+    blocks = row_blocks(n_points, z.itemsize)
+    plan = []
+    for lo in blocks:
+        hi = min(lo + blocks.step, n_points)
+        dead = (z + reach < z[lo]) | (z - reach > z[hi - 1])
+        cuts = [0, *(np.flatnonzero(dead[1:] != dead[:-1]) + 1).tolist(), n_points]
+        plan.append((lo, hi, tuple((s, e, not dead[s]) for s, e in zip(cuts, cuts[1:]))))
+    arrays = (z, u, w, *kernel.factors(z))
     for a in arrays:
         a.flags.writeable = False
-    return Grid(*arrays, kernel, du_max)
+    return Grid(*arrays, tuple(plan), kernel, du_max)
 
 
 def initial_pdf(x0: float, params: KernelParams,
@@ -278,13 +285,11 @@ def initial_pdf(x0: float, params: KernelParams,
     return f
 
 
-def _kernel_rows(grid, wf, out, buf, blocks) -> None:
-    """Rows ``lo:lo + len(buf)`` of ``propagate``'s step, for each lo in
-    blocks, into the same rows of out, through the one buffer buf."""
-    z, k, left, right = grid.z, grid.k, grid.left, grid.right
-    n = z.size
-    for lo in blocks:
-        hi = min(lo + len(buf), n)
+def _kernel_rows(grid, wf, out, buf, share) -> None:
+    """Rows lo:hi of ``propagate``'s step, for each ``Grid.plan`` entry
+    ``(lo, hi, runs)`` in share, into out's rows, through the one buffer."""
+    z, k = grid.z, grid.k
+    for lo, hi, runs in share:
         b = buf[:hi - lo]
         # a row copy less the column is cheaper than broadcasting
         # z_i - z_j; z_j - z_i is its exact negation, and squaring after the
@@ -295,21 +300,19 @@ def _kernel_rows(grid, wf, out, buf, blocks) -> None:
         np.square(b, out=b)
         np.negative(b, out=b)
         # exp only the runs of columns whose source reaches the block
-        dead = (right < z[lo]) | (left > z[hi - 1])
-        cuts = [0, *(np.flatnonzero(dead[1:] != dead[:-1]) + 1).tolist(), n]
-        for s, e in zip(cuts, cuts[1:]):
+        for s, e, live in runs:
             run = b[:, s:e]
-            if dead[s]:
-                run.fill(0.0)
-            else:
+            if live:
                 np.exp(run, out=run)
+            else:
+                run.fill(0.0)
         np.matmul(b, wf, out=out[lo:hi])
 
 
-# An overflow goes to its limit: an sd of inf gives the grid a norm of 0 and
-# an infinite reach, and in a step an entry of inf exp = 0. Only inf * 0
-# makes a NaN, where an sd and a node distance both overflow or a kernel is
-# too narrow for a finite norm, and GridPdf's check refuses it.
+# An overflow goes to its limit: an sd of inf gives the grid a norm of 0
+# and a source live in every block, and in a step an entry of inf exp = 0.
+# Only inf * 0 makes a NaN, where an sd and a node distance both overflow or
+# a kernel is too narrow for a finite norm, and GridPdf's check refuses it.
 @np.errstate(over="ignore", invalid="ignore")
 def propagate(f: GridPdf) -> GridPdf:
     """Push the pdf one step forward on the same grid, through the kernel
@@ -320,22 +323,20 @@ def propagate(f: GridPdf) -> GridPdf:
     normalisation is folded into the source vector once per call,
     ``wf_j = w_j f_j norm_j``, and its width into ``k_j``, so each kernel
     entry costs one subtract, multiply, square and ``exp(-.)``. Output rows
-    go in the grid's ``core.row_blocks``, which ``core.run_workers`` deals
-    out; each worker makes a buffer of its own and builds its blocks there,
-    in its core's L2 cache, and writes only their rows, so the result does
-    not depend on how many run. A source whose reach bounds miss every row
-    of a block gets entries of 0 there without ``exp``, the +0.0 ``exp``
-    would give (see ``_REACH_SDS``). On a grid that resolves the kernel,
-    mass can only shrink: tail mass is lost, and ``grid_stats`` shows the
-    deficit.
+    go in the blocks of the grid's ``plan``, which ``core.run_workers``
+    deals out; each worker makes a buffer of its own, of the first block's
+    rows, builds its blocks there, in its core's L2 cache, and writes only
+    their rows, so the result does not depend on how many run. A block's
+    dead runs of source columns get entries of 0 without ``exp``, the +0.0
+    ``exp`` would give (see ``_REACH_SDS``). On a grid that resolves the
+    kernel, mass can only shrink: tail mass is lost, and ``grid_stats``
+    shows the deficit.
     """
     grid = f.grid
-    n = grid.z.size
     wf = grid.w * f.values * grid.norm
-    blocks = row_blocks(n, grid.z.itemsize)
-    out = np.empty(n)
+    out = np.empty_like(wf)
     run_workers(lambda share: _kernel_rows(
-        grid, wf, out, np.empty((blocks.step, n)), share), blocks)
+        grid, wf, out, np.empty((grid.plan[0][1], wf.size)), share), grid.plan)
     return GridPdf(grid, out, f.t + 1)
 
 
@@ -364,7 +365,7 @@ def grid_stats(f: GridPdf, eps: float) -> GridStats:
     c2 = grid.kernel.c2
     mass = float(grid.w @ f.values)
     if mass <= 0.0:
-        raise ValueError("pdf has zero mass")
+        raise ValueError(f"t = {f.t}: pdf has zero mass")
     mean = float(grid.w @ (grid.z * f.values)) / mass
     u = grid.u
     u_eps = math.log1p(eps / c2)

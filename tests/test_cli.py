@@ -305,6 +305,18 @@ def test_density_narrow_grid_exits_4(tmp_path):
     assert code == 4
 
 
+def test_density_pdf_of_zero_mass_exits_4_naming_its_step(tmp_path, capsys):
+    # a kernel sd of 100 (0.01 + |x|) sends most of the mass past the span
+    # at every step: the mass left is 3.4e-10 at t = 10, and by t = 268
+    # every value has underflowed to 0
+    out = tmp_path / "d.csv"
+    assert main(["density", "--x0", "0", "--t", "268", "--c1", "100",
+                 "--c2", "0.01", "--grid-points", "301", "--grid-min", "-100",
+                 "--grid-max", "100", "--out", str(out)]) == 4
+    assert capsys.readouterr() == ("", "error: t = 268: pdf has zero mass\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, shape", [
     (["simulate", "--config", "huge.cfg"], "(10000000000000000, 2)"),
     (["density", "--x0", "5", "--t", "1", "--grid-points",

@@ -320,8 +320,8 @@ def test_propagate_raises_a_worker_error_once_every_worker_has_joined(
     kernel_rows = density._kernel_rows
 
     def fail_in_worker_1(*args):
-        buf, blocks = args[-2:]
-        if blocks[0] == len(buf):
+        buf, share = args[-2:]
+        if share[0][0] == len(buf):
             raise RuntimeError("worker 1 failed")
         kernel_rows(*args)
 
@@ -709,15 +709,87 @@ def test_pdfs_on_one_grid_share_its_read_only_arrays(ref_chain):
     f1, f3 = ref_chain[1], ref_chain[3]
     grid = f3.grid
     assert f1.grid is grid and f3.z is grid.z
-    for name in ("z", "u", "w", "k", "norm", "left", "right"):
+    for name in ("z", "u", "w", "k", "norm"):
         assert not getattr(grid, name).flags.writeable, name
     with pytest.raises(dataclasses.FrozenInstanceError):
         grid.w = np.ones(grid.z.size)
     # across calls too, and each pdf still owns its values
     g1, g3 = initial_pdf(REF_X0, REF_KERNEL), pdf_at_time(REF_X0, 3, REF_KERNEL)
     assert g1.grid is g3.grid
+    assert f1.grid.plan is f3.grid.plan and g1.grid.plan is g3.grid.plan
     np.testing.assert_array_equal(g3.values, f3.values)
     assert g3.values is not f3.values
+
+
+PLAN_GRIDS = pytest.mark.parametrize("params, z_min, z_max, n_points", [
+    (REF_KERNEL, -1000.0, 1000.0, DEFAULT_N_POINTS),
+    (REF_KERNEL, -1000.0, 1000.0, 6001),
+    # a narrow kernel, whose blocks near x0 reach a narrow band of sources
+    (KernelParams(c1=0.02, c2=0.1), -100.0, 100.0, 4001),
+    # one block holds every row
+    (KernelParams(), -1.0, 1.0, 11),
+], ids=["default", "6001", "c1=0.02", "11"])
+
+
+@PLAN_GRIDS
+def test_grid_plan_tiles_the_rows_in_row_blocks(params, z_min, z_max,
+                                                n_points):
+    plan = _graded_grid(z_min, z_max, n_points, params).plan
+    rows = row_blocks(n_points, 8).step
+    his = [hi for _, hi, _ in plan]
+    assert [lo for lo, _, _ in plan] == [0, *his[:-1]]
+    assert his[-1] == n_points
+    assert all(0 < hi - lo <= rows for lo, hi, _ in plan)
+
+
+@PLAN_GRIDS
+def test_grid_plan_runs_tile_the_columns_alternately_live_and_dead(
+        params, z_min, z_max, n_points):
+    for _, _, runs in _graded_grid(z_min, z_max, n_points, params).plan:
+        ends = [e for _, e, _ in runs]
+        assert [s for s, _, _ in runs] == [0, *ends[:-1]]
+        assert ends[-1] == n_points
+        assert all(s < e for s, e, _ in runs)
+        assert all(a[2] != b[2] for a, b in zip(runs, runs[1:]))
+
+
+@PLAN_GRIDS
+def test_grid_plan_is_dead_where_every_source_reach_misses_the_block(
+        params, z_min, z_max, n_points):
+    # brute force: source j misses row i when its 40-sd reach ends before
+    # z_i or starts past it, and a source is dead for a block when it misses
+    # every row of the block
+    grid = _graded_grid(z_min, z_max, n_points, params)
+    z = grid.z
+    reach = 40.0 * params.sd(z)
+    for lo, hi, runs in grid.plan:
+        rows = z[lo:hi, None]
+        misses = ((z + reach < rows) | (z - reach > rows)).all(axis=0)
+        for s, e, live in runs:
+            assert not misses[s:e].any() if live else misses[s:e].all()
+
+
+def test_default_grid_plan_holds_31_blocks_of_67_runs():
+    plan = initial_pdf(REF_X0, REF_KERNEL).grid.plan
+    assert (len(plan), sum(len(runs) for _, _, runs in plan)) == (31, 67)
+
+
+@PLAN_GRIDS
+def test_grid_plan_is_tuples_shared_by_every_pdf_on_a_cached_grid(
+        params, z_min, z_max, n_points):
+    plan = _graded_grid(z_min, z_max, n_points, params).plan
+    assert type(plan) is tuple
+    for entry in plan:
+        assert type(entry) is tuple and type(entry[2]) is tuple
+        assert [type(x) for x in entry[:2]] == [int, int]
+        for run in entry[2]:
+            assert [type(x) for x in run] == [int, int, bool]
+    # half the mass spread over the grid: a pdf on any of these grids, which
+    # initial_pdf refuses on 11 points as too coarse for the kernel
+    grid = _graded_grid(z_min, z_max, n_points, params)
+    f = GridPdf(grid, np.full(n_points, 0.5 / grid.w.sum()), t=1)
+    assert f.grid.plan is plan
+    assert propagate(propagate(f)).grid.plan is plan
 
 
 def test_grid_pdf_fields_cannot_be_reassigned():
@@ -746,7 +818,7 @@ def test_grid_stats_rejects_an_eps_out_of_range(eps):
 
 def test_grid_stats_rejects_zero_mass():
     f = GridPdf(_graded_grid(-1.0, 1.0, 11, KernelParams()), np.zeros(11), t=1)
-    with pytest.raises(ValueError, match="zero mass"):
+    with pytest.raises(ValueError, match="^t = 1: pdf has zero mass$"):
         grid_stats(f, eps=0.5)
 
 
